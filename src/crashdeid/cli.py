@@ -17,6 +17,7 @@ import sys
 from .extract import EnsembleConfig
 from .gateway import BackendConfig
 from .pipeline import (
+    PRESETS,
     ConfigError,
     PipelineConfig,
     replay_manifest,
@@ -31,11 +32,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", help="narratives file (JSONL or CSV)")
     parser.add_argument("--format", choices=["jsonl", "csv"], default=None)
     parser.add_argument("--gold", help="gold annotations JSONL sidecar")
-    parser.add_argument(
-        "--preset",
-        choices=["rules_only", "llm_single", "hybrid", "hybrid_ev"],
-        default="hybrid_ev",
-    )
+    parser.add_argument("--preset", choices=list(PRESETS), default="hybrid_ev")
     parser.add_argument("--k-ensemble", type=int, default=5)
     parser.add_argument(
         "--policy",

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
-from .tags import PiiCategory, contains_delimiter_sequence
+from .tags import PiiCategory
 
 if TYPE_CHECKING:
     from .verify import AuditRecord
@@ -66,38 +66,6 @@ class GoldAnnotation:
 class Corpus:
     narratives: tuple[Narrative, ...]
     gold: tuple[GoldAnnotation, ...] = field(default=())
-
-    def narrative(self, narrative_id: str) -> Narrative:
-        for narrative in self.narratives:
-            if narrative.id == narrative_id:
-                return narrative
-        raise KeyError(narrative_id)
-
-    def narrative_counts_by_category(self) -> dict[PiiCategory, int]:
-        """Number of narratives carrying at least one gold instance per category."""
-        bearers: dict[PiiCategory, set[str]] = {}
-        for annotation in self.gold:
-            bearers.setdefault(annotation.category, set()).add(
-                annotation.narrative_id
-            )
-        return {cat: len(ids) for cat, ids in bearers.items()}
-
-    def instance_counts_by_category(self) -> dict[PiiCategory, int]:
-        """Number of gold instances per category (multiplicities included)."""
-        counts: dict[PiiCategory, int] = {}
-        for annotation in self.gold:
-            counts[annotation.category] = counts.get(annotation.category, 0) + 1
-        return counts
-
-    def delimiter_flagged_ids(self) -> frozenset[str]:
-        """Ids of narratives whose source text already contains a tag delimiter.
-
-        These records cannot travel through the tag protocol unambiguously
-        and are routed around it by the extractor.
-        """
-        return frozenset(
-            n.id for n in self.narratives if contains_delimiter_sequence(n.text)
-        )
 
 
 def default_gold_path(path: Path) -> Path:
@@ -234,42 +202,6 @@ def load_corpus(
     return Corpus(narratives=tuple(narratives), gold=tuple(gold))
 
 
-def write_corpus(corpus: Corpus, path: str | Path, fmt: str | None = None) -> None:
-    """Persist a corpus (and its gold sidecar) in the load_corpus grammar."""
-    path = Path(path)
-    fmt = _infer_format(path, fmt)
-    if fmt == "csv":
-        with path.open("w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["id", "text"])
-            for narrative in corpus.narratives:
-                writer.writerow([narrative.id, narrative.text])
-    else:
-        with path.open("w", encoding="utf-8") as handle:
-            for narrative in corpus.narratives:
-                handle.write(
-                    json.dumps(
-                        {"id": narrative.id, "text": narrative.text},
-                        ensure_ascii=False,
-                    )
-                    + "\n"
-                )
-    if corpus.gold:
-        with default_gold_path(path).open("w", encoding="utf-8") as handle:
-            for annotation in corpus.gold:
-                handle.write(
-                    json.dumps(
-                        {
-                            "narrative_id": annotation.narrative_id,
-                            "category": annotation.category.value,
-                            "surface": annotation.surface,
-                        },
-                        ensure_ascii=False,
-                    )
-                    + "\n"
-                )
-
-
 def write_audit_log(path: str | Path, records: Iterable["AuditRecord"]) -> None:
     """Append audit records as JSONL; serialization is deterministic so the
     same records always append the same bytes."""
@@ -278,17 +210,6 @@ def write_audit_log(path: str | Path, records: Iterable["AuditRecord"]) -> None:
     with path.open("a", encoding="utf-8") as handle:
         for record in records:
             handle.write(record.to_json_line() + "\n")
-
-
-def read_audit_log(path: str | Path) -> list["AuditRecord"]:
-    from .verify import AuditRecord
-
-    records = []
-    with Path(path).open(encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                records.append(AuditRecord.from_json_line(line))
-    return records
 
 
 def write_redacted(

@@ -8,9 +8,16 @@ to caller discipline.
 For the two most ambiguous categories the LLM tagger runs K times and the
 union of candidate surfaces across runs is kept, with ``run_votes``
 counting how many runs produced each surface. A run whose completion fails
-the detag-equality guard is treated as hallucinated and (by default)
-discarded wholesale: offsets cannot be trusted once the model rewrote the
-text.
+the detag-equality guard is treated as hallucinated and discarded
+wholesale: offsets cannot be trusted once the model rewrote the text.
+
+``hybrid_extract`` is the one extraction path of every preset: without a
+backend it yields rule candidates only, with ``rules=False`` LLM
+candidates only, and a single-run baseline is an ``EnsembleConfig`` with
+K=1 and no ensemble categories. Text that already holds a tag delimiter
+cannot go through the LLM channel and raises ``AmbiguousTagging`` there,
+so the narrative fails instead of being emitted with its contextual PII
+in clear.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from .tags import (
     LLM_CATEGORIES,
     RULE_CATEGORIES,
     CATEGORY_ORDER,
+    AmbiguousTagging,
     PiiCategory,
     PiiSpan,
     TagError,
@@ -104,7 +112,6 @@ class EnsembleConfig:
     ensemble_categories: frozenset[PiiCategory] = frozenset(
         {PiiCategory.HOME_ADDRESS, PiiCategory.ALPHANUMERIC}
     )
-    discard_hallucinated_runs: bool = True
 
     def __post_init__(self) -> None:
         if self.k_runs < 1:
@@ -124,14 +131,13 @@ def extract_single_run(
     *,
     seed: int | None = None,
     temperature: float = gateway.DEFAULT_EXTRACTION_TEMPERATURE,
-    discard_hallucinated: bool = True,
 ) -> SingleRun:
     """One tagging run: prompt, complete, guard, parse.
 
     Returns spans restricted to the LLM-owned categories; rule-owned tags
     in the completion are discarded. A completion that fails detag
-    equality (or does not parse) counts as hallucinated; under the discard
-    policy it contributes no spans. Gateway errors propagate.
+    equality (or does not parse) counts as hallucinated and contributes
+    no spans. Gateway errors propagate.
     """
     if not narrative.text:
         raise ValueError("narrative text must be non-empty")
@@ -139,35 +145,13 @@ def extract_single_run(
         narrative.text, temperature=temperature, seed=seed
     )
     response = gateway.complete(request, backend)
-    hallucinated = not detag_equals(response.text, narrative.text)
-    spans: list[PiiSpan] = []
-    if not hallucinated:
-        try:
-            _, parsed = parse_tagged(response.text)
-        except TagError:
-            hallucinated = True
-        else:
-            spans = [s for s in parsed if s.category in LLM_CATEGORIES]
-    if hallucinated and discard_hallucinated:
+    if not detag_equals(response.text, narrative.text):
         return SingleRun([], True)
-    if hallucinated:
-        # Salvage mode: recover surfaces from the rewritten completion when
-        # they still occur in the narrative; offsets are re-anchored there.
-        try:
-            _, parsed = parse_tagged(response.text)
-        except TagError:
-            return SingleRun([], True)
-        spans = []
-        for span in parsed:
-            if span.category not in LLM_CATEGORIES:
-                continue
-            offset = narrative.text.find(span.surface)
-            if offset >= 0:
-                spans.append(
-                    PiiSpan(span.category, offset, offset + len(span.surface), span.surface)
-                )
-        return SingleRun(spans, True)
-    return SingleRun(spans, False)
+    try:
+        _, parsed = parse_tagged(response.text)
+    except TagError:
+        return SingleRun([], True)
+    return SingleRun([s for s in parsed if s.category in LLM_CATEGORIES], False)
 
 
 @dataclass(frozen=True)
@@ -229,7 +213,6 @@ def extract_ensemble(
                     backend,
                     seed=seed,
                     temperature=temperature,
-                    discard_hallucinated=cfg.discard_hallucinated_runs,
                 )
             )
         except GatewayError:
@@ -240,19 +223,13 @@ def extract_ensemble(
             f"all {cfg.k_runs} extraction runs failed for narrative "
             f"{narrative.id!r}"
         )
-    discarded = sum(
-        1
-        for run in runs
-        if run is not None and run.hallucinated and cfg.discard_hallucinated_runs
-    )
+    discarded = sum(1 for run in runs if run is not None and run.hallucinated)
 
     by_category: dict[PiiCategory, tuple[Candidate, ...]] = {}
     for category in sorted(cfg.ensemble_categories & LLM_CATEGORIES, key=CATEGORY_ORDER.index):
         votes: dict[str, int] = {}
         for run in runs:
             if run is None:
-                continue
-            if run.hallucinated and cfg.discard_hallucinated_runs:
                 continue
             produced = {s.surface for s in run.spans if s.category is category}
             for surface in produced:
@@ -304,47 +281,36 @@ def rule_candidates(text: str) -> dict[PiiCategory, tuple[Candidate, ...]]:
     return out
 
 
-def candidate_set_from_spans(
-    narrative: Narrative, spans: list[PiiSpan], source: str = SOURCE_LLM_SINGLE
-) -> CandidateSet:
-    """Build an LLM-only CandidateSet from one run's spans (baseline preset)."""
-    by_category: dict[PiiCategory, tuple[Candidate, ...]] = {}
-    for category in LLM_CATEGORIES:
-        votes = {s.surface: 1 for s in spans if s.category is category}
-        by_category[category] = _candidates_from_votes(narrative, votes, source)
-    return CandidateSet(narrative_id=narrative.id, by_category=by_category)
-
-
 def hybrid_extract(
     narrative: Narrative,
-    backend: BackendConfig,
+    backend: BackendConfig | None,
     cfg: EnsembleConfig,
     *,
     base_seed: int | None = None,
     temperature: float = gateway.DEFAULT_EXTRACTION_TEMPERATURE,
+    rules: bool = True,
 ) -> CandidateSet:
     """Rules for phone/email, LLM channel for the rest, merged into one set.
 
-    An LLM candidate whose surface equals or sits inside a rule match is
-    suppressed: rules are the authority for their own span text. Narratives
-    whose source text already contains a tag delimiter skip the LLM channel
-    entirely (the tag protocol cannot represent them) and keep rule
-    candidates only.
+    ``backend=None`` turns the LLM channel off and ``rules=False`` the rule
+    channel. An LLM candidate whose surface equals or sits inside a rule
+    match is suppressed: rules are the authority for their own span text.
+    With a backend set, text that already contains a tag delimiter raises
+    AmbiguousTagging: the tag protocol cannot represent it, and emitting it
+    with rule candidates only would leave its contextual PII in clear.
     """
-    merged = rule_candidates(narrative.text)
-    if contains_delimiter_sequence(narrative.text):
-        for category in LLM_CATEGORIES:
-            merged[category] = ()
+    merged = rule_candidates(narrative.text) if rules else {}
+    if backend is None:
         return CandidateSet(narrative_id=narrative.id, by_category=merged)
+    if contains_delimiter_sequence(narrative.text):
+        raise AmbiguousTagging(
+            f"narrative {narrative.id!r} already holds a tag delimiter"
+        )
 
     ensemble = extract_ensemble(
         narrative, backend, cfg, base_seed=base_seed, temperature=temperature
     )
-    rule_surfaces = [
-        c.surface
-        for category in RULE_CATEGORIES
-        for c in merged.get(category, ())
-    ]
+    rule_surfaces = [c.surface for candidates in merged.values() for c in candidates]
     for category, candidates in ensemble.by_category.items():
         merged[category] = tuple(
             c

@@ -1,16 +1,17 @@
 """End-to-end orchestration of the de-identification workflow.
 
-Presets select which stages run:
-
-    rules_only   phone/email rule recognizers, no backends
-    llm_single   one LLM tagging run for the context-dependent categories
-    hybrid       rules + LLM channel (ensemble on the ambiguous categories)
-    hybrid_ev    hybrid + evidence-checked verifier on those categories
+Presets are data: each row of ``PRESETS`` switches stages of one workflow
+on or off (the phone/email rules; LLM tagging, either one run or the
+configured K runs pooled on the ambiguous categories; the verifier on
+those categories), and every preset extracts through
+``extract.hybrid_extract``.
 
 A run writes ``redacted.jsonl``, ``audit.jsonl`` (when the verifier ran)
-and ``manifest.json`` into the output directory. The manifest snapshot
-fully determines the run and can be replayed. Narratives that fail are
-listed as unprocessed; they are never emitted unredacted.
+and ``manifest.json`` into the output directory; ``run_eval --out`` writes
+the very results it scores, through the same writer as ``run_pipeline``.
+The manifest snapshot fully determines the run and can be replayed.
+Narratives that fail are listed as unprocessed; they are never emitted
+unredacted.
 """
 
 from __future__ import annotations
@@ -20,25 +21,34 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .corpus import Corpus, Narrative, load_corpus, write_audit_log, write_redacted
 from .evalkit import MetricsReport, build_report, write_report
-from .extract import (
-    AllRunsFailed,
-    CandidateSet,
-    EnsembleConfig,
-    candidate_set_from_spans,
-    extract_single_run,
-    hybrid_extract,
-    rule_candidates,
-)
+from .extract import AllRunsFailed, CandidateSet, EnsembleConfig, hybrid_extract
 from .gateway import BackendConfig, GatewayError
 from .redact import RedactionStyle, RedactionCollision, SurfaceNotFound, render
-from .tags import PiiCategory, contains_delimiter_sequence
+from .tags import PiiCategory
 from .verify import AuditRecord, VerifierPolicy, rfc3339_now, verify_candidates
 
-PRESETS = ("rules_only", "llm_single", "hybrid", "hybrid_ev")
+
+class Preset(NamedTuple):
+    rules: bool
+    llm: bool
+    ensemble: bool
+    verify: bool
+
+
+PRESETS: dict[str, Preset] = {
+    "rules_only": Preset(rules=True, llm=False, ensemble=False, verify=False),
+    "llm_single": Preset(rules=False, llm=True, ensemble=False, verify=False),
+    "hybrid": Preset(rules=True, llm=True, ensemble=True, verify=False),
+    "hybrid_ev": Preset(rules=True, llm=True, ensemble=True, verify=True),
+}
+#: The tagging configuration of presets without an ensemble: one run, every
+#: LLM category taken from it.
+SINGLE_RUN = EnsembleConfig(k_runs=1, ensemble_categories=frozenset())
 MASKED_TIMESTAMP = "1970-01-01T00:00:00Z"
 
 
@@ -63,11 +73,11 @@ class PipelineConfig:
             raise ConfigError(f"unknown preset {self.preset!r}")
         if self.parallelism < 1:
             raise ConfigError("parallelism must be >= 1")
-        if self.preset in ("llm_single", "hybrid", "hybrid_ev"):
-            if self.extractor_backend is None:
-                raise ConfigError(f"preset {self.preset} requires an extractor backend")
-        if self.preset == "hybrid_ev" and self.verifier_backend is None:
-            raise ConfigError("preset hybrid_ev requires a verifier backend")
+        stages = PRESETS[self.preset]
+        if stages.llm and self.extractor_backend is None:
+            raise ConfigError(f"preset {self.preset} requires an extractor backend")
+        if stages.verify and self.verifier_backend is None:
+            raise ConfigError(f"preset {self.preset} requires a verifier backend")
 
 
 @dataclass
@@ -79,39 +89,21 @@ class NarrativeResult:
     error: str | None = None
 
 
-def _empty_set(narrative: Narrative) -> CandidateSet:
-    return CandidateSet(narrative_id=narrative.id)
-
-
-def _extract(narrative: Narrative, config: PipelineConfig) -> CandidateSet:
-    if config.preset == "rules_only":
-        return CandidateSet(
-            narrative_id=narrative.id,
-            by_category=rule_candidates(narrative.text),
-        )
-    if config.preset == "llm_single":
-        if contains_delimiter_sequence(narrative.text):
-            return _empty_set(narrative)
-        run = extract_single_run(
-            narrative,
-            config.extractor_backend,
-            seed=config.seed,
-            discard_hallucinated=config.ensemble.discard_hallucinated_runs,
-        )
-        return candidate_set_from_spans(narrative, run.spans)
-    return hybrid_extract(
-        narrative, config.extractor_backend, config.ensemble, base_seed=config.seed
-    )
-
-
 def process_narrative(narrative: Narrative, config: PipelineConfig) -> NarrativeResult:
     result = NarrativeResult(narrative=narrative)
     if not narrative.text:
-        result.final = _empty_set(narrative)
+        result.final = CandidateSet(narrative_id=narrative.id)
         return result
+    stages = PRESETS[config.preset]
     try:
-        candidates = _extract(narrative, config)
-        if config.preset == "hybrid_ev":
+        candidates = hybrid_extract(
+            narrative,
+            config.extractor_backend if stages.llm else None,
+            config.ensemble if stages.ensemble else SINGLE_RUN,
+            base_seed=config.seed,
+            rules=stages.rules,
+        )
+        if stages.verify:
             timestamp_fn = (
                 (lambda: MASKED_TIMESTAMP) if config.mask_timestamps else rfc3339_now
             )
@@ -161,7 +153,6 @@ def config_snapshot(
         "ensemble_categories": sorted(
             c.value for c in config.ensemble.ensemble_categories
         ),
-        "discard_hallucinated_runs": config.ensemble.discard_hallucinated_runs,
         "policy": config.policy.label,
         "redaction": {
             "mode": config.output_style.mode,
@@ -193,6 +184,11 @@ def config_from_snapshot(snapshot: dict) -> PipelineConfig:
             retries=obj.get("retries", 2),
         )
 
+    if snapshot.get("discard_hallucinated_runs") is False:
+        raise ConfigError(
+            "manifest was recorded with discard_hallucinated_runs=false "
+            "(salvage mode), which no longer exists; the run cannot be reproduced"
+        )
     policy = (
         VerifierPolicy.recall_first()
         if snapshot["policy"] == "recall_first"
@@ -205,7 +201,6 @@ def config_from_snapshot(snapshot: dict) -> PipelineConfig:
             ensemble_categories=frozenset(
                 PiiCategory(v) for v in snapshot["ensemble_categories"]
             ),
-            discard_hallucinated_runs=snapshot["discard_hallucinated_runs"],
         ),
         policy=policy,
         extractor_backend=backend_from(snapshot.get("extractor_backend")),
@@ -247,11 +242,29 @@ def run_pipeline(
     """Process the corpus and write redacted output, audit log and manifest."""
     started = time.monotonic()
     corpus = load_corpus(input_path, fmt=fmt, gold_path=gold_path)
+    results = execute(corpus, config)
+    return _write_outputs(
+        config, results, output_dir, started, input_path, fmt, gold_path
+    )
+
+
+def _write_outputs(
+    config: PipelineConfig,
+    results: list[NarrativeResult],
+    output_dir: str | Path,
+    started: float,
+    input_path: str | Path,
+    fmt: str | None,
+    gold_path: str | Path | None,
+) -> RunSummary:
+    """Render the results and write redacted output, audit log and manifest.
+
+    A narrative whose rendering fails gets its ``error`` set and is listed
+    as failed. The audit log is written for presets with a verifier and
+    removed otherwise, so no earlier run's log outlives its manifest.
+    """
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
-
-    results = execute(corpus, config)
-
     rows = []
     audit: list[AuditRecord] = []
     failed: list[str] = []
@@ -284,13 +297,13 @@ def run_pipeline(
             decisions["uncertain"] += 1
 
     write_redacted(output_dir / "redacted.jsonl", rows)
-    if config.preset == "hybrid_ev":
-        audit_path = output_dir / "audit.jsonl"
-        audit_path.unlink(missing_ok=True)
+    audit_path = output_dir / "audit.jsonl"
+    audit_path.unlink(missing_ok=True)
+    if PRESETS[config.preset].verify:
         write_audit_log(audit_path, audit)
 
     counts = {
-        "narratives": len(corpus.narratives),
+        "narratives": len(results),
         "processed": len(rows),
         "failed": len(failed),
         "degraded": degraded,
@@ -316,7 +329,7 @@ def run_pipeline(
         json.dumps(manifest, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
     )
     return RunSummary(
-        narratives=len(corpus.narratives),
+        narratives=len(results),
         processed=len(rows),
         failed_narratives=failed,
         counts=counts,
@@ -347,7 +360,12 @@ def run_eval(
     fmt: str | None = None,
     output_dir: str | Path | None = None,
 ) -> MetricsReport:
-    """Run the pipeline and score it against gold; writes JSON + text reports."""
+    """Run the pipeline and score it against gold; writes JSON + text reports.
+
+    With ``output_dir`` set, the scored results are also written there,
+    exactly as ``run_pipeline`` writes them.
+    """
+    started = time.monotonic()
     corpus = load_corpus(input_path, fmt=fmt, gold_path=gold_path)
     results = execute(corpus, config)
     predictions = {
@@ -357,5 +375,7 @@ def run_eval(
     report_path = Path(report_path)
     write_report(report, report_path, report_path.with_suffix(".txt"))
     if output_dir is not None:
-        run_pipeline(config, input_path, output_dir, fmt=fmt, gold_path=gold_path)
+        _write_outputs(
+            config, results, output_dir, started, input_path, fmt, gold_path
+        )
     return report

@@ -5,7 +5,7 @@ Both grammars are declared here and are the normative definition the
 recognizers implement (test oracles re-derive matches from these rules
 independently).
 
-Strict U.S. phone grammar (pattern id ``us_phone_strict_v1``)::
+Strict U.S. phone grammar::
 
     phone  := prefix? "(" area ")" " "? exch psep line     (parenthesized)
             | prefix? area sep exch sep line               (same sep twice)
@@ -19,7 +19,7 @@ Strict U.S. phone grammar (pattern id ``us_phone_strict_v1``)::
     form additionally requires non-alphanumeric boundaries. Seven-digit
     local numbers (no area code) are never matched.
 
-Email grammar (pattern id ``email_v1``)::
+Email grammar::
 
     email  := local "@" (label ".")+ tld
     local  := atom ("." atom)*     atom := [A-Za-z0-9_%+-]+
@@ -36,9 +36,6 @@ import re
 from dataclasses import dataclass
 
 from .tags import PiiCategory, PiiSpan
-
-US_PHONE_PATTERN_ID = "us_phone_strict_v1"
-EMAIL_PATTERN_ID = "email_v1"
 
 _PREFIX = r"(?:\+?1[-. ])?"
 _AREA = r"[2-9]\d{2}"
@@ -62,11 +59,10 @@ _EMAIL = re.compile(
 
 @dataclass(frozen=True)
 class RuleMatch:
-    """One rule-recognizer hit, carrying the pattern that produced it."""
+    """One rule-recognizer hit."""
 
     category: PiiCategory
     span: PiiSpan
-    pattern_id: str
 
 
 def _leftmost_longest(raw: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -89,7 +85,6 @@ def find_phones(text: str) -> list[RuleMatch]:
         RuleMatch(
             PiiCategory.PHONE,
             PiiSpan(PiiCategory.PHONE, start, end, text[start:end]),
-            US_PHONE_PATTERN_ID,
         )
         for start, end in _leftmost_longest(raw)
     ]
@@ -101,7 +96,6 @@ def find_emails(text: str) -> list[RuleMatch]:
         RuleMatch(
             PiiCategory.EMAIL,
             PiiSpan(PiiCategory.EMAIL, m.start(), m.end(), m.group()),
-            EMAIL_PATTERN_ID,
         )
         for m in _EMAIL.finditer(text)
     ]

@@ -113,19 +113,12 @@ class PiiSpan:
     surface: str
 
 
-@dataclass(frozen=True)
-class TaggedText:
-    """Text with delimiter-wrapped spans."""
-
-    raw: str
-
-
 def contains_delimiter_sequence(text: str) -> bool:
     """True when the text already holds any three-character delimiter."""
     return any(d in text for d in DELIMITERS.values())
 
 
-def parse_tagged(tagged: TaggedText | str) -> tuple[str, list[PiiSpan]]:
+def parse_tagged(raw: str) -> tuple[str, list[PiiSpan]]:
     """Parse tagged text into the untagged string and its spans.
 
     Scans left to right; a delimiter either opens a span of its category
@@ -135,7 +128,6 @@ def parse_tagged(tagged: TaggedText | str) -> tuple[str, list[PiiSpan]]:
     Raises UnbalancedDelimiter, NestedOrOverlappingTags or EmptySpan on
     malformed tagging.
     """
-    raw = tagged.raw if isinstance(tagged, TaggedText) else tagged
     clean: list[str] = []
     spans: list[PiiSpan] = []
     open_category: PiiCategory | None = None
@@ -173,7 +165,7 @@ def parse_tagged(tagged: TaggedText | str) -> tuple[str, list[PiiSpan]]:
     return "".join(clean), spans
 
 
-def serialize_spans(clean_text: str, spans: list[PiiSpan]) -> TaggedText:
+def serialize_spans(clean_text: str, spans: list[PiiSpan]) -> str:
     """Render spans as tagged text; the exact inverse of ``parse_tagged``.
 
     Spans must be in-range, non-empty, non-overlapping and agree with
@@ -213,7 +205,7 @@ def serialize_spans(clean_text: str, spans: list[PiiSpan]) -> TaggedText:
         parts.append(delim)
         cursor = span.end
     parts.append(clean_text[cursor:])
-    result = TaggedText("".join(parts))
+    result = "".join(parts)
     try:
         back_text, back_spans = parse_tagged(result)
     except TagError as exc:
@@ -232,10 +224,9 @@ def strip_delimiters(raw: str) -> str:
     return raw
 
 
-def detag_equals(tagged: TaggedText | str, original: str) -> bool:
+def detag_equals(tagged: str, original: str) -> bool:
     """Hallucination guard: does delimiter deletion recover the original?
 
     Total on malformed input; no parsing is attempted.
     """
-    raw = tagged.raw if isinstance(tagged, TaggedText) else tagged
-    return strip_delimiters(raw) == original
+    return strip_delimiters(tagged) == original

@@ -149,24 +149,6 @@ class AuditRecord:
         ordered = {key: flat[key] for key in _AUDIT_FIELD_ORDER}
         return json.dumps(ordered, ensure_ascii=False, separators=(",", ":"))
 
-    @classmethod
-    def from_json_line(cls, line: str) -> "AuditRecord":
-        obj = json.loads(line)
-        return cls(
-            narrative_id=obj["narrative_id"],
-            category=PiiCategory(obj["category"]),
-            review=VerifierReview(
-                text=obj["text"],
-                decision=obj["decision"],
-                reason=obj["reason"],
-                evidence=obj["evidence"],
-            ),
-            policy_applied=obj["policy_applied"],
-            final_action=obj["final_action"],
-            backend_id=obj["backend_id"],
-            timestamp=obj["timestamp"],
-        )
-
 
 def rfc3339_now() -> str:
     return (

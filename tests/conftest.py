@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
 import pytest
 
+from crashdeid.corpus import Corpus, default_gold_path
 from crashdeid.gateway import (
     BackendConfig,
     build_extraction_prompt,
@@ -12,7 +14,8 @@ from crashdeid.gateway import (
     fixture_entry,
     write_fixture_file,
 )
-from crashdeid.verify import repair_user_content
+from crashdeid.tags import PiiCategory
+from crashdeid.verify import AuditRecord, VerifierReview, repair_user_content
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
@@ -70,6 +73,55 @@ def write_corpus_jsonl(path: Path, rows: list[dict]) -> Path:
         for row in rows:
             handle.write(json.dumps(row, ensure_ascii=False) + "\n")
     return path
+
+
+def write_corpus(corpus: Corpus, path: Path, fmt: str | None = None) -> None:
+    """Persist a corpus (and its gold sidecar) in the load_corpus grammar."""
+    if (fmt or ("csv" if path.suffix == ".csv" else "jsonl")) == "csv":
+        with path.open("w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["id", "text"])
+            writer.writerows((n.id, n.text) for n in corpus.narratives)
+    else:
+        write_corpus_jsonl(
+            path, [{"id": n.id, "text": n.text} for n in corpus.narratives]
+        )
+    if corpus.gold:
+        write_corpus_jsonl(
+            default_gold_path(path),
+            [
+                {
+                    "narrative_id": a.narrative_id,
+                    "category": a.category.value,
+                    "surface": a.surface,
+                }
+                for a in corpus.gold
+            ],
+        )
+
+
+def audit_record_from_json_line(line: str) -> AuditRecord:
+    """Inverse of ``AuditRecord.to_json_line``."""
+    obj = json.loads(line)
+    return AuditRecord(
+        narrative_id=obj["narrative_id"],
+        category=PiiCategory(obj["category"]),
+        review=VerifierReview(
+            text=obj["text"],
+            decision=obj["decision"],
+            reason=obj["reason"],
+            evidence=obj["evidence"],
+        ),
+        policy_applied=obj["policy_applied"],
+        final_action=obj["final_action"],
+        backend_id=obj["backend_id"],
+        timestamp=obj["timestamp"],
+    )
+
+
+def read_audit_log(path: Path) -> list[AuditRecord]:
+    with path.open(encoding="utf-8") as handle:
+        return [audit_record_from_json_line(line) for line in handle if line.strip()]
 
 
 def review_obj(text: str, decision: str, reason: str = "r", evidence: str = "") -> dict:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from crashdeid.corpus import GoldAnnotation, Narrative, read_audit_log
+from crashdeid.corpus import GoldAnnotation, Narrative
 from crashdeid.evalkit import (
     TypeCounts,
     format_ratio,
@@ -55,6 +55,7 @@ from crashdeid.verify import (
 
 from conftest import (
     extraction_entries,
+    read_audit_log,
     review_obj,
     verifier_entries,
     verifier_json,
@@ -335,7 +336,7 @@ def test_criterion_5_tag_protocol_round_trip():
             failures.append(f"case {case}: round trip mismatch")
         if not detag_equals(tagged, text):
             failures.append(f"case {case}: detag equality failed")
-        if len(tagged.raw) != len(text) + 6 * len(spans):
+        if len(tagged) != len(text) + 6 * len(spans):
             failures.append(f"case {case}: length conservation failed")
         if failures and len(failures) > 5:
             break

@@ -15,14 +15,12 @@ from crashdeid.corpus import (
     MalformedRecord,
     Narrative,
     load_corpus,
-    read_audit_log,
     write_audit_log,
-    write_corpus,
 )
 from crashdeid.tags import PiiCategory
 from crashdeid.verify import AuditRecord, VerifierReview
 
-from conftest import write_corpus_jsonl
+from conftest import read_audit_log, write_corpus, write_corpus_jsonl
 
 
 def test_load_minimal_jsonl(tmp_path):
@@ -120,62 +118,6 @@ def test_gold_errors(tmp_path):
     )
     with pytest.raises(MalformedRecord, match="category"):
         load_corpus(path, gold_path=gold)
-
-
-def test_narrative_counts_by_category(tmp_path):
-    # Narrative-level counts: 500 narratives of which 64 carry names,
-    # 11 phones, 3 emails, 16 alphanumerics, 7 home addresses.
-    wanted = {
-        PiiCategory.NAME: 64,
-        PiiCategory.PHONE: 11,
-        PiiCategory.EMAIL: 3,
-        PiiCategory.ALPHANUMERIC: 16,
-        PiiCategory.HOME_ADDRESS: 7,
-    }
-    rows = [{"id": f"n{i}", "text": f"NARRATIVE {i} TOKEN-{i}"} for i in range(500)]
-    gold_rows = []
-    cursor = 0
-    for category, count in wanted.items():
-        for _ in range(count):
-            gold_rows.append(
-                {
-                    "narrative_id": f"n{cursor}",
-                    "category": category.value,
-                    "surface": f"TOKEN-{cursor}",
-                }
-            )
-            # A second instance in some narratives must not change the
-            # narrative-level count.
-            if cursor % 5 == 0:
-                gold_rows.append(
-                    {
-                        "narrative_id": f"n{cursor}",
-                        "category": category.value,
-                        "surface": f"NARRATIVE {cursor}",
-                    }
-                )
-            cursor += 1
-    path = write_corpus_jsonl(tmp_path / "c.jsonl", rows)
-    gold = tmp_path / "c.gold.jsonl"
-    with gold.open("w", encoding="utf-8") as fh:
-        for row in gold_rows:
-            fh.write(json.dumps(row) + "\n")
-    corpus = load_corpus(path)
-    assert len(corpus.narratives) == 500
-    assert corpus.narrative_counts_by_category() == wanted
-    instances = corpus.instance_counts_by_category()
-    assert all(instances[c] >= wanted[c] for c in wanted)
-
-
-def test_delimiter_flagged_ids(tmp_path):
-    path = write_corpus_jsonl(
-        tmp_path / "c.jsonl",
-        [
-            {"id": "ok", "text": "PLAIN TEXT"},
-            {"id": "flagged", "text": "HAS @@@ MARKS"},
-        ],
-    )
-    assert load_corpus(path).delimiter_flagged_ids() == {"flagged"}
 
 
 # NUL is not expressible in the RFC 4180 CSV grammar (the csv module

@@ -14,13 +14,12 @@ from crashdeid.extract import (
     SOURCE_LLM_ENSEMBLE,
     SOURCE_LLM_SINGLE,
     SOURCE_RULE,
-    candidate_set_from_spans,
     extract_ensemble,
     extract_single_run,
     hybrid_extract,
     rule_candidates,
 )
-from crashdeid.tags import PiiCategory
+from crashdeid.tags import AmbiguousTagging, PiiCategory
 
 from conftest import extraction_entries, mock_backend
 
@@ -84,18 +83,6 @@ def test_single_run_discards_rewritten_text(tmp_path):
     )
     run = extract_single_run(narrative, backend)
     assert run == ([], True)
-
-
-def test_single_run_salvage_mode_reanchors_offsets(tmp_path):
-    narrative = Narrative("n1", "DRIVER JOHN SMITH FLED NORTH")
-    backend = mock_backend(
-        tmp_path,
-        # Completion drops a word but still tags a real surface.
-        extraction_entries(narrative.text, {None: "DRIVER @@@JOHN SMITH@@@ FLED"}),
-    )
-    run = extract_single_run(narrative, backend, discard_hallucinated=False)
-    assert run.hallucinated
-    assert [(s.surface, s.start) for s in run.spans] == [("JOHN SMITH", 7)]
 
 
 def test_single_run_drops_rule_owned_tags(tmp_path):
@@ -320,22 +307,32 @@ def test_hybrid_extract_skips_llm_for_delimiter_flagged_text(tmp_path):
     text = "WEIRD @@@ SOURCE WITH 608-733-8366"
     narrative = Narrative("n1", text)
     backend = mock_backend(tmp_path, [])  # any LLM call would fail loudly
-    candidates = hybrid_extract(narrative, backend, EnsembleConfig(), base_seed=0)
+    # The tag protocol cannot carry this text, and rule candidates alone
+    # would leave its contextual PII in clear: the narrative must fail.
+    with pytest.raises(AmbiguousTagging):
+        hybrid_extract(narrative, backend, EnsembleConfig(), base_seed=0)
+    # Without an LLM channel nothing is tagged, so the rules still run.
+    candidates = hybrid_extract(narrative, None, EnsembleConfig())
     assert candidates.surfaces(PiiCategory.PHONE) == ["608-733-8366"]
     assert candidates.surfaces(PiiCategory.NAME) == []
-    assert candidates.surfaces(HOME) == []
 
 
-def test_candidate_set_from_spans_builds_llm_only_set(tmp_path):
-    narrative = Narrative("n1", "DRIVER JOHN SMITH FLED")
+def test_hybrid_extract_without_rules_builds_llm_only_set(tmp_path):
+    text = "DRIVER JOHN SMITH CALLED 608-733-8366 AT 12 ELM ST"
+    narrative = Narrative("n1", text)
     backend = mock_backend(
         tmp_path,
-        extraction_entries(narrative.text, {None: "DRIVER @@@JOHN SMITH@@@ FLED"}),
+        extraction_entries(
+            text,
+            {None: "DRIVER @@@JOHN SMITH@@@ CALLED &&&608-733-8366&&& AT $$$12 ELM ST$$$"},
+        ),
     )
-    run = extract_single_run(narrative, backend)
-    candidates = candidate_set_from_spans(narrative, run.spans)
+    single_run = EnsembleConfig(k_runs=1, ensemble_categories=frozenset())
+    candidates = hybrid_extract(narrative, backend, single_run, rules=False)
     assert candidates.surfaces(PiiCategory.NAME) == ["JOHN SMITH"]
+    assert candidates.surfaces(HOME) == ["12 ELM ST"]
     assert candidates.surfaces(PiiCategory.PHONE) == []
+    assert {c.source for c in candidates.candidates(HOME)} == {SOURCE_LLM_SINGLE}
 
 
 def test_ensemble_monotonicity_supersets(tmp_path):

@@ -6,10 +6,11 @@ from pathlib import Path
 import pytest
 
 from crashdeid.cli import main
-from crashdeid.corpus import read_audit_log
 from crashdeid.extract import EnsembleConfig
 from crashdeid.gateway import BackendConfig
+from crashdeid import gateway
 from crashdeid.pipeline import (
+    PRESETS,
     ConfigError,
     PipelineConfig,
     config_from_snapshot,
@@ -22,6 +23,7 @@ from crashdeid.verify import VerifierPolicy
 
 from conftest import (
     extraction_entries,
+    read_audit_log,
     review_obj,
     verifier_entries,
     verifier_json,
@@ -80,6 +82,23 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         PipelineConfig(preset="nope")
     PipelineConfig(preset="rules_only")  # needs neither backend
+
+
+@pytest.mark.parametrize("preset", list(PRESETS))
+def test_each_preset_requires_exactly_its_backends(tmp_path, preset):
+    stages = PRESETS[preset]
+    backend = BackendConfig(kind="scripted_mock", fixture_path=tmp_path / "fx.jsonl")
+    PipelineConfig(preset=preset, extractor_backend=backend, verifier_backend=backend)
+    if stages.llm:
+        with pytest.raises(ConfigError, match="extractor backend"):
+            PipelineConfig(preset=preset, verifier_backend=backend)
+    else:
+        PipelineConfig(preset=preset, verifier_backend=backend)
+    if stages.verify:
+        with pytest.raises(ConfigError, match="verifier backend"):
+            PipelineConfig(preset=preset, extractor_backend=backend)
+    else:
+        PipelineConfig(preset=preset, extractor_backend=backend)
 
 
 def test_rules_only_run_no_backends(tmp_path):
@@ -185,6 +204,56 @@ def test_failed_narrative_is_listed_not_emitted(tmp_path):
     assert manifest["failed_narratives"] == ["bad"]
 
 
+@pytest.mark.parametrize("preset", [p for p, s in PRESETS.items() if s.llm])
+@pytest.mark.parametrize("mode", ["tagged", "placeholder"])
+def test_delimiter_bearing_text_fails_under_llm_presets(tmp_path, preset, mode):
+    corpus = write_corpus_jsonl(
+        tmp_path / "c.jsonl",
+        [{"id": "n1", "text": "DRIVER JOHN SMITH @@@ CALLED 608-733-8366"}],
+    )
+    backend = BackendConfig(
+        kind="scripted_mock", fixture_path=write_fixture(tmp_path / "fx.jsonl", [])
+    )
+    config = PipelineConfig(
+        preset=preset,
+        extractor_backend=backend,
+        verifier_backend=backend,
+        output_style=RedactionStyle(mode=mode),
+    )
+    out = tmp_path / "out"
+    summary = run_pipeline(config, corpus, out)
+    # The LLM channel cannot tag this text, so emitting it (even with the
+    # phone redacted) would leave the name in clear.
+    assert summary.failed_narratives == ["n1"]
+    assert (out / "redacted.jsonl").read_text() == ""
+
+
+@pytest.mark.parametrize("preset", [p for p, s in PRESETS.items() if not s.verify])
+def test_run_without_verifier_removes_stale_audit_log(tmp_path, preset):
+    corpus = write_corpus_jsonl(tmp_path / "c.jsonl", [{"id": "n1", "text": FIG_TEXT}])
+    entries = fig_fixture_entries(seed=0, k=5) + extraction_entries(
+        FIG_TEXT, {None: FIG_TAGGED}
+    )
+    fixtures = write_fixture(tmp_path / "fx.jsonl", entries)
+    backend = BackendConfig(kind="scripted_mock", fixture_path=fixtures)
+    out = tmp_path / "out"
+    for run_preset in ("hybrid_ev", preset):
+        summary = run_pipeline(
+            PipelineConfig(
+                preset=run_preset,
+                extractor_backend=backend,
+                verifier_backend=backend,
+                seed=0,
+            ),
+            corpus,
+            out,
+        )
+        assert summary.ok
+        if run_preset == "hybrid_ev":
+            assert len(read_audit_log(out / "audit.jsonl")) == 1
+    assert not (out / "audit.jsonl").exists()
+
+
 def test_parallelism_preserves_input_order(tmp_path):
     rows = [{"id": f"n{i:03d}", "text": f"EMAIL u{i}@x{i}.com SENT"} for i in range(40)]
     corpus = write_corpus_jsonl(tmp_path / "c.jsonl", rows)
@@ -261,6 +330,17 @@ def test_config_snapshot_round_trip(tmp_path):
     assert str(rebuilt.extractor_backend.fixture_path) == str(fixtures)
     assert rebuilt.verifier_backend.endpoint_url == "http://localhost:9"
     assert rebuilt.seed == 11 and rebuilt.mask_timestamps
+
+
+def test_snapshot_from_salvage_mode_cannot_be_replayed(tmp_path):
+    config = PipelineConfig(preset="rules_only")
+    snapshot = config_snapshot(config, "in.jsonl", None, None)
+    assert "discard_hallucinated_runs" not in snapshot
+    # Manifests written before salvage mode was removed carry the key:
+    # the default (discard) still replays, salvage runs cannot.
+    assert config_from_snapshot({**snapshot, "discard_hallucinated_runs": True}) == config
+    with pytest.raises(ConfigError, match="salvage"):
+        config_from_snapshot({**snapshot, "discard_hallucinated_runs": False})
 
 
 def test_cli_run_rules_only(tmp_path, capsys):
@@ -476,3 +556,65 @@ def test_empty_text_narrative_short_circuits(tmp_path):
     assert summary.ok
     (row,) = [json.loads(l) for l in (out / "redacted.jsonl").read_text().splitlines()]
     assert row == {"id": "n1", "redacted_text": "", "pii_found": False}
+
+
+def test_cli_eval_out_scores_what_run_writes(tmp_path, monkeypatch):
+    text = "RESIDES AT 10 ELM ST. CRASH AT 20 OAK AVE."
+    corpus = write_corpus_jsonl(tmp_path / "c.jsonl", [{"id": "n1", "text": text}])
+    gold_path = tmp_path / "gold.jsonl"
+    gold_path.write_text(
+        json.dumps({"narrative_id": "n1", "category": "home_address", "surface": "10 ELM ST"})
+        + "\n",
+        encoding="utf-8",
+    )
+    entries = extraction_entries(
+        text, {s: "RESIDES AT $$$10 ELM ST$$$. CRASH AT $$$20 OAK AVE$$$." for s in range(3)}
+    )
+    entries += verifier_entries(
+        text,
+        ["10 ELM ST", "20 OAK AVE"],
+        [],
+        [
+            verifier_json(
+                [
+                    review_obj("10 ELM ST", "KEEP", "residence", "RESIDES AT 10 ELM ST."),
+                    review_obj("20 OAK AVE", "DROP", "crash location", "CRASH AT 20 OAK AVE."),
+                ],
+                [],
+            )
+        ],
+    )
+    fixtures = write_fixture(tmp_path / "fx.jsonl", entries)
+    calls = []
+    real_complete = gateway.complete
+
+    def counting_complete(request, config):
+        calls.append(request.seed)
+        return real_complete(request, config)
+
+    monkeypatch.setattr(gateway, "complete", counting_complete)
+    flags = [
+        "--input", str(corpus),
+        "--preset", "hybrid_ev",
+        "--k-ensemble", "3",
+        "--mock-fixtures", str(fixtures),
+        "--seed", "0",
+        "--mask-timestamps",
+    ]
+    assert main(["run", "--out", str(tmp_path / "run")] + flags) == 0
+    run_calls = len(calls)
+    assert run_calls == 4  # three tagging runs and one verifier call
+    calls.clear()
+    eval_flags = ["--gold", str(gold_path)] + flags
+    assert main(
+        ["eval", "--report", str(tmp_path / "a.json"), "--out", str(tmp_path / "eval")]
+        + eval_flags
+    ) == 0
+    assert len(calls) == run_calls
+    for name in ("redacted.jsonl", "audit.jsonl"):
+        assert (tmp_path / "eval" / name).read_bytes() == (
+            tmp_path / "run" / name
+        ).read_bytes()
+    # Writing the outputs does not change what is scored.
+    assert main(["eval", "--report", str(tmp_path / "b.json")] + eval_flags) == 0
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()

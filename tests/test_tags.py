@@ -16,7 +16,6 @@ from crashdeid.tags import (
     PiiCategory,
     PiiSpan,
     SurfaceMismatch,
-    TaggedText,
     UnbalancedDelimiter,
     contains_delimiter_sequence,
     detag_equals,
@@ -49,12 +48,6 @@ def test_parse_two_categories():
     ]
 
 
-def test_parse_accepts_taggedtext_wrapper():
-    clean, spans = parse_tagged(TaggedText("$$$123 Elm Street$$$"))
-    assert clean == "123 Elm Street"
-    assert spans[0].category is PiiCategory.HOME_ADDRESS
-
-
 @pytest.mark.parametrize(
     "raw,error",
     [
@@ -80,11 +73,11 @@ def test_serialize_single_span():
     tagged = serialize_spans(
         "DRIVER John Smith FLED", [PiiSpan(PiiCategory.NAME, 7, 17, "John Smith")]
     )
-    assert tagged.raw == "DRIVER @@@John Smith@@@ FLED"
+    assert tagged == "DRIVER @@@John Smith@@@ FLED"
 
 
 def test_serialize_empty_spans_is_identity():
-    assert serialize_spans("ANY TEXT AT ALL", []).raw == "ANY TEXT AT ALL"
+    assert serialize_spans("ANY TEXT AT ALL", []) == "ANY TEXT AT ALL"
 
 
 @pytest.mark.parametrize(
@@ -154,7 +147,7 @@ def test_round_trip_randomized_bulk():
         tagged = serialize_spans(text, spans)
         assert parse_tagged(tagged) == (text, spans)
         assert detag_equals(tagged, text)
-        assert len(tagged.raw) == len(text) + 6 * len(spans)
+        assert len(tagged) == len(text) + 6 * len(spans)
 
 
 @settings(max_examples=200)

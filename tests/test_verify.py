@@ -23,7 +23,13 @@ from crashdeid.verify import (
     verify_candidates,
 )
 
-from conftest import mock_backend, review_obj, verifier_entries, verifier_json
+from conftest import (
+    audit_record_from_json_line,
+    mock_backend,
+    review_obj,
+    verifier_entries,
+    verifier_json,
+)
 
 HOME = PiiCategory.HOME_ADDRESS
 ALNUM = PiiCategory.ALPHANUMERIC
@@ -388,4 +394,4 @@ def test_audit_record_json_round_trip():
         backend_id="mock:f.jsonl",
         timestamp="2026-08-09T00:00:00Z",
     )
-    assert AuditRecord.from_json_line(record.to_json_line()) == record
+    assert audit_record_from_json_line(record.to_json_line()) == record
