@@ -16,6 +16,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from pathlib import Path
 from typing import Iterable, Mapping
 
 from .corpus import Corpus, GoldAnnotation
@@ -234,8 +235,9 @@ def report_to_dict(report: MetricsReport) -> dict:
 
 
 def write_report(report: MetricsReport, json_path, text_path) -> None:
-    from pathlib import Path
-
+    """Write the JSON and text reports, creating their directories."""
+    for path in (json_path, text_path):
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(json_path).write_text(
         json.dumps(report_to_dict(report), ensure_ascii=False, indent=2) + "\n",
         encoding="utf-8",

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import threading
 import time
 from dataclasses import dataclass
@@ -145,26 +146,29 @@ def write_fixture_file(path: str | Path, entries: Iterable[dict[str, str]]) -> N
             handle.write(json.dumps(entry, ensure_ascii=False) + "\n")
 
 
-_fixture_cache: dict[tuple[str, float], dict[str, str]] = {}
+#: Absolute fixture path -> (stat stamp, table); one entry per path, so an
+#: edited file replaces its table.
+_fixture_cache: dict[str, tuple[tuple[int, int], dict[str, str]]] = {}
 _fixture_lock = threading.Lock()
 
 
 def _load_fixtures(path: str | Path) -> dict[str, str]:
-    resolved = Path(path).resolve()
-    stamp = (str(resolved), resolved.stat().st_mtime)
+    path = os.path.abspath(path)
+    status = os.stat(path)
+    stamp = (status.st_mtime_ns, status.st_size)
     with _fixture_lock:
-        cached = _fixture_cache.get(stamp)
-        if cached is not None:
-            return cached
+        cached = _fixture_cache.get(path)
+    if cached is not None and cached[0] == stamp:
+        return cached[1]
     table: dict[str, str] = {}
-    with resolved.open(encoding="utf-8") as handle:
+    with open(path, encoding="utf-8") as handle:
         for line in handle:
             if not line.strip():
                 continue
             entry = json.loads(line)
             table[entry["key"]] = entry["response"]
     with _fixture_lock:
-        _fixture_cache[stamp] = table
+        _fixture_cache[path] = (stamp, table)
     return table
 
 

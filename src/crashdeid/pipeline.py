@@ -58,6 +58,14 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """A run's configuration, holding only what its preset's stages use.
+
+    The extractor backend is dropped unless the preset tags with the LLM,
+    the verifier backend unless it verifies, and the ensemble becomes
+    ``SINGLE_RUN`` unless it pools K runs; so the manifest records exactly
+    the stages that ran.
+    """
+
     preset: str
     ensemble: EnsembleConfig = EnsembleConfig()
     policy: VerifierPolicy = VerifierPolicy.recall_first()
@@ -78,6 +86,12 @@ class PipelineConfig:
             raise ConfigError(f"preset {self.preset} requires an extractor backend")
         if stages.verify and self.verifier_backend is None:
             raise ConfigError(f"preset {self.preset} requires a verifier backend")
+        if not stages.llm:
+            object.__setattr__(self, "extractor_backend", None)
+        if not stages.verify:
+            object.__setattr__(self, "verifier_backend", None)
+        if not stages.ensemble:
+            object.__setattr__(self, "ensemble", SINGLE_RUN)
 
 
 @dataclass
@@ -98,8 +112,8 @@ def process_narrative(narrative: Narrative, config: PipelineConfig) -> Narrative
     try:
         candidates = hybrid_extract(
             narrative,
-            config.extractor_backend if stages.llm else None,
-            config.ensemble if stages.ensemble else SINGLE_RUN,
+            config.extractor_backend,
+            config.ensemble,
             base_seed=config.seed,
             rules=stages.rules,
         )

@@ -22,6 +22,7 @@ route such records around the tag protocol instead of mis-parsing them.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 
 
@@ -62,8 +63,7 @@ DELIMITERS: dict[PiiCategory, str] = {
 }
 
 _DELIM_TO_CATEGORY = {d: c for c, d in DELIMITERS.items()}
-_DELIM_CHARS = frozenset(d[0] for d in DELIMITERS.values())
-DELIMITER_LENGTH = 3
+_DELIMITER_RE = re.compile("|".join(re.escape(d) for d in DELIMITERS.values()))
 
 
 class TagError(ValueError):
@@ -121,48 +121,48 @@ def contains_delimiter_sequence(text: str) -> bool:
 def parse_tagged(raw: str) -> tuple[str, list[PiiSpan]]:
     """Parse tagged text into the untagged string and its spans.
 
-    Scans left to right; a delimiter either opens a span of its category
-    or closes the currently open one. Returns spans in ascending start
-    order with offsets into the returned untagged text.
+    One regex pass finds the delimiters left to right (leftmost,
+    non-overlapping); a delimiter either opens a span of its category or
+    closes the currently open one. The untagged text and each span's
+    surface are sliced out of ``raw`` between delimiters. Returns spans in
+    ascending start order with offsets into the returned untagged text.
 
     Raises UnbalancedDelimiter, NestedOrOverlappingTags or EmptySpan on
     malformed tagging.
     """
-    clean: list[str] = []
+    pieces: list[str] = []
     spans: list[PiiSpan] = []
     open_category: PiiCategory | None = None
     open_at = 0
-    i = 0
-    n = len(raw)
-    while i < n:
-        chunk = raw[i : i + DELIMITER_LENGTH]
-        category = _DELIM_TO_CATEGORY.get(chunk)
-        if category is None:
-            clean.append(raw[i])
-            i += 1
-            continue
+    clean_len = 0
+    cursor = 0
+    for match in _DELIMITER_RE.finditer(raw):
+        i = match.start()
+        pieces.append(raw[cursor:i])
+        clean_len += i - cursor
+        category = _DELIM_TO_CATEGORY[match.group()]
         if open_category is None:
             open_category = category
-            open_at = len(clean)
+            open_at = clean_len
         elif category is open_category:
-            if len(clean) == open_at:
+            if clean_len == open_at:
                 raise EmptySpan(
                     f"empty {category.value} span at raw offset {i}"
                 )
-            surface = "".join(clean[open_at:])
-            spans.append(PiiSpan(category, open_at, len(clean), surface))
+            spans.append(PiiSpan(category, open_at, clean_len, raw[cursor:i]))
             open_category = None
         else:
             raise NestedOrOverlappingTags(
                 f"{category.value} delimiter inside open "
                 f"{open_category.value} span at raw offset {i}"
             )
-        i += DELIMITER_LENGTH
+        cursor = match.end()
     if open_category is not None:
         raise UnbalancedDelimiter(
             f"unclosed {open_category.value} delimiter"
         )
-    return "".join(clean), spans
+    pieces.append(raw[cursor:])
+    return "".join(pieces), spans
 
 
 def serialize_spans(clean_text: str, spans: list[PiiSpan]) -> str:

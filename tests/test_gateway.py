@@ -93,11 +93,14 @@ def test_mock_reloads_when_fixture_changes(tmp_path):
     write_fixture_file(path, [fixture_entry(request, "FIRST")])
     config = BackendConfig(kind="scripted_mock", fixture_path=path)
     assert complete(request, config).text == "FIRST"
+    cached_tables = len(gateway._fixture_cache)
     import os
 
     write_fixture_file(path, [fixture_entry(request, "SECOND")])
     os.utime(path, (0, 12345))  # force a distinct mtime stamp
     assert complete(request, config).text == "SECOND"
+    # The edited file's table replaces the old one instead of adding to it.
+    assert len(gateway._fixture_cache) == cached_tables
 
 
 def test_http_unreachable_counts_attempts(monkeypatch):

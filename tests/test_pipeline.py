@@ -11,6 +11,7 @@ from crashdeid.gateway import BackendConfig
 from crashdeid import gateway
 from crashdeid.pipeline import (
     PRESETS,
+    SINGLE_RUN,
     ConfigError,
     PipelineConfig,
     config_from_snapshot,
@@ -343,6 +344,33 @@ def test_snapshot_from_salvage_mode_cannot_be_replayed(tmp_path):
         config_from_snapshot({**snapshot, "discard_hallucinated_runs": False})
 
 
+@pytest.mark.parametrize("preset", list(PRESETS))
+def test_manifest_records_only_the_stages_that_ran(tmp_path, preset):
+    stages = PRESETS[preset]
+    corpus = write_corpus_jsonl(tmp_path / "c.jsonl", [{"id": "n1", "text": FIG_TEXT}])
+    entries = fig_fixture_entries(seed=0, k=5) + extraction_entries(
+        FIG_TEXT, {None: FIG_TAGGED}
+    )
+    fixtures = write_fixture(tmp_path / "fx.jsonl", entries)
+    out = tmp_path / "out"
+    flags = ["--input", str(corpus), "--preset", preset, "--mock-fixtures", str(fixtures)]
+    flags += ["--seed", "0", "--mask-timestamps"]
+    assert main(["run", "--out", str(out)] + flags) == 0
+    snapshot = json.loads((out / "manifest.json").read_text())["config"]
+    assert (snapshot["extractor_backend"] is not None) == stages.llm
+    assert (snapshot["verifier_backend"] is not None) == stages.verify
+    expected_ensemble = EnsembleConfig(k_runs=5) if stages.ensemble else SINGLE_RUN
+    assert snapshot["k_runs"] == expected_ensemble.k_runs
+    assert snapshot["ensemble_categories"] == sorted(
+        c.value for c in expected_ensemble.ensemble_categories
+    )
+    replayed = tmp_path / "replayed"
+    assert main(["run", "--replay", str(out / "manifest.json"), "--out", str(replayed)]) == 0
+    names = ["redacted.jsonl", "manifest.json"] + (["audit.jsonl"] if stages.verify else [])
+    for name in names:
+        assert (out / name).read_bytes() == (replayed / name).read_bytes()
+
+
 def test_cli_run_rules_only(tmp_path, capsys):
     corpus = write_corpus_jsonl(
         tmp_path / "c.jsonl", [{"id": "n1", "text": "EMAILED jsmith@gmail.com"}]
@@ -470,6 +498,31 @@ def test_cli_eval_writes_reports(tmp_path):
     assert (row["tp"], row["fp"], row["fn"]) == (7, 0, 4)
     text_report = report_path.with_suffix(".txt").read_text()
     assert "1.00" in text_report and "0.64" in text_report and "0.78" in text_report
+
+
+def test_cli_eval_creates_report_directory(tmp_path):
+    corpus = write_corpus_jsonl(
+        tmp_path / "c.jsonl", [{"id": "n1", "text": "EMAILED jsmith@gmail.com"}]
+    )
+    gold_path = tmp_path / "gold.jsonl"
+    gold_path.write_text(
+        json.dumps({"narrative_id": "n1", "category": "email", "surface": "jsmith@gmail.com"})
+        + "\n",
+        encoding="utf-8",
+    )
+    report_path = tmp_path / "new" / "sub" / "report.json"
+    code = main(
+        [
+            "eval",
+            "--input", str(corpus),
+            "--gold", str(gold_path),
+            "--report", str(report_path),
+            "--preset", "rules_only",
+        ]
+    )
+    assert code == 0
+    assert json.loads(report_path.read_text())["per_type"]
+    assert report_path.with_suffix(".txt").read_text()
 
 
 def test_eval_two_presets_ablation_against_hand_counts(tmp_path):

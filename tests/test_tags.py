@@ -16,6 +16,7 @@ from crashdeid.tags import (
     PiiCategory,
     PiiSpan,
     SurfaceMismatch,
+    TagError,
     UnbalancedDelimiter,
     contains_delimiter_sequence,
     detag_equals,
@@ -23,6 +24,8 @@ from crashdeid.tags import (
     serialize_spans,
     strip_delimiters,
 )
+
+import tag_oracle
 
 CATEGORIES = list(PiiCategory)
 # Free of delimiter characters, so tagging can never collide.
@@ -189,3 +192,58 @@ def test_detag_fuzz_true_iff_only_delimiters_inserted(
         assert not detag_equals(mutated, original)
     else:
         assert detag_equals(mutated, original)
+
+
+def _outcome(parse, raw: str):
+    try:
+        return parse(raw)
+    except TagError as exc:
+        return type(exc), str(exc)
+
+
+# Stray delimiter characters and whole delimiters, dense enough that
+# well-formed, empty, nested and unclosed tags all occur.
+DENSE_TOKENS = list("@&%$^ab ") + sorted(DELIMITERS.values())
+
+
+@settings(max_examples=500)
+@given(tokens=st.lists(st.sampled_from(DENSE_TOKENS), max_size=40))
+def test_parse_matches_oracle_property(tokens):
+    raw = "".join(tokens)
+    assert _outcome(parse_tagged, raw) == _outcome(tag_oracle.parse_tagged, raw)
+
+
+def _bulk_tagged_text(rng: random.Random, size: int) -> str:
+    """Mostly well-formed tagging of about ``size`` chars: stray delimiter
+    characters, which can merge into a delimiter, and rare lone ones."""
+    delimiters = sorted(DELIMITERS.values())
+    parts: list[str] = []
+    length = 0
+    while length < size:
+        chunk = "".join(rng.choice(SAFE_ALPHABET) for _ in range(rng.randint(1, 40)))
+        if rng.random() < 0.1:
+            at = rng.randint(0, len(chunk))
+            chunk = chunk[:at] + rng.choice("@&%$^") + chunk[at:]
+        roll = rng.random()
+        if roll < 0.3:
+            delim = rng.choice(delimiters)
+            chunk = delim + chunk + delim
+        elif roll < 0.302:
+            chunk += rng.choice(delimiters)
+        parts.append(chunk)
+        length += len(chunk)
+    return "".join(parts)
+
+
+def test_parse_matches_oracle_bulk():
+    rng = random.Random(20261018)
+    parsed = failed = 0
+    for _ in range(120):
+        raw = _bulk_tagged_text(rng, 5000)
+        outcome = _outcome(parse_tagged, raw)
+        assert outcome == _outcome(tag_oracle.parse_tagged, raw)
+        if isinstance(outcome[1], list):
+            parsed += 1
+        else:
+            failed += 1
+    assert parsed and failed
