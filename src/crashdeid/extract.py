@@ -200,24 +200,22 @@ def extract_ensemble(
     runs (``run_votes`` = number of producing runs); the other LLM
     categories take run 1's output only. With ``base_seed`` set, run i
     uses seed ``base_seed + i`` so scripted mocks can represent distinct
-    sampled runs.
+    sampled runs. The runs are independent, so ``gateway.fan_out`` overlaps
+    them on an HTTP backend; they are merged in seed order whatever order
+    they finish in.
     """
-    runs: list[SingleRun | None] = []
-    failed = 0
-    for i in range(cfg.k_runs):
+
+    def attempt(i: int) -> SingleRun | None:
         seed = base_seed + i if base_seed is not None else None
         try:
-            runs.append(
-                extract_single_run(
-                    narrative,
-                    backend,
-                    seed=seed,
-                    temperature=temperature,
-                )
+            return extract_single_run(
+                narrative, backend, seed=seed, temperature=temperature
             )
         except GatewayError:
-            runs.append(None)
-            failed += 1
+            return None
+
+    runs = gateway.fan_out(attempt, range(cfg.k_runs), backend)
+    failed = runs.count(None)
     if failed == cfg.k_runs:
         raise AllRunsFailed(
             f"all {cfg.k_runs} extraction runs failed for narrative "

@@ -6,8 +6,11 @@ Two backend kinds sit behind one ``complete`` call:
     A chat-completions-style local inference server: POST ``{model,
     messages, temperature, seed}``; the completion is the first choice's
     message content. Transport failures are retried with exponential
-    backoff. At most ``max_in_flight`` requests (default 4) are in flight
-    at once.
+    backoff. Each backend config carries its own in-flight limit,
+    ``BackendConfig.max_in_flight`` (default 4): equal configs share one
+    semaphore that bounds their concurrent POSTs, and one pool of as many
+    worker threads on which ``fan_out`` overlaps independent calls, such
+    as a narrative's K tagging runs.
 
 ``scripted_mock``
     A deterministic offline stand-in. The fixture file is JSONL of
@@ -15,6 +18,7 @@ Two backend kinds sit behind one ``complete`` call:
     user_content, seed)``; a completion depends only on request content,
     so repeated calls are byte-identical. Including the optional seed in
     the key lets fixtures script distinct sampled runs of one prompt.
+    ``fan_out`` runs inline for it: a lookup gains nothing from threads.
 """
 
 from __future__ import annotations
@@ -24,9 +28,11 @@ import json
 import os
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 import requests
 
@@ -35,15 +41,6 @@ DEFAULT_VERIFIER_TEMPERATURE = 0.0
 DEFAULT_MAX_OUTPUT_CHARS = 65536
 
 _BACKOFF_BASE_SECONDS = 0.25
-_inflight = threading.BoundedSemaphore(4)
-
-
-def set_max_in_flight(limit: int) -> None:
-    """Bound concurrent HTTP requests process-wide."""
-    global _inflight
-    if limit < 1:
-        raise ValueError("in-flight limit must be >= 1")
-    _inflight = threading.BoundedSemaphore(limit)
 
 
 class GatewayError(RuntimeError):
@@ -102,6 +99,7 @@ class BackendConfig:
     fixture_path: str | Path | None = None
     timeout: float = 30.0
     retries: int = 2
+    max_in_flight: int = 4
 
     def __post_init__(self) -> None:
         if self.kind == "http_endpoint":
@@ -114,8 +112,10 @@ class BackendConfig:
             raise ValueError(f"unknown backend kind: {self.kind!r}")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
+        if self.max_in_flight < 1:
+            raise ValueError("max_in_flight must be >= 1")
 
-    @property
+    @cached_property
     def backend_id(self) -> str:
         if self.kind == "scripted_mock":
             return f"mock:{Path(self.fixture_path).name}"
@@ -172,6 +172,43 @@ def _load_fixtures(path: str | Path) -> dict[str, str]:
     return table
 
 
+#: Backend config -> (in-flight semaphore, pool of as many workers). Made
+#: once per config and never rebound, so every caller of a backend shares
+#: one limit.
+_limits: dict[BackendConfig, tuple[threading.BoundedSemaphore, ThreadPoolExecutor]] = {}
+_limits_lock = threading.Lock()
+
+
+def _limit(config: BackendConfig) -> tuple[threading.BoundedSemaphore, ThreadPoolExecutor]:
+    with _limits_lock:
+        entry = _limits.get(config)
+        if entry is None:
+            entry = _limits[config] = (
+                threading.BoundedSemaphore(config.max_in_flight),
+                ThreadPoolExecutor(
+                    max_workers=config.max_in_flight,
+                    thread_name_prefix="crashdeid-backend",
+                ),
+            )
+    return entry
+
+
+def fan_out(fn: Callable, items: Iterable, config: BackendConfig) -> list:
+    """``[fn(item) for item in items]``, overlapped on the backend's pool.
+
+    Results come back in input order whatever order the calls finish in.
+    For ``http_endpoint`` the items run on the config's pool of
+    ``max_in_flight`` workers; a scripted mock or a single item runs inline.
+    ``fn`` must not call ``fan_out`` on the same backend: it would wait on
+    the pool it occupies.
+    """
+    items = list(items)
+    if config.kind != "http_endpoint" or len(items) < 2:
+        return [fn(item) for item in items]
+    _, pool = _limit(config)
+    return list(pool.map(fn, items))
+
+
 def _http_post(url: str, payload: dict, timeout: float) -> dict:
     response = requests.post(url, json=payload, timeout=timeout)
     response.raise_for_status()
@@ -189,12 +226,13 @@ def _complete_http(request: ChatRequest, config: BackendConfig) -> str:
     }
     if request.seed is not None:
         payload["seed"] = request.seed
+    inflight, _ = _limit(config)
     last_error: Exception | None = None
     for attempt in range(config.retries + 1):
         if attempt:
             time.sleep(_BACKOFF_BASE_SECONDS * 2 ** (attempt - 1))
         try:
-            with _inflight:
+            with inflight:
                 body = _http_post(config.endpoint_url, payload, config.timeout)
             return body["choices"][0]["message"]["content"]
         except requests.Timeout as exc:

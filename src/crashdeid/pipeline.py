@@ -16,6 +16,7 @@ unredacted.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -61,14 +62,14 @@ class PipelineConfig:
     """A run's configuration, holding only what its preset's stages use.
 
     The extractor backend is dropped unless the preset tags with the LLM,
-    the verifier backend unless it verifies, and the ensemble becomes
-    ``SINGLE_RUN`` unless it pools K runs; so the manifest records exactly
-    the stages that ran.
+    the verifier backend and policy unless it verifies, and the ensemble
+    becomes ``SINGLE_RUN`` unless it pools K runs; so the manifest records
+    exactly the stages that ran.
     """
 
     preset: str
     ensemble: EnsembleConfig = EnsembleConfig()
-    policy: VerifierPolicy = VerifierPolicy.recall_first()
+    policy: VerifierPolicy | None = VerifierPolicy.recall_first()
     extractor_backend: BackendConfig | None = None
     verifier_backend: BackendConfig | None = None
     output_style: RedactionStyle = RedactionStyle()
@@ -86,10 +87,13 @@ class PipelineConfig:
             raise ConfigError(f"preset {self.preset} requires an extractor backend")
         if stages.verify and self.verifier_backend is None:
             raise ConfigError(f"preset {self.preset} requires a verifier backend")
+        if stages.verify and self.policy is None:
+            raise ConfigError(f"preset {self.preset} requires a verifier policy")
         if not stages.llm:
             object.__setattr__(self, "extractor_backend", None)
         if not stages.verify:
             object.__setattr__(self, "verifier_backend", None)
+            object.__setattr__(self, "policy", None)
         if not stages.ensemble:
             object.__setattr__(self, "ensemble", SINGLE_RUN)
 
@@ -146,28 +150,37 @@ def execute(corpus: Corpus, config: PipelineConfig) -> list[NarrativeResult]:
         return list(pool.map(lambda n: process_narrative(n, config), corpus.narratives))
 
 
+_BACKEND_FIELDS = tuple(f.name for f in dataclasses.fields(BackendConfig))
+
+
+def _backend_snapshot(backend: BackendConfig | None) -> dict | None:
+    """Every ``BackendConfig`` field, in declaration order; paths as strings."""
+    if backend is None:
+        return None
+    values = {name: getattr(backend, name) for name in _BACKEND_FIELDS}
+    if values["fixture_path"] is not None:
+        values["fixture_path"] = str(values["fixture_path"])
+    return values
+
+
+def _backend_from_snapshot(obj: dict | None) -> BackendConfig | None:
+    """Inverse of ``_backend_snapshot``; a field the manifest lacks (one
+    added after it was written) takes its default."""
+    if obj is None:
+        return None
+    return BackendConfig(**{name: obj[name] for name in _BACKEND_FIELDS if name in obj})
+
+
 def config_snapshot(
     config: PipelineConfig, input_path: str, fmt: str | None, gold_path: str | None
 ) -> dict:
-    def backend_dict(backend: BackendConfig | None) -> dict | None:
-        if backend is None:
-            return None
-        return {
-            "kind": backend.kind,
-            "endpoint_url": backend.endpoint_url,
-            "model_name": backend.model_name,
-            "fixture_path": str(backend.fixture_path) if backend.fixture_path else None,
-            "timeout": backend.timeout,
-            "retries": backend.retries,
-        }
-
     return {
         "preset": config.preset,
         "k_runs": config.ensemble.k_runs,
         "ensemble_categories": sorted(
             c.value for c in config.ensemble.ensemble_categories
         ),
-        "policy": config.policy.label,
+        "policy": config.policy.label if config.policy else None,
         "redaction": {
             "mode": config.output_style.mode,
             "placeholders": {
@@ -177,8 +190,8 @@ def config_snapshot(
         "parallelism": config.parallelism,
         "seed": config.seed,
         "mask_timestamps": config.mask_timestamps,
-        "extractor_backend": backend_dict(config.extractor_backend),
-        "verifier_backend": backend_dict(config.verifier_backend),
+        "extractor_backend": _backend_snapshot(config.extractor_backend),
+        "verifier_backend": _backend_snapshot(config.verifier_backend),
         "input": input_path,
         "format": fmt,
         "gold": gold_path,
@@ -186,26 +199,17 @@ def config_snapshot(
 
 
 def config_from_snapshot(snapshot: dict) -> PipelineConfig:
-    def backend_from(obj: dict | None) -> BackendConfig | None:
-        if obj is None:
-            return None
-        return BackendConfig(
-            kind=obj["kind"],
-            endpoint_url=obj.get("endpoint_url"),
-            model_name=obj.get("model_name"),
-            fixture_path=obj.get("fixture_path"),
-            timeout=obj.get("timeout", 30.0),
-            retries=obj.get("retries", 2),
-        )
-
     if snapshot.get("discard_hallucinated_runs") is False:
         raise ConfigError(
             "manifest was recorded with discard_hallucinated_runs=false "
             "(salvage mode), which no longer exists; the run cannot be reproduced"
         )
+    label = snapshot["policy"]
     policy = (
-        VerifierPolicy.recall_first()
-        if snapshot["policy"] == "recall_first"
+        None
+        if label is None
+        else VerifierPolicy.recall_first()
+        if label == "recall_first"
         else VerifierPolicy.precision_first()
     )
     return PipelineConfig(
@@ -217,8 +221,8 @@ def config_from_snapshot(snapshot: dict) -> PipelineConfig:
             ),
         ),
         policy=policy,
-        extractor_backend=backend_from(snapshot.get("extractor_backend")),
-        verifier_backend=backend_from(snapshot.get("verifier_backend")),
+        extractor_backend=_backend_from_snapshot(snapshot.get("extractor_backend")),
+        verifier_backend=_backend_from_snapshot(snapshot.get("verifier_backend")),
         output_style=RedactionStyle(
             mode=snapshot["redaction"]["mode"],
             placeholder_map={

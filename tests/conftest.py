@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import csv
 import json
+import threading
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -66,6 +68,27 @@ def mock_backend(tmp_path: Path, entries: list[dict[str, str]], name: str = "moc
     path = tmp_path / name
     write_fixture_file(path, entries)
     return BackendConfig(kind="scripted_mock", fixture_path=path)
+
+
+def http_probe(respond: Callable[[dict], str]):
+    """A stand-in for ``gateway._http_post`` and a one-item list holding
+    the most calls it had in flight at once. ``respond(payload)`` returns
+    the completion text, after sleeping as long as it likes, or raises."""
+    live = [0]
+    peak = [0]
+    lock = threading.Lock()
+
+    def post(url: str, payload: dict, timeout: float) -> dict:
+        with lock:
+            live[0] += 1
+            peak[0] = max(peak[0], live[0])
+        try:
+            return {"choices": [{"message": {"content": respond(payload)}}]}
+        finally:
+            with lock:
+                live[0] -= 1
+
+    return post, peak
 
 
 def write_corpus_jsonl(path: Path, rows: list[dict]) -> Path:

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import itertools
+import threading
+import time
 
 import pytest
+import requests
 
+from crashdeid import gateway
 from crashdeid.corpus import Narrative
 from crashdeid.extract import (
     AllRunsFailed,
@@ -21,7 +25,7 @@ from crashdeid.extract import (
 )
 from crashdeid.tags import AmbiguousTagging, PiiCategory
 
-from conftest import extraction_entries, mock_backend
+from conftest import extraction_entries, http_probe, mock_backend
 
 
 def test_candidate_set_enforces_responsibility_split():
@@ -216,6 +220,102 @@ def test_ensemble_names_come_from_run_one_only(tmp_path):
     names = result.by_category[PiiCategory.NAME]
     assert [c.surface for c in names] == ["JOHN"]
     assert names[0].source == SOURCE_LLM_SINGLE
+
+
+HTTP_RUNS = [
+    "HE LIVES AT $$$123 ELM ST$$$ NEAR 77 OAK AVE, PLATE ^^^ABC1234^^^",
+    "HE LIVES AT 123 ELM ST NEAR $$$77 OAK AVE$$$, PLATE ABC1234",
+    "@@@HE@@@ LIVES AT $$$123 ELM ST$$$ NEAR 77 OAK AVE, PLATE ABC1234",
+    "HE LIVES AT $$$123 ELM ST$$$ NEAR 77 OAK AVE, PLATE ^^^ABC1234^^^",
+    "HE LIVES AT $$123 ELM ST NEAR 77 OAK AVE, PLATE ABC1234",
+]
+HTTP_TEXT = "HE LIVES AT 123 ELM ST NEAR 77 OAK AVE, PLATE ABC1234"
+
+
+def _http_ensemble(monkeypatch, failing=frozenset()):
+    """An HTTP backend whose fake server answers seed i with HTTP_RUNS[i]
+    (any narrative: the text is echoed back tagged where it matches
+    HTTP_TEXT) after 10 ms x (5 - i), so later seeds answer first; seeds in
+    ``failing`` get a connection error. Returns the backend and the peak
+    in-flight count."""
+
+    def respond(payload):
+        seed = payload["seed"]
+        time.sleep(0.01 * (5 - seed))
+        if seed in failing:
+            raise requests.ConnectionError("refused")
+        text = payload["messages"][1]["content"]
+        return HTTP_RUNS[seed] if text == HTTP_TEXT else text
+
+    post, peak = http_probe(respond)
+    monkeypatch.setattr(gateway, "_http_post", post)
+    backend = gateway.BackendConfig(
+        kind="http_endpoint",
+        endpoint_url="http://127.0.0.1:9/v1/chat/completions",
+        retries=0,
+        max_in_flight=3,
+    )
+    return backend, peak
+
+
+def test_http_ensemble_overlaps_runs_and_merges_in_seed_order(tmp_path, monkeypatch):
+    narrative = Narrative("n1", HTTP_TEXT)
+    backend, peak = _http_ensemble(monkeypatch)
+    result = extract_ensemble(narrative, backend, EnsembleConfig(k_runs=5), base_seed=0)
+    assert 2 <= peak[0] <= 3
+    in_order = mock_backend(
+        tmp_path, extraction_entries(HTTP_TEXT, dict(enumerate(HTTP_RUNS)))
+    )
+    expected = extract_ensemble(narrative, in_order, EnsembleConfig(k_runs=5), base_seed=0)
+    assert result == expected
+    assert result.runs_discarded == 1
+    assert {c.surface: c.run_votes for c in result.by_category[HOME]} == {
+        "123 ELM ST": 3,
+        "77 OAK AVE": 1,
+    }
+    # Names come from seed 0 alone, not from seed 2, which answers first.
+    assert result.by_category[PiiCategory.NAME] == ()
+
+
+def test_http_ensemble_limit_holds_across_narrative_threads(monkeypatch):
+    backend, peak = _http_ensemble(monkeypatch)
+    narratives = [Narrative("n1", HTTP_TEXT), Narrative("n2", "NO PII HERE")]
+    results = {}
+
+    def tag(narrative):
+        results[narrative.id] = extract_ensemble(
+            narrative, backend, EnsembleConfig(k_runs=5), base_seed=0
+        )
+
+    threads = [threading.Thread(target=tag, args=(n,)) for n in narratives]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    assert 2 <= peak[0] <= 3
+    assert {c.surface for c in results["n1"].by_category[HOME]} == {
+        "123 ELM ST",
+        "77 OAK AVE",
+    }
+    assert not any(results["n2"].by_category.values())
+
+
+def test_http_ensemble_counts_failed_runs(monkeypatch):
+    backend, _ = _http_ensemble(monkeypatch, failing={1, 3})
+    result = extract_ensemble(
+        Narrative("n1", HTTP_TEXT), backend, EnsembleConfig(k_runs=5), base_seed=0
+    )
+    assert (result.runs_failed, result.runs_discarded, result.effective_runs) == (2, 1, 2)
+    assert {c.surface: c.run_votes for c in result.by_category[HOME]} == {"123 ELM ST": 2}
+
+
+def test_http_ensemble_all_runs_failed(monkeypatch):
+    backend, _ = _http_ensemble(monkeypatch, failing=set(range(5)))
+    with pytest.raises(AllRunsFailed):
+        extract_ensemble(
+            Narrative("n1", HTTP_TEXT), backend, EnsembleConfig(k_runs=5), base_seed=0
+        )
 
 
 def brute_force_union(run_outputs: list[set[str]]) -> dict[str, int]:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -21,6 +23,8 @@ from crashdeid.gateway import (
     request_key,
     write_fixture_file,
 )
+
+from conftest import http_probe
 
 
 def test_chat_request_validation():
@@ -185,7 +189,6 @@ def test_http_in_flight_requests_are_bounded(chat_server, monkeypatch):
     import time as _time
     from concurrent.futures import ThreadPoolExecutor
 
-    gateway.set_max_in_flight(2)
     live = []
     peak = []
     lock = threading.Lock()
@@ -203,14 +206,83 @@ def test_http_in_flight_requests_are_bounded(chat_server, monkeypatch):
                 live.pop()
 
     monkeypatch.setattr(gateway, "_http_post", tracking_post)
-    config = BackendConfig(kind="http_endpoint", endpoint_url=chat_server)
+    config = BackendConfig(
+        kind="http_endpoint", endpoint_url=chat_server, max_in_flight=2
+    )
     request = ChatRequest(system_prompt="s", user_content="u")
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            list(pool.map(lambda _: complete(request, config), range(8)))
-    finally:
-        gateway.set_max_in_flight(4)
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        list(pool.map(lambda _: complete(request, config), range(8)))
     assert max(peak) <= 2
+
+
+def test_in_flight_limit_holds_for_callers_racing_a_new_config(monkeypatch):
+    def respond(payload):
+        time.sleep(0.01)
+        return payload["messages"][1]["content"]
+
+    post, peak = http_probe(respond)
+    monkeypatch.setattr(gateway, "_http_post", post)
+    config = BackendConfig(
+        kind="http_endpoint",
+        endpoint_url="http://127.0.0.1:9/race",
+        max_in_flight=2,
+    )
+    barrier = threading.Barrier(8)
+
+    def caller(i):
+        barrier.wait(timeout=10)
+        for j in range(3):
+            complete(ChatRequest(system_prompt="s", user_content=f"u{i}.{j}"), config)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert peak[0] == 2  # one semaphore, however the first calls raced
+
+
+def test_backend_config_max_in_flight_validation():
+    with pytest.raises(ValueError, match="max_in_flight"):
+        BackendConfig(kind="http_endpoint", endpoint_url="http://x", max_in_flight=0)
+    assert BackendConfig(kind="http_endpoint", endpoint_url="http://x").max_in_flight == 4
+
+
+def test_backend_id_is_computed_once(tmp_path):
+    config = BackendConfig(kind="scripted_mock", fixture_path=tmp_path / "fx.jsonl")
+    assert config.backend_id == "mock:fx.jsonl"
+    assert config.backend_id is config.backend_id
+    assert config == BackendConfig(kind="scripted_mock", fixture_path=tmp_path / "fx.jsonl")
+
+
+def test_fan_out_keeps_input_order_when_later_items_finish_first():
+    config = BackendConfig(
+        kind="http_endpoint", endpoint_url="http://127.0.0.1:9/order", max_in_flight=3
+    )
+    finished = []
+
+    def slow_then_fast(i):
+        time.sleep(0.02 * (5 - i))
+        finished.append(i)
+        return i * 10
+
+    assert gateway.fan_out(slow_then_fast, range(5), config) == [0, 10, 20, 30, 40]
+    assert finished != sorted(finished)
+
+
+def test_fan_out_runs_inline_for_the_mock_and_for_one_item(tmp_path):
+    caller = threading.get_ident()
+    mock = BackendConfig(kind="scripted_mock", fixture_path=tmp_path / "fx.jsonl")
+    http = BackendConfig(kind="http_endpoint", endpoint_url="http://127.0.0.1:9/inline")
+    assert gateway.fan_out(lambda i: threading.get_ident(), range(3), mock) == [caller] * 3
+    assert gateway.fan_out(lambda i: threading.get_ident(), [0], http) == [caller]
+    assert gateway.fan_out(lambda i: i, [], http) == []
 
 
 def test_extraction_prompt_contents():
