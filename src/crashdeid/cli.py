@@ -48,12 +48,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         help="scripted-mock fixture JSONL; used for any backend without an endpoint",
     )
     parser.add_argument("--parallelism", type=int, default=1)
-    parser.add_argument(
-        "--max-in-flight",
-        type=int,
-        default=4,
-        help="most concurrent requests to each HTTP endpoint backend",
-    )
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument(
         "--redaction", choices=["tagged", "placeholder"], default="tagged"
@@ -65,15 +59,10 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _backend(
-    endpoint: str | None, model: str | None, fixtures: str | None, max_in_flight: int
-):
+def _backend(endpoint: str | None, model: str | None, fixtures: str | None):
     if endpoint:
         return BackendConfig(
-            kind="http_endpoint",
-            endpoint_url=endpoint,
-            model_name=model,
-            max_in_flight=max_in_flight,
+            kind="http_endpoint", endpoint_url=endpoint, model_name=model
         )
     if fixtures:
         return BackendConfig(kind="scripted_mock", fixture_path=fixtures)
@@ -90,16 +79,10 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
             else VerifierPolicy.precision_first()
         ),
         extractor_backend=_backend(
-            args.extractor_endpoint,
-            args.extractor_model,
-            args.mock_fixtures,
-            args.max_in_flight,
+            args.extractor_endpoint, args.extractor_model, args.mock_fixtures
         ),
         verifier_backend=_backend(
-            args.verifier_endpoint,
-            args.verifier_model,
-            args.mock_fixtures,
-            args.max_in_flight,
+            args.verifier_endpoint, args.verifier_model, args.mock_fixtures
         ),
         output_style=RedactionStyle(mode=args.redaction),
         parallelism=args.parallelism,

@@ -6,11 +6,10 @@ Two backend kinds sit behind one ``complete`` call:
     A chat-completions-style local inference server: POST ``{model,
     messages, temperature, seed}``; the completion is the first choice's
     message content. Transport failures are retried with exponential
-    backoff. Each backend config carries its own in-flight limit,
-    ``BackendConfig.max_in_flight`` (default 4): equal configs share one
-    semaphore that bounds their concurrent POSTs, and one pool of as many
-    worker threads on which ``fan_out`` overlaps independent calls, such
-    as a narrative's K tagging runs.
+    backoff. At most ``MAX_IN_FLIGHT`` (4) POSTs are in flight at once
+    across the whole process, whatever the endpoint or model; ``fan_out``
+    overlaps independent calls, such as a narrative's K tagging runs, on
+    one pool of as many worker threads.
 
 ``scripted_mock``
     A deterministic offline stand-in. The fixture file is JSONL of
@@ -41,6 +40,10 @@ DEFAULT_VERIFIER_TEMPERATURE = 0.0
 DEFAULT_MAX_OUTPUT_CHARS = 65536
 
 _BACKOFF_BASE_SECONDS = 0.25
+
+#: Most POSTs in flight at once, to all HTTP backends together.
+MAX_IN_FLIGHT = 4
+_inflight = threading.BoundedSemaphore(MAX_IN_FLIGHT)
 
 
 class GatewayError(RuntimeError):
@@ -99,7 +102,6 @@ class BackendConfig:
     fixture_path: str | Path | None = None
     timeout: float = 30.0
     retries: int = 2
-    max_in_flight: int = 4
 
     def __post_init__(self) -> None:
         if self.kind == "http_endpoint":
@@ -112,8 +114,6 @@ class BackendConfig:
             raise ValueError(f"unknown backend kind: {self.kind!r}")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
-        if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
 
     @cached_property
     def backend_id(self) -> str:
@@ -172,41 +172,22 @@ def _load_fixtures(path: str | Path) -> dict[str, str]:
     return table
 
 
-#: Backend config -> (in-flight semaphore, pool of as many workers). Made
-#: once per config and never rebound, so every caller of a backend shares
-#: one limit.
-_limits: dict[BackendConfig, tuple[threading.BoundedSemaphore, ThreadPoolExecutor]] = {}
-_limits_lock = threading.Lock()
-
-
-def _limit(config: BackendConfig) -> tuple[threading.BoundedSemaphore, ThreadPoolExecutor]:
-    with _limits_lock:
-        entry = _limits.get(config)
-        if entry is None:
-            entry = _limits[config] = (
-                threading.BoundedSemaphore(config.max_in_flight),
-                ThreadPoolExecutor(
-                    max_workers=config.max_in_flight,
-                    thread_name_prefix="crashdeid-backend",
-                ),
-            )
-    return entry
+_pool = ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT, thread_name_prefix="crashdeid-backend")
 
 
 def fan_out(fn: Callable, items: Iterable, config: BackendConfig) -> list:
-    """``[fn(item) for item in items]``, overlapped on the backend's pool.
+    """``[fn(item) for item in items]``, overlapped when ``config`` is HTTP.
 
     Results come back in input order whatever order the calls finish in.
-    For ``http_endpoint`` the items run on the config's pool of
-    ``max_in_flight`` workers; a scripted mock or a single item runs inline.
-    ``fn`` must not call ``fan_out`` on the same backend: it would wait on
-    the pool it occupies.
+    For ``http_endpoint`` the items run on the shared pool of
+    ``MAX_IN_FLIGHT`` workers; a scripted mock or a single item runs inline.
+    ``fn`` must not call ``fan_out`` itself: it would wait on the pool it
+    occupies.
     """
     items = list(items)
     if config.kind != "http_endpoint" or len(items) < 2:
         return [fn(item) for item in items]
-    _, pool = _limit(config)
-    return list(pool.map(fn, items))
+    return list(_pool.map(fn, items))
 
 
 def _http_post(url: str, payload: dict, timeout: float) -> dict:
@@ -226,13 +207,12 @@ def _complete_http(request: ChatRequest, config: BackendConfig) -> str:
     }
     if request.seed is not None:
         payload["seed"] = request.seed
-    inflight, _ = _limit(config)
     last_error: Exception | None = None
     for attempt in range(config.retries + 1):
         if attempt:
             time.sleep(_BACKOFF_BASE_SECONDS * 2 ** (attempt - 1))
         try:
-            with inflight:
+            with _inflight:
                 body = _http_post(config.endpoint_url, payload, config.timeout)
             return body["choices"][0]["message"]["content"]
         except requests.Timeout as exc:

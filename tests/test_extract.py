@@ -253,7 +253,6 @@ def _http_ensemble(monkeypatch, failing=frozenset()):
         kind="http_endpoint",
         endpoint_url="http://127.0.0.1:9/v1/chat/completions",
         retries=0,
-        max_in_flight=3,
     )
     return backend, peak
 
@@ -262,7 +261,7 @@ def test_http_ensemble_overlaps_runs_and_merges_in_seed_order(tmp_path, monkeypa
     narrative = Narrative("n1", HTTP_TEXT)
     backend, peak = _http_ensemble(monkeypatch)
     result = extract_ensemble(narrative, backend, EnsembleConfig(k_runs=5), base_seed=0)
-    assert 2 <= peak[0] <= 3
+    assert 2 <= peak[0] <= gateway.MAX_IN_FLIGHT
     in_order = mock_backend(
         tmp_path, extraction_entries(HTTP_TEXT, dict(enumerate(HTTP_RUNS)))
     )
@@ -293,7 +292,7 @@ def test_http_ensemble_limit_holds_across_narrative_threads(monkeypatch):
     for thread in threads:
         thread.join(timeout=30)
     assert not any(thread.is_alive() for thread in threads)
-    assert 2 <= peak[0] <= 3
+    assert 2 <= peak[0] <= gateway.MAX_IN_FLIGHT
     assert {c.surface for c in results["n1"].by_category[HOME]} == {
         "123 ELM ST",
         "77 OAK AVE",

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -206,52 +205,40 @@ def test_http_in_flight_requests_are_bounded(chat_server, monkeypatch):
                 live.pop()
 
     monkeypatch.setattr(gateway, "_http_post", tracking_post)
-    config = BackendConfig(
-        kind="http_endpoint", endpoint_url=chat_server, max_in_flight=2
-    )
+    config = BackendConfig(kind="http_endpoint", endpoint_url=chat_server)
     request = ChatRequest(system_prompt="s", user_content="u")
     with ThreadPoolExecutor(max_workers=8) as pool:
         list(pool.map(lambda _: complete(request, config), range(8)))
-    assert max(peak) <= 2
+    assert max(peak) <= gateway.MAX_IN_FLIGHT
 
 
-def test_in_flight_limit_holds_for_callers_racing_a_new_config(monkeypatch):
+def test_in_flight_limit_is_shared_by_backends_with_different_models(monkeypatch):
     def respond(payload):
         time.sleep(0.01)
         return payload["messages"][1]["content"]
 
     post, peak = http_probe(respond)
     monkeypatch.setattr(gateway, "_http_post", post)
-    config = BackendConfig(
-        kind="http_endpoint",
-        endpoint_url="http://127.0.0.1:9/race",
-        max_in_flight=2,
-    )
+    url = "http://127.0.0.1:9/v1/chat/completions"
+    configs = [
+        BackendConfig(kind="http_endpoint", endpoint_url=url, model_name=model)
+        for model in ("tagger", "verifier")
+    ]
     barrier = threading.Barrier(8)
 
     def caller(i):
         barrier.wait(timeout=10)
         for j in range(3):
-            complete(ChatRequest(system_prompt="s", user_content=f"u{i}.{j}"), config)
+            request = ChatRequest(system_prompt="s", user_content=f"u{i}.{j}")
+            complete(request, configs[i % 2])
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=caller, args=(i,)) for i in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
+    threads = [threading.Thread(target=caller, args=(i,)) for i in range(8)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
     assert not any(thread.is_alive() for thread in threads)
-    assert peak[0] == 2  # one semaphore, however the first calls raced
-
-
-def test_backend_config_max_in_flight_validation():
-    with pytest.raises(ValueError, match="max_in_flight"):
-        BackendConfig(kind="http_endpoint", endpoint_url="http://x", max_in_flight=0)
-    assert BackendConfig(kind="http_endpoint", endpoint_url="http://x").max_in_flight == 4
+    assert 2 <= peak[0] <= gateway.MAX_IN_FLIGHT
 
 
 def test_backend_id_is_computed_once(tmp_path):
@@ -262,9 +249,7 @@ def test_backend_id_is_computed_once(tmp_path):
 
 
 def test_fan_out_keeps_input_order_when_later_items_finish_first():
-    config = BackendConfig(
-        kind="http_endpoint", endpoint_url="http://127.0.0.1:9/order", max_in_flight=3
-    )
+    config = BackendConfig(kind="http_endpoint", endpoint_url="http://127.0.0.1:9/order")
     finished = []
 
     def slow_then_fast(i):

@@ -24,7 +24,6 @@ from crashdeid.verify import VerifierPolicy
 
 from conftest import (
     extraction_entries,
-    http_probe,
     read_audit_log,
     review_obj,
     verifier_entries,
@@ -371,50 +370,6 @@ def test_manifest_records_only_the_stages_that_ran(tmp_path, preset):
     names = ["redacted.jsonl", "manifest.json"] + (["audit.jsonl"] if stages.verify else [])
     for name in names:
         assert (out / name).read_bytes() == (replayed / name).read_bytes()
-
-
-def test_replayed_manifest_keeps_the_in_flight_limit(tmp_path, monkeypatch):
-    corpus = write_corpus_jsonl(tmp_path / "c.jsonl", [{"id": "n1", "text": FIG_TEXT}])
-    table = {e["key"]: e["response"] for e in fig_fixture_entries(seed=0, k=5)}
-
-    def respond(payload):
-        system, user = (m["content"] for m in payload["messages"])
-        return table[gateway.request_key(system, user, payload.get("seed"))]
-
-    post, peak = http_probe(respond)
-    monkeypatch.setattr(gateway, "_http_post", post)
-    url = "http://127.0.0.1:9/v1/chat/completions"
-    out = tmp_path / "out"
-    flags = ["--input", str(corpus), "--preset", "hybrid_ev", "--seed", "0"]
-    flags += ["--extractor-endpoint", url, "--verifier-endpoint", url]
-    flags += ["--max-in-flight", "2", "--mask-timestamps"]
-    assert main(["run", "--out", str(out)] + flags) == 0
-    snapshot = json.loads((out / "manifest.json").read_text())["config"]
-    assert snapshot["extractor_backend"]["max_in_flight"] == 2
-    config = config_from_snapshot(snapshot)
-    expected = BackendConfig(kind="http_endpoint", endpoint_url=url, max_in_flight=2)
-    assert config.extractor_backend == config.verifier_backend == expected
-    replayed = tmp_path / "replayed"
-    assert main(["run", "--replay", str(out / "manifest.json"), "--out", str(replayed)]) == 0
-    for name in ("redacted.jsonl", "audit.jsonl", "manifest.json"):
-        assert (out / name).read_bytes() == (replayed / name).read_bytes()
-    assert peak[0] <= 2
-
-
-def test_manifest_without_in_flight_limit_replays_with_the_default():
-    backend = BackendConfig(kind="http_endpoint", endpoint_url="http://localhost:9")
-    config = PipelineConfig(
-        preset="hybrid", extractor_backend=backend, verifier_backend=backend
-    )
-    snapshot = json.loads(json.dumps(config_snapshot(config, "in.jsonl", None, None)))
-    assert list(snapshot["extractor_backend"]) == [
-        "kind", "endpoint_url", "model_name", "fixture_path", "timeout", "retries",
-        "max_in_flight",
-    ]
-    del snapshot["extractor_backend"]["max_in_flight"]
-    rebuilt = config_from_snapshot(snapshot)
-    assert rebuilt.extractor_backend.max_in_flight == 4
-    assert rebuilt == config
 
 
 def test_cli_run_rules_only(tmp_path, capsys):
