@@ -130,7 +130,6 @@ def extract_single_run(
     backend: BackendConfig,
     *,
     seed: int | None = None,
-    temperature: float = gateway.DEFAULT_EXTRACTION_TEMPERATURE,
 ) -> SingleRun:
     """One tagging run: prompt, complete, guard, parse.
 
@@ -141,9 +140,7 @@ def extract_single_run(
     """
     if not narrative.text:
         raise ValueError("narrative text must be non-empty")
-    request = gateway.build_extraction_prompt(
-        narrative.text, temperature=temperature, seed=seed
-    )
+    request = gateway.build_extraction_prompt(narrative.text, seed=seed)
     response = gateway.complete(request, backend)
     if not detag_equals(response.text, narrative.text):
         return SingleRun([], True)
@@ -192,7 +189,6 @@ def extract_ensemble(
     cfg: EnsembleConfig,
     *,
     base_seed: int | None = None,
-    temperature: float = gateway.DEFAULT_EXTRACTION_TEMPERATURE,
 ) -> EnsembleResult:
     """Run the tagger K times and pool candidates.
 
@@ -208,9 +204,7 @@ def extract_ensemble(
     def attempt(i: int) -> SingleRun | None:
         seed = base_seed + i if base_seed is not None else None
         try:
-            return extract_single_run(
-                narrative, backend, seed=seed, temperature=temperature
-            )
+            return extract_single_run(narrative, backend, seed=seed)
         except GatewayError:
             return None
 
@@ -285,7 +279,6 @@ def hybrid_extract(
     cfg: EnsembleConfig,
     *,
     base_seed: int | None = None,
-    temperature: float = gateway.DEFAULT_EXTRACTION_TEMPERATURE,
     rules: bool = True,
 ) -> CandidateSet:
     """Rules for phone/email, LLM channel for the rest, merged into one set.
@@ -305,9 +298,7 @@ def hybrid_extract(
             f"narrative {narrative.id!r} already holds a tag delimiter"
         )
 
-    ensemble = extract_ensemble(
-        narrative, backend, cfg, base_seed=base_seed, temperature=temperature
-    )
+    ensemble = extract_ensemble(narrative, backend, cfg, base_seed=base_seed)
     rule_surfaces = [c.surface for candidates in merged.values() for c in candidates]
     for category, candidates in ensemble.by_category.items():
         merged[category] = tuple(

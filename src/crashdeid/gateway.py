@@ -5,11 +5,13 @@ Two backend kinds sit behind one ``complete`` call:
 ``http_endpoint``
     A chat-completions-style local inference server: POST ``{model,
     messages, temperature, seed}``; the completion is the first choice's
-    message content. Transport failures are retried with exponential
-    backoff. At most ``MAX_IN_FLIGHT`` (4) POSTs are in flight at once
-    across the whole process, whatever the endpoint or model; ``fan_out``
-    overlaps independent calls, such as a narrative's K tagging runs, on
-    one pool of as many worker threads.
+    message content. Each attempt opens one connection straight to the
+    endpoint and closes it; no proxy or ``.netrc`` is consulted, so
+    narrative text never passes through another host. Transport failures
+    are retried with exponential backoff. At most ``MAX_IN_FLIGHT`` (4)
+    POSTs are in flight at once across the whole process, whatever the
+    endpoint or model; ``fan_out`` overlaps independent calls, such as a
+    narrative's K tagging runs, on one pool of as many worker threads.
 
 ``scripted_mock``
     A deterministic offline stand-in. The fixture file is JSONL of
@@ -23,6 +25,7 @@ Two backend kinds sit behind one ``complete`` call:
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import os
 import threading
@@ -32,8 +35,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable
-
-import requests
+from urllib.parse import urlsplit
 
 DEFAULT_EXTRACTION_TEMPERATURE = 0.7
 DEFAULT_VERIFIER_TEMPERATURE = 0.0
@@ -44,6 +46,8 @@ _BACKOFF_BASE_SECONDS = 0.25
 #: Most POSTs in flight at once, to all HTTP backends together.
 MAX_IN_FLIGHT = 4
 _inflight = threading.BoundedSemaphore(MAX_IN_FLIGHT)
+
+_CONNECTIONS = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
 
 
 class GatewayError(RuntimeError):
@@ -105,8 +109,9 @@ class BackendConfig:
 
     def __post_init__(self) -> None:
         if self.kind == "http_endpoint":
-            if not self.endpoint_url:
-                raise ValueError("http_endpoint backend requires endpoint_url")
+            parts = urlsplit(self.endpoint_url or "")
+            if parts.scheme not in _CONNECTIONS or not parts.hostname:
+                raise ValueError("http_endpoint backend requires an http(s) endpoint_url")
         elif self.kind == "scripted_mock":
             if not self.fixture_path:
                 raise ValueError("scripted_mock backend requires fixture_path")
@@ -191,9 +196,25 @@ def fan_out(fn: Callable, items: Iterable, config: BackendConfig) -> list:
 
 
 def _http_post(url: str, payload: dict, timeout: float) -> dict:
-    response = requests.post(url, json=payload, timeout=timeout)
-    response.raise_for_status()
-    return response.json()
+    """POST ``payload`` as JSON on a fresh connection; return the decoded
+    body of a 2xx reply."""
+    parts = urlsplit(url)
+    connection = _CONNECTIONS[parts.scheme](parts.hostname, parts.port, timeout=timeout)
+    try:
+        # A bytes body goes out in the same segment as the headers.
+        connection.request(
+            "POST",
+            parts.path + (f"?{parts.query}" if parts.query else ""),
+            body=json.dumps(payload, allow_nan=False).encode(),
+            headers={"Content-Type": "application/json", "Connection": "close"},
+        )
+        with connection.getresponse() as response:
+            body = response.read()
+    finally:
+        connection.close()
+    if not 200 <= response.status < 300:
+        raise http.client.HTTPException(f"HTTP {response.status} {response.reason}")
+    return json.loads(body)
 
 
 def _complete_http(request: ChatRequest, config: BackendConfig) -> str:
@@ -214,12 +235,15 @@ def _complete_http(request: ChatRequest, config: BackendConfig) -> str:
         try:
             with _inflight:
                 body = _http_post(config.endpoint_url, payload, config.timeout)
-            return body["choices"][0]["message"]["content"]
-        except requests.Timeout as exc:
+            text = body["choices"][0]["message"]["content"]
+            if not isinstance(text, str):
+                raise TypeError(f"completion content is {type(text).__name__}")
+            return text
+        except (
+            OSError, http.client.HTTPException, ValueError, KeyError, IndexError, TypeError
+        ) as exc:
             last_error = exc
-        except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
-            last_error = exc
-    if isinstance(last_error, requests.Timeout):
+    if isinstance(last_error, TimeoutError):
         raise Timeout(
             f"backend timed out after {config.retries + 1} attempts: {last_error}"
         ) from last_error
@@ -304,18 +328,14 @@ Guidance:
 Output JSON only, matching the schema exactly."""
 
 
-def build_extraction_prompt(
-    narrative_text: str,
-    temperature: float = DEFAULT_EXTRACTION_TEMPERATURE,
-    seed: int | None = None,
-) -> ChatRequest:
+def build_extraction_prompt(narrative_text: str, seed: int | None = None) -> ChatRequest:
     """Tagging request: the fixed extraction instructions plus the narrative."""
     if not narrative_text:
         raise ValueError("narrative_text must be non-empty")
     return ChatRequest(
         system_prompt=EXTRACTION_SYSTEM_PROMPT,
         user_content=narrative_text,
-        temperature=temperature,
+        temperature=DEFAULT_EXTRACTION_TEMPERATURE,
         seed=seed,
     )
 
@@ -331,8 +351,6 @@ def build_verifier_prompt(
     narrative_text: str,
     home_candidates: list[str],
     alnum_candidates: list[str],
-    temperature: float = DEFAULT_VERIFIER_TEMPERATURE,
-    seed: int | None = None,
 ) -> ChatRequest:
     """Review request: candidates are line-itemized with stable indices so
     the alignment rules are checkable positionally."""
@@ -349,6 +367,5 @@ def build_verifier_prompt(
     return ChatRequest(
         system_prompt=VERIFIER_SYSTEM_PROMPT,
         user_content=user_content,
-        temperature=temperature,
-        seed=seed,
+        temperature=DEFAULT_VERIFIER_TEMPERATURE,
     )

@@ -14,7 +14,7 @@ narrative-dependent rule that KEEP/DROP evidence is a verbatim substring,
 demoting violators to UNCERTAIN rather than failing.
 
 Malformed completions are re-prompted with the validation error appended,
-up to ``max_repair_attempts`` times; after that every candidate is treated
+up to ``MAX_REPAIR_ATTEMPTS`` times; after that every candidate is treated
 as UNCERTAIN and the policy applied (fail-safe: never a silent DROP). The
 whole stage touches only the two ambiguous categories; name, phone and
 email candidates pass through untouched.
@@ -44,6 +44,9 @@ RETAINED = "retained"
 REMOVED = "removed"
 
 AMBIGUOUS_CATEGORIES = (PiiCategory.HOME_ADDRESS, PiiCategory.ALPHANUMERIC)
+
+#: Repair prompts sent after a malformed verifier completion.
+MAX_REPAIR_ATTEMPTS = 2
 
 _REVIEW_FIELDS = {"text", "decision", "reason", "evidence"}
 _OUTPUT_KEYS = {"home_address_reviews", "alphanumeric_reviews"}
@@ -109,20 +112,6 @@ class VerifierPolicy:
         return cls("drop")
 
 
-_AUDIT_FIELD_ORDER = (
-    "narrative_id",
-    "category",
-    "text",
-    "decision",
-    "reason",
-    "evidence",
-    "policy_applied",
-    "final_action",
-    "backend_id",
-    "timestamp",
-)
-
-
 @dataclass(frozen=True)
 class AuditRecord:
     narrative_id: str
@@ -134,7 +123,7 @@ class AuditRecord:
     timestamp: str
 
     def to_json_line(self) -> str:
-        flat = {
+        flat = {  # insertion order is the audit line's field order
             "narrative_id": self.narrative_id,
             "category": self.category.value,
             "text": self.review.text,
@@ -146,8 +135,7 @@ class AuditRecord:
             "backend_id": self.backend_id,
             "timestamp": self.timestamp,
         }
-        ordered = {key: flat[key] for key in _AUDIT_FIELD_ORDER}
-        return json.dumps(ordered, ensure_ascii=False, separators=(",", ":"))
+        return json.dumps(flat, ensure_ascii=False, separators=(",", ":"))
 
 
 def rfc3339_now() -> str:
@@ -341,7 +329,6 @@ def verify_candidates(
     candidates: CandidateSet,
     backend: BackendConfig,
     policy: VerifierPolicy,
-    max_repair_attempts: int = 2,
     *,
     timestamp_fn: Callable[[], str] = rfc3339_now,
 ) -> VerificationResult:
@@ -360,7 +347,7 @@ def verify_candidates(
     base = gateway.build_verifier_prompt(narrative.text, home, alnum)
     request = base
     failure: str | None = None
-    for _ in range(max_repair_attempts + 1):
+    for _ in range(MAX_REPAIR_ATTEMPTS + 1):
         try:
             response = gateway.complete(request, backend)
         except GatewayError as exc:

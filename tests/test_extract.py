@@ -5,7 +5,6 @@ import threading
 import time
 
 import pytest
-import requests
 
 from crashdeid import gateway
 from crashdeid.corpus import Narrative
@@ -243,7 +242,7 @@ def _http_ensemble(monkeypatch, failing=frozenset()):
         seed = payload["seed"]
         time.sleep(0.01 * (5 - seed))
         if seed in failing:
-            raise requests.ConnectionError("refused")
+            raise ConnectionRefusedError("refused")
         text = payload["messages"][1]["content"]
         return HTTP_RUNS[seed] if text == HTTP_TEXT else text
 

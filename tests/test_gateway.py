@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import contextlib
+import gc
 import json
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import warnings
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -42,6 +45,9 @@ def test_backend_config_validation():
         BackendConfig(kind="scripted_mock")
     with pytest.raises(ValueError):
         BackendConfig(kind="carrier_pigeon", endpoint_url="x")
+    for url in ("localhost:8000/v1", "ftp://127.0.0.1/v1", "http:///v1"):
+        with pytest.raises(ValueError, match="http\\(s\\) endpoint_url"):
+            BackendConfig(kind="http_endpoint", endpoint_url=url)
 
 
 def test_request_key_depends_on_content_and_seed():
@@ -111,7 +117,7 @@ def test_http_unreachable_counts_attempts(monkeypatch):
 
     def failing_post(url, payload, timeout):
         attempts.append(url)
-        raise gateway.requests.ConnectionError("refused")
+        raise ConnectionRefusedError("refused")
 
     monkeypatch.setattr(gateway, "_http_post", failing_post)
     monkeypatch.setattr(gateway.time, "sleep", lambda s: None)
@@ -125,7 +131,7 @@ def test_http_unreachable_counts_attempts(monkeypatch):
 
 def test_http_timeout_raises_timeout(monkeypatch):
     def slow_post(url, payload, timeout):
-        raise gateway.requests.Timeout("too slow")
+        raise TimeoutError("too slow")
 
     monkeypatch.setattr(gateway, "_http_post", slow_post)
     monkeypatch.setattr(gateway.time, "sleep", lambda s: None)
@@ -136,39 +142,73 @@ def test_http_timeout_raises_timeout(monkeypatch):
         complete(ChatRequest(system_prompt="s", user_content="u"), config)
 
 
-class _ChatHandler(BaseHTTPRequestHandler):
-    def do_POST(self):
-        length = int(self.headers["Content-Length"])
-        body = json.loads(self.rfile.read(length))
-        reply = {
-            "choices": [
-                {
-                    "message": {
-                        "role": "assistant",
-                        "content": f"echo:{body['messages'][1]['content']}"
-                        f"|model:{body['model']}|temp:{body['temperature']}",
-                    }
-                }
-            ]
-        }
-        payload = json.dumps(reply).encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
+def _reply(handler, status, body, length=None):
+    handler.send_response(status)
+    handler.send_header("Content-Type", "application/json")
+    handler.send_header("Content-Length", str(len(body) if length is None else length))
+    handler.end_headers()
+    handler.wfile.write(body)
 
-    def log_message(self, *args):
-        pass
+
+def _completion(text):
+    return json.dumps({"choices": [{"message": {"content": text}}]}).encode()
+
+
+@contextlib.contextmanager
+def _scripted_server(reply):
+    """A local chat server that answers its n-th POST (from 0) with
+    ``reply(handler, n, body bytes)``. Yields the URL and the list of
+    ``(headers, body bytes)`` it received."""
+    received = []
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            length = int(self.headers["Content-Length"])
+            body = self.rfile.read(length)
+            received.append((self.headers, body))
+            reply(self, len(received) - 1, body)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions", received
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+@contextlib.contextmanager
+def _no_unclosed_sockets():
+    """Fail when something opened in the block is left for the garbage
+    collector to close. Such a ResourceWarning is raised in a finalizer,
+    where an "error" filter would only print it, so it is recorded."""
+    gc.collect()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        yield
+        gc.collect()
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+
+
+def _echo(handler, n, body):
+    payload = json.loads(body)
+    text = (
+        f"echo:{payload['messages'][1]['content']}"
+        f"|model:{payload['model']}|temp:{payload['temperature']}"
+    )
+    _reply(handler, 200, _completion(text))
 
 
 @pytest.fixture
 def chat_server():
-    server = HTTPServer(("127.0.0.1", 0), _ChatHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
-    server.shutdown()
+    with _scripted_server(_echo) as (url, _):
+        yield url
 
 
 def test_http_round_trip(chat_server):
@@ -182,6 +222,102 @@ def test_http_round_trip(chat_server):
     assert response.text == "echo:NARRATIVE|model:tagger|temp:0.7"
     assert response.backend_id == f"http:tagger@{chat_server}"
     assert response.latency >= 0
+
+
+def test_http_connects_directly_whatever_the_proxy_environment(chat_server, monkeypatch):
+    for name in ("HTTP_PROXY", "http_proxy"):
+        monkeypatch.setenv(name, "http://127.0.0.1:9")
+    for name in ("NO_PROXY", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+    config = BackendConfig(kind="http_endpoint", endpoint_url=chat_server, retries=0)
+    response = complete(ChatRequest(system_prompt="s", user_content="u"), config)
+    assert response.text == "echo:u|model:default|temp:0.0"
+
+
+_REQUEST = ChatRequest(system_prompt="s", user_content="u")
+
+
+def _http_config(url, **fields):
+    return BackendConfig(
+        kind="http_endpoint", endpoint_url=url, timeout=0.2, retries=1, **fields
+    )
+
+
+@pytest.mark.parametrize("seed", [None, 7])
+def test_http_sends_the_chat_payload_as_json(seed):
+    request = ChatRequest(
+        system_prompt="sys", user_content="NARRATIVE é", temperature=0.7, seed=seed
+    )
+    expected = {
+        "model": "tagger",
+        "messages": [
+            {"role": "system", "content": "sys"},
+            {"role": "user", "content": "NARRATIVE é"},
+        ],
+        "temperature": 0.7,
+    }
+    if seed is not None:
+        expected["seed"] = seed
+    with _no_unclosed_sockets(), _scripted_server(
+        lambda handler, n, body: _reply(handler, 200, _completion("TAGGED"))
+    ) as (url, received):
+        response = complete(request, _http_config(url, model_name="tagger"))
+    assert response.text == "TAGGED"
+    [(headers, body)] = received
+    assert headers["Content-Type"] == "application/json"
+    assert body == json.dumps(expected).encode()
+
+
+def test_http_reply_slower_than_the_timeout_raises_timeout(monkeypatch):
+    monkeypatch.setattr(gateway.time, "sleep", lambda s: None)
+    release = threading.Event()
+
+    def never(handler, n, body):
+        release.wait(5)
+
+    with _no_unclosed_sockets(), _scripted_server(never) as (url, received):
+        try:
+            with pytest.raises(gateway.Timeout, match="2 attempts"):
+                complete(_REQUEST, _http_config(url))
+        finally:
+            release.set()
+    assert len(received) == 2
+
+
+@pytest.mark.parametrize(
+    "status, body, length",
+    [
+        (200, b'{"choices": [{"message"', 4096),  # closed before Content-Length
+        (200, b"<html>not json</html>", None),
+        (200, b'{"id": "no choices"}', None),
+        (200, b'{"choices": null}', None),
+        (200, b'{"choices": [{"message": {"content": null}}]}', None),
+        (503, _completion("UNAVAILABLE"), None),
+    ],
+)
+def test_http_bad_replies_raise_transport_failure(monkeypatch, status, body, length):
+    monkeypatch.setattr(gateway.time, "sleep", lambda s: None)
+    with _no_unclosed_sockets(), _scripted_server(
+        lambda handler, n, sent: _reply(handler, status, body, length)
+    ) as (url, received):
+        with pytest.raises(TransportFailure, match="2 attempts"):
+            complete(_REQUEST, _http_config(url))
+    assert len(received) == 2
+
+
+def test_http_server_error_is_retried(monkeypatch):
+    monkeypatch.setattr(gateway.time, "sleep", lambda s: None)
+
+    def reply(handler, n, body):
+        if n == 0:
+            _reply(handler, 500, b'{"error": "busy"}')
+        else:
+            _reply(handler, 200, _completion("SECOND"))
+
+    with _no_unclosed_sockets(), _scripted_server(reply) as (url, received):
+        response = complete(_REQUEST, _http_config(url))
+    assert response.text == "SECOND"
+    assert len(received) == 2
 
 
 def test_http_in_flight_requests_are_bounded(chat_server, monkeypatch):

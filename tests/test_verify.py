@@ -305,8 +305,7 @@ def test_verify_candidates_repair_loop_recovers(tmp_path, fig_narrative):
         tmp_path, verifier_entries(fig_narrative, [FIG_CANDIDATE], [], responses)
     )
     result = verify_candidates(
-        narrative, candidates, backend, VerifierPolicy.recall_first(),
-        max_repair_attempts=2,
+        narrative, candidates, backend, VerifierPolicy.recall_first()
     )
     assert result.final.surfaces(HOME) == []
     assert not result.degraded
@@ -328,8 +327,7 @@ def test_verify_candidates_exhausted_repairs_fall_back_uncertain(
         tmp_path, verifier_entries(fig_narrative, [FIG_CANDIDATE], ["UNIT 1"], responses)
     )
     result = verify_candidates(
-        narrative, candidates, backend, VerifierPolicy.recall_first(),
-        max_repair_attempts=2,
+        narrative, candidates, backend, VerifierPolicy.recall_first()
     )
     # Recall-first: everything retained rather than silently dropped.
     assert result.degraded
