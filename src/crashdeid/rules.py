@@ -28,6 +28,23 @@ Email grammar::
 
     No leading, trailing or consecutive dots in the local part; matching
     is leftmost-longest; the surface is preserved as written.
+
+Matching is leftmost-longest for both: of two overlapping matches, the
+one that starts first wins, and the longer one when two start together.
+The three phone forms are one alternation scanned once, left to right.
+That scan is the leftmost-longest selection because at any start position
+at most one form can match, with one length. A prefix starts with "+" or
+"1" and an unprefixed form with "(" or [2-9], so a prefixed and an
+unprefixed match never share a start. After the optional prefix, "("
+selects the parenthesized form; otherwise the character after the area
+code selects the separated form (a separator) or the bare one (a digit).
+Each optional part after that is decided by the next character, so no
+form matches with two lengths.
+
+Each scan opens with a lookahead: a phone starts with a digit, "+" or
+"(", and an email's local part is its character class and dots up to an
+"@". Both are necessary conditions of a match, not heuristics, so they
+only reject positions sooner and never change the result set.
 """
 
 from __future__ import annotations
@@ -41,17 +58,16 @@ _PREFIX = r"(?:\+?1[-. ])?"
 _AREA = r"[2-9]\d{2}"
 _EXCH = r"[2-9]\d{2}"
 
-_PHONE_PAREN = re.compile(
-    rf"(?<!\d){_PREFIX}\({_AREA}\) ?{_EXCH}[-. ]?\d{{4}}(?!\d)"
-)
-_PHONE_SEPARATED = re.compile(
-    rf"(?<!\d){_PREFIX}{_AREA}([-. ]){_EXCH}\1\d{{4}}(?!\d)"
-)
-_PHONE_BARE = re.compile(
-    rf"(?<![0-9A-Za-z]){_AREA}{_EXCH}\d{{4}}(?![0-9A-Za-z])"
+_PHONE = re.compile(
+    rf"(?<!\d)(?=[\d+(])(?:"
+    rf"{_PREFIX}\({_AREA}\) ?{_EXCH}[-. ]?\d{{4}}"
+    rf"|{_PREFIX}{_AREA}([-. ]){_EXCH}\1\d{{4}}"
+    rf"|(?<![A-Za-z]){_AREA}{_EXCH}\d{{4}}(?![A-Za-z])"
+    rf")(?!\d)"
 )
 
 _EMAIL = re.compile(
+    r"(?=[A-Za-z0-9_%+.-]*@)"
     r"[A-Za-z0-9_%+-]+(?:\.[A-Za-z0-9_%+-]+)*"
     r"@(?:[A-Za-z0-9](?:[A-Za-z0-9-]*[A-Za-z0-9])?\.)+[A-Za-z]{2,}"
 )
@@ -61,41 +77,21 @@ _EMAIL = re.compile(
 class RuleMatch:
     """One rule-recognizer hit."""
 
-    category: PiiCategory
     span: PiiSpan
 
 
-def _leftmost_longest(raw: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Greedy non-overlapping selection: earlier start wins, longer wins ties."""
-    chosen: list[tuple[int, int]] = []
-    for start, end in sorted(raw, key=lambda m: (m[0], -m[1])):
-        if not chosen or start >= chosen[-1][1]:
-            chosen.append((start, end))
-    return chosen
+def _scan(pattern: re.Pattern[str], category: PiiCategory, text: str) -> list[RuleMatch]:
+    return [
+        RuleMatch(PiiSpan(category, m.start(), m.end(), m.group()))
+        for m in pattern.finditer(text)
+    ]
 
 
 def find_phones(text: str) -> list[RuleMatch]:
     """All strict-grammar U.S. phone matches, ascending, non-overlapping."""
-    raw = [
-        m.span()
-        for pattern in (_PHONE_PAREN, _PHONE_SEPARATED, _PHONE_BARE)
-        for m in pattern.finditer(text)
-    ]
-    return [
-        RuleMatch(
-            PiiCategory.PHONE,
-            PiiSpan(PiiCategory.PHONE, start, end, text[start:end]),
-        )
-        for start, end in _leftmost_longest(raw)
-    ]
+    return _scan(_PHONE, PiiCategory.PHONE, text)
 
 
 def find_emails(text: str) -> list[RuleMatch]:
     """All email-grammar matches, ascending, non-overlapping."""
-    return [
-        RuleMatch(
-            PiiCategory.EMAIL,
-            PiiSpan(PiiCategory.EMAIL, m.start(), m.end(), m.group()),
-        )
-        for m in _EMAIL.finditer(text)
-    ]
+    return _scan(_EMAIL, PiiCategory.EMAIL, text)
