@@ -31,20 +31,35 @@ Email grammar::
 
 Matching is leftmost-longest for both: of two overlapping matches, the
 one that starts first wins, and the longer one when two start together.
-The three phone forms are one alternation scanned once, left to right.
-That scan is the leftmost-longest selection because at any start position
-at most one form can match, with one length. A prefix starts with "+" or
-"1" and an unprefixed form with "(" or [2-9], so a prefixed and an
-unprefixed match never share a start. After the optional prefix, "("
-selects the parenthesized form; otherwise the character after the area
-code selects the separated form (a separator) or the bare one (a digit).
-Each optional part after that is decided by the next character, so no
-form matches with two lengths.
 
-Each scan opens with a lookahead: a phone starts with a digit, "+" or
-"(", and an email's local part is its character class and dots up to an
-"@". Both are necessary conditions of a match, not heuristics, so they
-only reject positions sooner and never change the result set.
+Phones are one compiled pattern scanned once, left to right. It opens
+with the character class of every phone's first character, [+1(2-9], so
+the regex engine skips every other position in C. The lookbehind after
+it is the shared rule that no digit comes before the match, and each
+branch names the character it consumed with a one-character lookbehind
+(the table at ``_PHONE``). The scan is the leftmost-longest selection
+because at any start at most one branch can match, with one length. The
+first character selects the branch: a prefix starts with "+" or "1", and
+an area code never starts with "1". After a prefix, "(" selects the
+parenthesized body and a digit the separated one; after an area code, a
+separator selects the separated form and a digit the bare one. Each
+optional part after that is decided by the next character, so no branch
+matches with two lengths.
+
+Emails are found from their "@": a match holds exactly one, since the
+local part and the domain cannot contain one. For each "@" the cheap
+local-part test comes first (the character before it is a local
+character and lies after the previous match), then the domain is
+matched with a regex anchored just past the "@". Only when both hold is
+the local part walked left, over local characters and single dots,
+never below the end of the previous match, and a leading dot is
+stepped over; that walk ends at the leftmost start any match through
+this "@" could have. The scan then goes on from the end of the match,
+or from the next "@" when there is none. A walk never crosses an "@" or
+the previous match, and a domain match stops at the next "@", so each
+character is read a bounded number of times and the scan is linear in
+the input. Its worst case is text dense with "@", at one Python
+iteration per "@".
 """
 
 from __future__ import annotations
@@ -54,23 +69,31 @@ from dataclasses import dataclass
 
 from .tags import PiiCategory, PiiSpan
 
-_PREFIX = r"(?:\+?1[-. ])?"
 _AREA = r"[2-9]\d{2}"
 _EXCH = r"[2-9]\d{2}"
+_SEP = r"[-. ]"
+_PAREN_TAIL = rf"{_AREA}\) ?{_EXCH}{_SEP}?\d{{4}}"
 
+# One branch per first character, each named by a lookbehind on it:
+#   "+"    "1" sep, then the parenthesized or the separated body
+#   "1"    sep, then the parenthesized or the separated body
+#   "("    area ")" " "? exch psep line
+#   [2-9]  the area's last two digits, then sep exch sep line, or the bare
+#          exch line, whose area has no letter before it
 _PHONE = re.compile(
-    rf"(?<!\d)(?=[\d+(])(?:"
-    rf"{_PREFIX}\({_AREA}\) ?{_EXCH}[-. ]?\d{{4}}"
-    rf"|{_PREFIX}{_AREA}([-. ]){_EXCH}\1\d{{4}}"
-    rf"|(?<![A-Za-z]){_AREA}{_EXCH}\d{{4}}(?![A-Za-z])"
+    rf"[+1(2-9](?<!\d.)(?:"
+    rf"(?:(?<=\+)1|(?<=1)){_SEP}"
+    rf"(?:\({_PAREN_TAIL}|{_AREA}({_SEP}){_EXCH}\1\d{{4}})"
+    rf"|(?<=\(){_PAREN_TAIL}"
+    rf"|(?<=[2-9])\d\d"
+    rf"(?:({_SEP}){_EXCH}\2\d{{4}}|(?<![A-Za-z]\d{{3}}){_EXCH}\d{{4}}(?![A-Za-z]))"
     rf")(?!\d)"
 )
 
-_EMAIL = re.compile(
-    r"(?=[A-Za-z0-9_%+.-]*@)"
-    r"[A-Za-z0-9_%+-]+(?:\.[A-Za-z0-9_%+-]+)*"
-    r"@(?:[A-Za-z0-9](?:[A-Za-z0-9-]*[A-Za-z0-9])?\.)+[A-Za-z]{2,}"
+_LOCAL_CHARS = frozenset(
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_%+-"
 )
+_DOMAIN = re.compile(r"(?:[A-Za-z0-9](?:[A-Za-z0-9-]*[A-Za-z0-9])?\.)+[A-Za-z]{2,}")
 
 
 @dataclass(frozen=True)
@@ -80,18 +103,36 @@ class RuleMatch:
     span: PiiSpan
 
 
-def _scan(pattern: re.Pattern[str], category: PiiCategory, text: str) -> list[RuleMatch]:
-    return [
-        RuleMatch(PiiSpan(category, m.start(), m.end(), m.group()))
-        for m in pattern.finditer(text)
-    ]
-
-
 def find_phones(text: str) -> list[RuleMatch]:
     """All strict-grammar U.S. phone matches, ascending, non-overlapping."""
-    return _scan(_PHONE, PiiCategory.PHONE, text)
+    return [
+        RuleMatch(PiiSpan(PiiCategory.PHONE, m.start(), m.end(), m.group()))
+        for m in _PHONE.finditer(text)
+    ]
 
 
 def find_emails(text: str) -> list[RuleMatch]:
     """All email-grammar matches, ascending, non-overlapping."""
-    return _scan(_EMAIL, PiiCategory.EMAIL, text)
+    matches = []
+    floor = 0
+    at = text.find("@")
+    while at != -1:
+        if at > floor and text[at - 1] in _LOCAL_CHARS:
+            domain = _DOMAIN.match(text, at + 1)
+            if domain is not None:
+                start = at - 1
+                while start > floor and (
+                    text[start - 1] in _LOCAL_CHARS
+                    or (text[start - 1] == "." and text[start] != ".")
+                ):
+                    start -= 1
+                if text[start] == ".":
+                    start += 1
+                floor = domain.end()
+                matches.append(
+                    RuleMatch(PiiSpan(PiiCategory.EMAIL, start, floor, text[start:floor]))
+                )
+                at = text.find("@", floor)
+                continue
+        at = text.find("@", at + 1)
+    return matches

@@ -229,6 +229,36 @@ def test_delimiter_bearing_text_fails_under_llm_presets(tmp_path, preset, mode):
     assert (out / "redacted.jsonl").read_text() == ""
 
 
+def test_rules_only_delimiter_bearing_text_fails_only_in_tagged_mode(tmp_path):
+    corpus = write_corpus_jsonl(
+        tmp_path / "c.jsonl",
+        [
+            {"id": "n1", "text": "NOTE ^^^ NO PII"},
+            {"id": "n2", "text": "NOTE ^^^ CALL 608-733-8366"},
+        ],
+    )
+    tagged = run_pipeline(PipelineConfig(preset="rules_only"), corpus, tmp_path / "t")
+    # Detagging the output strips the original "^^^" too, so render's
+    # self-check refuses the text even when nothing in it is redacted.
+    assert tagged.failed_narratives == ["n1", "n2"]
+    assert (tmp_path / "t" / "redacted.jsonl").read_text() == ""
+
+    placeholder = run_pipeline(
+        PipelineConfig(preset="rules_only", output_style=RedactionStyle(mode="placeholder")),
+        corpus,
+        tmp_path / "p",
+    )
+    assert placeholder.ok
+    rows = [
+        json.loads(line)
+        for line in (tmp_path / "p" / "redacted.jsonl").read_text().splitlines()
+    ]
+    assert rows == [
+        {"id": "n1", "redacted_text": "NOTE ^^^ NO PII", "pii_found": False},
+        {"id": "n2", "redacted_text": "NOTE ^^^ CALL [PHONE]", "pii_found": True},
+    ]
+
+
 @pytest.mark.parametrize("preset", [p for p, s in PRESETS.items() if not s.verify])
 def test_run_without_verifier_removes_stale_audit_log(tmp_path, preset):
     corpus = write_corpus_jsonl(tmp_path / "c.jsonl", [{"id": "n1", "text": FIG_TEXT}])
