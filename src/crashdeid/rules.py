@@ -55,11 +55,13 @@ the local part walked left, over local characters and single dots,
 never below the end of the previous match, and a leading dot is
 stepped over; that walk ends at the leftmost start any match through
 this "@" could have. The scan then goes on from the end of the match,
-or from the next "@" when there is none. A walk never crosses an "@" or
-the previous match, and a domain match stops at the next "@", so each
-character is read a bounded number of times and the scan is linear in
-the input. Its worst case is text dense with "@", at one Python
-iteration per "@".
+or from the next "@" when there is none. Since a local part holds no
+"@", a match through one "@" starts before any match through a later
+one, so taking the "@"s in order is the leftmost-longest selection. A
+walk never crosses an "@" or the previous match, and a domain match
+stops at the next "@", so each character is read a bounded number of
+times and the scan is linear in the input. Its worst case is text dense
+with "@", at one Python iteration per "@".
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ def find_phones(text: str) -> list[RuleMatch]:
 
 def find_emails(text: str) -> list[RuleMatch]:
     """All email-grammar matches, ascending, non-overlapping."""
-    matches = []
+    matches: list[RuleMatch] = []
     floor = 0
     at = text.find("@")
     while at != -1:
