@@ -73,11 +73,7 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     return PipelineConfig(
         preset=args.preset,
         ensemble=EnsembleConfig(k_runs=args.k_ensemble),
-        policy=(
-            VerifierPolicy.recall_first()
-            if args.policy == "recall-first"
-            else VerifierPolicy.precision_first()
-        ),
+        policy=VerifierPolicy(args.policy.replace("-", "_")),
         extractor_backend=_backend(
             args.extractor_endpoint, args.extractor_model, args.mock_fixtures
         ),

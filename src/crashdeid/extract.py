@@ -5,16 +5,18 @@ home-address and alphanumeric candidates come from the LLM channel only.
 The split is enforced structurally when a CandidateSet is built, not left
 to caller discipline.
 
-For the two most ambiguous categories the LLM tagger runs K times and the
-union of candidate surfaces across runs is kept, with ``run_votes``
-counting how many runs produced each surface. A run whose completion fails
-the detag-equality guard is treated as hallucinated and discarded
-wholesale: offsets cannot be trusted once the model rewrote the text.
+The LLM tagger runs K times. For the ambiguous categories
+(``tags.AMBIGUOUS_CATEGORIES``) the union of candidate surfaces across
+runs is kept, with ``run_votes`` counting how many runs produced each
+surface; names come from the first useful run in seed order. A run whose
+completion fails the detag-equality guard is treated as hallucinated and
+discarded wholesale: offsets cannot be trusted once the model rewrote the
+text. A narrative with no useful run at all raises ``AllRunsFailed``.
 
 ``hybrid_extract`` is the one extraction path of every preset: without a
 backend it yields rule candidates only, with ``rules=False`` LLM
-candidates only, and a single-run baseline is an ``EnsembleConfig`` with
-K=1 and no ensemble categories. Text that already holds a tag delimiter
+candidates only, and a single-run baseline is ``EnsembleConfig(k_runs=1)``.
+Text that already holds a tag delimiter
 cannot go through the LLM channel and raises ``AmbiguousTagging`` there,
 so the narrative fails instead of being emitted with its contextual PII
 in clear.
@@ -29,6 +31,7 @@ from . import gateway, rules
 from .corpus import Narrative
 from .gateway import BackendConfig, GatewayError
 from .tags import (
+    AMBIGUOUS_CATEGORIES,
     LLM_CATEGORIES,
     RULE_CATEGORIES,
     CATEGORY_ORDER,
@@ -50,7 +53,8 @@ _LLM_SOURCES = {SOURCE_LLM_SINGLE, SOURCE_LLM_ENSEMBLE}
 
 
 class AllRunsFailed(RuntimeError):
-    """Every ensemble run failed at the gateway."""
+    """No tagging run was usable: each one failed at the gateway or was
+    discarded as hallucinated."""
 
 
 class ResponsibilitySplitViolation(ValueError):
@@ -109,15 +113,10 @@ class CandidateSet:
 @dataclass(frozen=True)
 class EnsembleConfig:
     k_runs: int = 5
-    ensemble_categories: frozenset[PiiCategory] = frozenset(
-        {PiiCategory.HOME_ADDRESS, PiiCategory.ALPHANUMERIC}
-    )
 
     def __post_init__(self) -> None:
         if self.k_runs < 1:
             raise ValueError("k_runs must be >= 1")
-        if not self.ensemble_categories <= set(PiiCategory):
-            raise ValueError("ensemble_categories must be PII categories")
 
 
 class SingleRun(NamedTuple):
@@ -192,13 +191,16 @@ def extract_ensemble(
 ) -> EnsembleResult:
     """Run the tagger K times and pool candidates.
 
-    Ensemble categories take the union of surfaces across non-discarded
-    runs (``run_votes`` = number of producing runs); the other LLM
-    categories take run 1's output only. With ``base_seed`` set, run i
-    uses seed ``base_seed + i`` so scripted mocks can represent distinct
-    sampled runs. The runs are independent, so ``gateway.fan_out`` overlaps
-    them on an HTTP backend; they are merged in seed order whatever order
-    they finish in.
+    A run is useful unless it failed at the gateway or was discarded as
+    hallucinated; with no useful run, AllRunsFailed is raised. The
+    ambiguous categories take the union of surfaces across useful runs
+    (``run_votes`` = number of producing runs, source ``llm_ensemble`` when
+    K > 1); names come from the first useful run in seed order (source
+    ``llm_single``). With ``base_seed`` set, run i uses seed
+    ``base_seed + i`` so scripted mocks can represent distinct sampled
+    runs. The runs are independent, so ``gateway.fan_out`` overlaps them on
+    an HTTP backend; they are merged in seed order whatever order they
+    finish in.
     """
 
     def attempt(i: int) -> SingleRun | None:
@@ -209,42 +211,28 @@ def extract_ensemble(
             return None
 
     runs = gateway.fan_out(attempt, range(cfg.k_runs), backend)
-    failed = runs.count(None)
-    if failed == cfg.k_runs:
+    useful = [run for run in runs if run is not None and not run.hallucinated]
+    if not useful:
         raise AllRunsFailed(
-            f"all {cfg.k_runs} extraction runs failed for narrative "
+            f"none of {cfg.k_runs} extraction runs was usable for narrative "
             f"{narrative.id!r}"
         )
-    discarded = sum(1 for run in runs if run is not None and run.hallucinated)
+    failed = runs.count(None)
 
     by_category: dict[PiiCategory, tuple[Candidate, ...]] = {}
-    for category in sorted(cfg.ensemble_categories & LLM_CATEGORIES, key=CATEGORY_ORDER.index):
+    for category in sorted(LLM_CATEGORIES, key=CATEGORY_ORDER.index):
+        pooled = category in AMBIGUOUS_CATEGORIES
         votes: dict[str, int] = {}
-        for run in runs:
-            if run is None:
-                continue
-            produced = {s.surface for s in run.spans if s.category is category}
-            for surface in produced:
+        for run in useful if pooled else useful[:1]:
+            for surface in {s.surface for s in run.spans if s.category is category}:
                 votes[surface] = votes.get(surface, 0) + 1
-        by_category[category] = _candidates_from_votes(
-            narrative, votes, SOURCE_LLM_ENSEMBLE
-        )
-
-    first_run = runs[0]
-    for category in LLM_CATEGORIES - cfg.ensemble_categories:
-        votes = {}
-        if first_run is not None:
-            for span in first_run.spans:
-                if span.category is category:
-                    votes[span.surface] = 1
-        by_category[category] = _candidates_from_votes(
-            narrative, votes, SOURCE_LLM_SINGLE
-        )
+        source = SOURCE_LLM_ENSEMBLE if pooled and cfg.k_runs > 1 else SOURCE_LLM_SINGLE
+        by_category[category] = _candidates_from_votes(narrative, votes, source)
     return EnsembleResult(
         by_category=by_category,
         runs_attempted=cfg.k_runs,
         runs_failed=failed,
-        runs_discarded=discarded,
+        runs_discarded=cfg.k_runs - failed - len(useful),
     )
 
 

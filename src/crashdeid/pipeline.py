@@ -29,8 +29,8 @@ from .corpus import Corpus, Narrative, load_corpus, write_audit_log, write_redac
 from .evalkit import MetricsReport, build_report, write_report
 from .extract import AllRunsFailed, CandidateSet, EnsembleConfig, hybrid_extract
 from .gateway import BackendConfig, GatewayError
-from .redact import RedactionStyle, RedactionCollision, SurfaceNotFound, render
-from .tags import PiiCategory
+from .redact import PLACEHOLDERS, RedactionStyle, RedactionCollision, SurfaceNotFound, render
+from .tags import AMBIGUOUS_CATEGORIES, PiiCategory
 from .verify import AuditRecord, VerifierPolicy, rfc3339_now, verify_candidates
 
 
@@ -47,9 +47,6 @@ PRESETS: dict[str, Preset] = {
     "hybrid": Preset(rules=True, llm=True, ensemble=True, verify=False),
     "hybrid_ev": Preset(rules=True, llm=True, ensemble=True, verify=True),
 }
-#: The tagging configuration of presets without an ensemble: one run, every
-#: LLM category taken from it.
-SINGLE_RUN = EnsembleConfig(k_runs=1, ensemble_categories=frozenset())
 MASKED_TIMESTAMP = "1970-01-01T00:00:00Z"
 
 
@@ -63,13 +60,15 @@ class PipelineConfig:
 
     The extractor backend is dropped unless the preset tags with the LLM,
     the verifier backend and policy unless it verifies, and the ensemble
-    becomes ``SINGLE_RUN`` unless it pools K runs; so the manifest records
-    exactly the stages that ran.
+    becomes one run unless it pools K runs; so the manifest records exactly
+    the stages that ran. Which categories are pooled and reviewed
+    (``tags.AMBIGUOUS_CATEGORIES``) and the placeholders
+    (``redact.PLACEHOLDERS``) are fixed, not configured.
     """
 
     preset: str
     ensemble: EnsembleConfig = EnsembleConfig()
-    policy: VerifierPolicy | None = VerifierPolicy.recall_first()
+    policy: VerifierPolicy | None = VerifierPolicy.RECALL_FIRST
     extractor_backend: BackendConfig | None = None
     verifier_backend: BackendConfig | None = None
     output_style: RedactionStyle = RedactionStyle()
@@ -95,7 +94,7 @@ class PipelineConfig:
             object.__setattr__(self, "verifier_backend", None)
             object.__setattr__(self, "policy", None)
         if not stages.ensemble:
-            object.__setattr__(self, "ensemble", SINGLE_RUN)
+            object.__setattr__(self, "ensemble", EnsembleConfig(k_runs=1))
 
 
 @dataclass
@@ -174,18 +173,15 @@ def _backend_from_snapshot(obj: dict | None) -> BackendConfig | None:
 def config_snapshot(
     config: PipelineConfig, input_path: str, fmt: str | None, gold_path: str | None
 ) -> dict:
+    pooled = AMBIGUOUS_CATEGORIES if PRESETS[config.preset].ensemble else ()
     return {
         "preset": config.preset,
         "k_runs": config.ensemble.k_runs,
-        "ensemble_categories": sorted(
-            c.value for c in config.ensemble.ensemble_categories
-        ),
-        "policy": config.policy.label if config.policy else None,
+        "ensemble_categories": sorted(c.value for c in pooled),
+        "policy": config.policy.value if config.policy else None,
         "redaction": {
             "mode": config.output_style.mode,
-            "placeholders": {
-                c.value: p for c, p in config.output_style.placeholder_map.items()
-            },
+            "placeholders": {c.value: p for c, p in PLACEHOLDERS.items()},
         },
         "parallelism": config.parallelism,
         "seed": config.seed,
@@ -205,35 +201,26 @@ def config_from_snapshot(snapshot: dict) -> PipelineConfig:
             "(salvage mode), which no longer exists; the run cannot be reproduced"
         )
     label = snapshot["policy"]
-    policy = (
-        None
-        if label is None
-        else VerifierPolicy.recall_first()
-        if label == "recall_first"
-        else VerifierPolicy.precision_first()
-    )
-    return PipelineConfig(
+    config = PipelineConfig(
         preset=snapshot["preset"],
-        ensemble=EnsembleConfig(
-            k_runs=snapshot["k_runs"],
-            ensemble_categories=frozenset(
-                PiiCategory(v) for v in snapshot["ensemble_categories"]
-            ),
-        ),
-        policy=policy,
+        ensemble=EnsembleConfig(k_runs=snapshot["k_runs"]),
+        policy=None if label is None else VerifierPolicy(label),
         extractor_backend=_backend_from_snapshot(snapshot.get("extractor_backend")),
         verifier_backend=_backend_from_snapshot(snapshot.get("verifier_backend")),
-        output_style=RedactionStyle(
-            mode=snapshot["redaction"]["mode"],
-            placeholder_map={
-                PiiCategory(k): v
-                for k, v in snapshot["redaction"]["placeholders"].items()
-            },
-        ),
+        output_style=RedactionStyle(mode=snapshot["redaction"]["mode"]),
         parallelism=snapshot["parallelism"],
         seed=snapshot.get("seed"),
         mask_timestamps=snapshot.get("mask_timestamps", False),
     )
+    # The pooled categories and the placeholders follow from the preset and
+    # fixed constants; a manifest that records others cannot be reproduced.
+    rebuilt = config_snapshot(config, "", None, None)
+    if any(snapshot.get(key) != rebuilt[key] for key in ("ensemble_categories", "redaction")):
+        raise ConfigError(
+            "manifest records ensemble categories or placeholders other than "
+            "the fixed ones; the run cannot be reproduced"
+        )
+    return config
 
 
 @dataclass

@@ -7,7 +7,7 @@ are skipped, so tags never nest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .corpus import Narrative
 from .extract import CandidateSet
@@ -16,12 +16,12 @@ from .tags import (
     DELIMITERS,
     PiiCategory,
     TagError,
-    contains_delimiter_sequence,
     detag_equals,
     parse_tagged,
 )
 
-DEFAULT_PLACEHOLDERS: dict[PiiCategory, str] = {
+#: Placeholder-mode replacement per category; none holds a tag delimiter.
+PLACEHOLDERS: dict[PiiCategory, str] = {
     PiiCategory.NAME: "[NAME]",
     PiiCategory.PHONE: "[PHONE]",
     PiiCategory.EMAIL: "[EMAIL]",
@@ -41,21 +41,10 @@ class RedactionCollision(TagError):
 @dataclass(frozen=True)
 class RedactionStyle:
     mode: str = "tagged"  # "tagged" | "placeholder"
-    placeholder_map: dict[PiiCategory, str] = field(
-        default_factory=lambda: dict(DEFAULT_PLACEHOLDERS)
-    )
 
     def __post_init__(self) -> None:
         if self.mode not in ("tagged", "placeholder"):
             raise ValueError("mode must be 'tagged' or 'placeholder'")
-        for category in PiiCategory:
-            placeholder = self.placeholder_map.get(category)
-            if not placeholder:
-                raise ValueError(f"missing placeholder for {category.value}")
-            if contains_delimiter_sequence(placeholder):
-                raise ValueError(
-                    f"placeholder {placeholder!r} contains a delimiter sequence"
-                )
 
 
 def _claim_occurrences(
@@ -101,7 +90,7 @@ def render(narrative: Narrative, final: CandidateSet, style: RedactionStyle) -> 
             delim = DELIMITERS[category]
             parts.append(f"{delim}{surface}{delim}")
         else:
-            parts.append(style.placeholder_map[category])
+            parts.append(PLACEHOLDERS[category])
         cursor = end
     parts.append(narrative.text[cursor:])
     output = "".join(parts)

@@ -44,6 +44,9 @@ RULE_CATEGORIES = frozenset({PiiCategory.PHONE, PiiCategory.EMAIL})
 LLM_CATEGORIES = frozenset(
     {PiiCategory.NAME, PiiCategory.HOME_ADDRESS, PiiCategory.ALPHANUMERIC}
 )
+#: The two ambiguous LLM categories: the only ones pooled over the K tagging
+#: runs and the only ones the verifier reviews.
+AMBIGUOUS_CATEGORIES = (PiiCategory.HOME_ADDRESS, PiiCategory.ALPHANUMERIC)
 
 #: Canonical display/report order.
 CATEGORY_ORDER = (

@@ -22,6 +22,7 @@ email candidates pass through untouched.
 
 from __future__ import annotations
 
+import enum
 import json
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -30,7 +31,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 from . import gateway
 from .extract import Candidate, CandidateSet
 from .gateway import BackendConfig, GatewayError
-from .tags import PiiCategory
+from .tags import AMBIGUOUS_CATEGORIES, PiiCategory
 
 if TYPE_CHECKING:
     from .corpus import Narrative
@@ -43,13 +44,11 @@ DECISIONS = (KEEP, DROP, UNCERTAIN)
 RETAINED = "retained"
 REMOVED = "removed"
 
-AMBIGUOUS_CATEGORIES = (PiiCategory.HOME_ADDRESS, PiiCategory.ALPHANUMERIC)
-
 #: Repair prompts sent after a malformed verifier completion.
 MAX_REPAIR_ATTEMPTS = 2
 
 _REVIEW_FIELDS = {"text", "decision", "reason", "evidence"}
-_OUTPUT_KEYS = {"home_address_reviews", "alphanumeric_reviews"}
+_OUTPUT_KEYS = {f"{category.value}_reviews" for category in AMBIGUOUS_CATEGORIES}
 
 
 class VerifierFormatError(ValueError):
@@ -76,40 +75,17 @@ class VerifierReview:
     evidence: str
 
 
-@dataclass(frozen=True)
-class VerifierOutput:
-    home_address_reviews: tuple[VerifierReview, ...]
-    alphanumeric_reviews: tuple[VerifierReview, ...]
-
-    def reviews_for(self, category: PiiCategory) -> tuple[VerifierReview, ...]:
-        if category is PiiCategory.HOME_ADDRESS:
-            return self.home_address_reviews
-        if category is PiiCategory.ALPHANUMERIC:
-            return self.alphanumeric_reviews
-        raise KeyError(category)
+#: One review per candidate, in candidate order, for each ambiguous category.
+VerifierOutput = dict[PiiCategory, tuple[VerifierReview, ...]]
 
 
-@dataclass(frozen=True)
-class VerifierPolicy:
-    """What to do with UNCERTAIN reviews: keep (recall-first) or drop."""
+class VerifierPolicy(enum.Enum):
+    """What to do with UNCERTAIN reviews: keep them (recall-first) or drop
+    them (precision-first). The value is the label that the manifest and
+    the audit log record."""
 
-    uncertain_action: str = "keep"
-
-    def __post_init__(self) -> None:
-        if self.uncertain_action not in ("keep", "drop"):
-            raise ValueError("uncertain_action must be 'keep' or 'drop'")
-
-    @property
-    def label(self) -> str:
-        return "recall_first" if self.uncertain_action == "keep" else "precision_first"
-
-    @classmethod
-    def recall_first(cls) -> "VerifierPolicy":
-        return cls("keep")
-
-    @classmethod
-    def precision_first(cls) -> "VerifierPolicy":
-        return cls("drop")
+    RECALL_FIRST = "recall_first"
+    PRECISION_FIRST = "precision_first"
 
 
 @dataclass(frozen=True)
@@ -216,20 +192,19 @@ def parse_verifier_output(
             "completion must have exactly the keys home_address_reviews "
             "and alphanumeric_reviews"
         )
-    parsed: dict[str, tuple[VerifierReview, ...]] = {}
-    for list_name in ("home_address_reviews", "alphanumeric_reviews"):
+    output: VerifierOutput = {}
+    for category in AMBIGUOUS_CATEGORIES:
+        list_name = f"{category.value}_reviews"
         raw = obj[list_name]
         if not isinstance(raw, list):
             raise SchemaMismatch(f"{list_name} is not a list")
-        parsed[list_name] = tuple(
+        output[category] = tuple(
             _parse_review(item, list_name, i) for i, item in enumerate(raw)
         )
-    output = VerifierOutput(
-        home_address_reviews=parsed["home_address_reviews"],
-        alphanumeric_reviews=parsed["alphanumeric_reviews"],
-    )
-    _check_alignment(output.home_address_reviews, home_candidates, "home_address_reviews")
-    _check_alignment(output.alphanumeric_reviews, alnum_candidates, "alphanumeric_reviews")
+    for category, candidates in zip(
+        AMBIGUOUS_CATEGORIES, (home_candidates, alnum_candidates)
+    ):
+        _check_alignment(output[category], candidates, f"{category.value}_reviews")
     return output
 
 
@@ -258,7 +233,7 @@ def final_action(decision: str, policy: VerifierPolicy) -> str:
     if decision == DROP:
         return REMOVED
     if decision == UNCERTAIN:
-        return RETAINED if policy.uncertain_action == "keep" else REMOVED
+        return RETAINED if policy is VerifierPolicy.RECALL_FIRST else REMOVED
     raise ValueError(f"unknown decision {decision!r}")
 
 
@@ -276,12 +251,12 @@ def apply_policy(
     Name/phone/email candidates pass through untouched. Emits one audit
     record per reviewed candidate.
     """
-    label = policy_applied if policy_applied is not None else policy.label
+    label = policy_applied if policy_applied is not None else policy.value
     final_by_category = dict(candidates.by_category)
     audit: list[AuditRecord] = []
     for category in AMBIGUOUS_CATEGORIES:
         existing = candidates.candidates(category)
-        reviews = output.reviews_for(category)
+        reviews = output[category]
         _check_alignment(
             reviews,
             [c.surface for c in existing],
@@ -339,12 +314,11 @@ def verify_candidates(
     treating every reviewed candidate as UNCERTAIN (then the policy
     decides), flagged degraded in the result and in ``policy_applied``.
     """
-    home = candidates.surfaces(PiiCategory.HOME_ADDRESS)
-    alnum = candidates.surfaces(PiiCategory.ALPHANUMERIC)
-    if not home and not alnum:
+    surfaces = [candidates.surfaces(category) for category in AMBIGUOUS_CATEGORIES]
+    if not any(surfaces):
         return VerificationResult(candidates, [], False)
 
-    base = gateway.build_verifier_prompt(narrative.text, home, alnum)
+    base = gateway.build_verifier_prompt(narrative.text, *surfaces)
     request = base
     failure: str | None = None
     for _ in range(MAX_REPAIR_ATTEMPTS + 1):
@@ -354,21 +328,17 @@ def verify_candidates(
             failure = f"verifier backend unavailable: {exc}"
             break
         try:
-            output = parse_verifier_output(response.text, home, alnum)
+            output = parse_verifier_output(response.text, *surfaces)
         except VerifierFormatError as exc:
             failure = str(exc)
             request = replace(
                 base, user_content=repair_user_content(base.user_content, str(exc))
             )
             continue
-        checked = VerifierOutput(
-            home_address_reviews=tuple(
-                check_evidence(r, narrative.text) for r in output.home_address_reviews
-            ),
-            alphanumeric_reviews=tuple(
-                check_evidence(r, narrative.text) for r in output.alphanumeric_reviews
-            ),
-        )
+        checked = {
+            category: tuple(check_evidence(r, narrative.text) for r in reviews)
+            for category, reviews in output.items()
+        }
         final, audit = apply_policy(
             checked,
             candidates,
@@ -378,32 +348,17 @@ def verify_candidates(
         )
         return VerificationResult(final, audit, False)
 
-    fallback = VerifierOutput(
-        home_address_reviews=tuple(
-            VerifierReview(
-                text=surface,
-                decision=UNCERTAIN,
-                reason=f"verifier unavailable or output unrecoverable: {failure}",
-                evidence="",
-            )
-            for surface in home
-        ),
-        alphanumeric_reviews=tuple(
-            VerifierReview(
-                text=surface,
-                decision=UNCERTAIN,
-                reason=f"verifier unavailable or output unrecoverable: {failure}",
-                evidence="",
-            )
-            for surface in alnum
-        ),
-    )
+    reason = f"verifier unavailable or output unrecoverable: {failure}"
+    fallback = {
+        category: tuple(VerifierReview(s, UNCERTAIN, reason, "") for s in reviewed)
+        for category, reviewed in zip(AMBIGUOUS_CATEGORIES, surfaces)
+    }
     final, audit = apply_policy(
         fallback,
         candidates,
         policy,
         backend_id=backend.backend_id,
         timestamp=timestamp_fn(),
-        policy_applied=f"{policy.label}+uncertain_fallback",
+        policy_applied=f"{policy.value}+uncertain_fallback",
     )
     return VerificationResult(final, audit, True)

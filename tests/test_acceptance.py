@@ -288,7 +288,7 @@ def test_criterion_4_verifier_schema_conformance():
             output = parse_verifier_output(completion, home, alnum)
             checked = [
                 check_evidence(r, narrative)
-                for r in output.home_address_reviews + output.alphanumeric_reviews
+                for r in output[HOME] + output[ALNUM]
             ]
             bad = next(r for r in checked if r.text == target[0]["text"])
             if bad.decision != UNCERTAIN or bad.evidence != "":
@@ -512,7 +512,7 @@ def test_criterion_7_split_and_scope_invariants(tmp_path):
                         f"{narrative.id}: {category.value} candidate from LLM"
                     )
         result = verify_candidates(
-            narrative, candidates, verifier, VerifierPolicy.recall_first()
+            narrative, candidates, verifier, VerifierPolicy.RECALL_FIRST
         )
         if result.degraded:
             failures.append(f"{narrative.id}: verifier degraded unexpectedly")

@@ -1,0 +1,52 @@
+"""The benchmark harness in ``perfbench/`` calls crashdeid by name.
+
+These checks only import it: a refactor that breaks one of its seams fails
+here as well as in the harness's own tests.
+"""
+
+from __future__ import annotations
+
+import importlib
+import inspect
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module
+
+
+def test_every_traced_target_is_a_crashdeid_function(bench):
+    for module_name, function, _ in bench("tracing").TARGETS:
+        target = getattr(importlib.import_module(module_name), function, None)
+        assert inspect.isfunction(target), f"{module_name}.{function}"
+        assert target.__module__ == module_name, f"{module_name}.{function}"
+
+
+def test_generator_imports_and_scripts_one_block(bench, tmp_path):
+    gen = bench("gen")
+    # One block runs every prompt builder and verifier seam the generator uses.
+    gen.generate_hybrid(tmp_path, seed=1, narratives=gen.STUB_NARRATIVES)
+    assert (tmp_path / "fixtures.jsonl").stat().st_size > 0
+
+
+@pytest.mark.parametrize(
+    "preset,backend,k_runs",
+    [
+        ("hybrid_ev", {"kind": "scripted_mock", "fixture_path": "fixtures.jsonl"}, 5),
+        ("rules_only", None, 1),
+    ],
+)
+def test_measure_builds_a_config_for_each_spec_shape(bench, preset, backend, k_runs):
+    spec = {"preset": preset, "k_runs": 5, "pipeline_seed": 0, "backend": backend,
+            "parallelism": 2}
+    config = bench("measure").pipeline_config(spec)
+    assert config.preset == preset
+    assert config.ensemble.k_runs == k_runs
+    assert (config.verifier_backend is not None) == (preset == "hybrid_ev")
+    assert config.parallelism == 2 and config.seed == 0 and config.mask_timestamps

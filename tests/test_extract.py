@@ -177,6 +177,14 @@ def test_ensemble_all_runs_failed(tmp_path):
         extract_ensemble(narrative, backend, EnsembleConfig(k_runs=3), base_seed=0)
 
 
+
+def test_ensemble_all_runs_discarded(tmp_path):
+    narrative = Narrative("n1", "JOHN AT 123 ELM ST")
+    backend = _ensemble_fixture(tmp_path, narrative, ["JOHN AT 123 ELM STREET"] * 3)
+    # No run can be trusted, so an empty candidate set would emit the text raw.
+    with pytest.raises(AllRunsFailed):
+        extract_ensemble(narrative, backend, EnsembleConfig(k_runs=3), base_seed=0)
+
 def test_ensemble_partial_failures_reduce_effective_count(tmp_path):
     narrative = Narrative("n1", "AT 123 ELM ST")
     backend = mock_backend(
@@ -425,7 +433,7 @@ def test_hybrid_extract_without_rules_builds_llm_only_set(tmp_path):
             {None: "DRIVER @@@JOHN SMITH@@@ CALLED &&&608-733-8366&&& AT $$$12 ELM ST$$$"},
         ),
     )
-    single_run = EnsembleConfig(k_runs=1, ensemble_categories=frozenset())
+    single_run = EnsembleConfig(k_runs=1)
     candidates = hybrid_extract(narrative, backend, single_run, rules=False)
     assert candidates.surfaces(PiiCategory.NAME) == ["JOHN SMITH"]
     assert candidates.surfaces(HOME) == ["12 ELM ST"]

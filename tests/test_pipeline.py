@@ -11,7 +11,6 @@ from crashdeid.gateway import BackendConfig
 from crashdeid import gateway
 from crashdeid.pipeline import (
     PRESETS,
-    SINGLE_RUN,
     ConfigError,
     PipelineConfig,
     config_from_snapshot,
@@ -205,6 +204,52 @@ def test_failed_narrative_is_listed_not_emitted(tmp_path):
     assert manifest["failed_narratives"] == ["bad"]
 
 
+PRIVACY_TEXT = "DRIVER JOHN SMITH LIVES AT 12 ELM ST"
+PRIVACY_TAGGED = "DRIVER @@@JOHN SMITH@@@ LIVES AT $$$12 ELM ST$$$"
+PRIVACY_REWRITTEN = "DRIVER JOHN SMITH LIVES AT 12 ELM STREET"
+
+
+@pytest.mark.parametrize("run_zero", ["missing", "rewritten"])
+def test_bad_first_run_does_not_leak_names(tmp_path, run_zero):
+    runs = {1: PRIVACY_TAGGED, 2: PRIVACY_TAGGED}
+    if run_zero == "rewritten":
+        runs[0] = PRIVACY_REWRITTEN
+    corpus = write_corpus_jsonl(tmp_path / "c.jsonl", [{"id": "n1", "text": PRIVACY_TEXT}])
+    fixtures = write_fixture(tmp_path / "fx.jsonl", extraction_entries(PRIVACY_TEXT, runs))
+    config = PipelineConfig(
+        preset="hybrid",
+        ensemble=EnsembleConfig(k_runs=3),
+        extractor_backend=BackendConfig(kind="scripted_mock", fixture_path=fixtures),
+        output_style=RedactionStyle(mode="placeholder"),
+        seed=0,
+    )
+    out = tmp_path / "out"
+    run_pipeline(config, corpus, out)
+    (row,) = [json.loads(l) for l in (out / "redacted.jsonl").read_text().splitlines()]
+    # Seed 0 failed or rewrote the text: the names come from seed 1.
+    assert row["redacted_text"] == "DRIVER [NAME] LIVES AT [HOME_ADDRESS]"
+
+
+def test_llm_single_rewritten_completion_fails_the_narrative(tmp_path):
+    corpus = write_corpus_jsonl(
+        tmp_path / "c.jsonl",
+        [{"id": "bad", "text": PRIVACY_TEXT}, {"id": "good", "text": "NO PII HERE"}],
+    )
+    fixtures = write_fixture(
+        tmp_path / "fx.jsonl",
+        extraction_entries(PRIVACY_TEXT, {None: PRIVACY_REWRITTEN})
+        + extraction_entries("NO PII HERE", {None: "NO PII HERE"}),
+    )
+    config = PipelineConfig(
+        preset="llm_single",
+        extractor_backend=BackendConfig(kind="scripted_mock", fixture_path=fixtures),
+    )
+    out = tmp_path / "out"
+    summary = run_pipeline(config, corpus, out)
+    assert summary.failed_narratives == ["bad"]
+    rows = [json.loads(l) for l in (out / "redacted.jsonl").read_text().splitlines()]
+    assert [r["id"] for r in rows] == ["good"]
+
 @pytest.mark.parametrize("preset", [p for p, s in PRESETS.items() if s.llm])
 @pytest.mark.parametrize("mode", ["tagged", "placeholder"])
 def test_delimiter_bearing_text_fails_under_llm_presets(tmp_path, preset, mode):
@@ -342,7 +387,7 @@ def test_config_snapshot_round_trip(tmp_path):
     config = PipelineConfig(
         preset="hybrid_ev",
         ensemble=EnsembleConfig(k_runs=3),
-        policy=VerifierPolicy.precision_first(),
+        policy=VerifierPolicy.PRECISION_FIRST,
         extractor_backend=BackendConfig(kind="scripted_mock", fixture_path=fixtures),
         verifier_backend=BackendConfig(
             kind="http_endpoint", endpoint_url="http://localhost:9", model_name="v"
@@ -389,10 +434,9 @@ def test_manifest_records_only_the_stages_that_ran(tmp_path, preset):
     snapshot = json.loads((out / "manifest.json").read_text())["config"]
     assert (snapshot["extractor_backend"] is not None) == stages.llm
     assert (snapshot["verifier_backend"] is not None) == stages.verify
-    expected_ensemble = EnsembleConfig(k_runs=5) if stages.ensemble else SINGLE_RUN
-    assert snapshot["k_runs"] == expected_ensemble.k_runs
-    assert snapshot["ensemble_categories"] == sorted(
-        c.value for c in expected_ensemble.ensemble_categories
+    assert snapshot["k_runs"] == (5 if stages.ensemble else 1)
+    assert snapshot["ensemble_categories"] == (
+        ["alphanumeric", "home_address"] if stages.ensemble else []
     )
     assert snapshot["policy"] == ("recall_first" if stages.verify else None)
     replayed = tmp_path / "replayed"
@@ -462,6 +506,30 @@ def test_cli_replay(tmp_path, capsys):
     assert (out / "redacted.jsonl").read_bytes() == (replayed / "redacted.jsonl").read_bytes()
     assert (out / "audit.jsonl").read_bytes() == (replayed / "audit.jsonl").read_bytes()
 
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda config: config.update(policy="recal_first"),
+        lambda config: config.update(ensemble_categories=["name"]),
+        lambda config: config["redaction"]["placeholders"].update(name="[PERSON]"),
+    ],
+    ids=["unknown_policy", "ensemble_categories", "placeholders"],
+)
+def test_cli_replay_refuses_a_config_no_run_can_have(tmp_path, capsys, edit):
+    corpus = write_corpus_jsonl(tmp_path / "c.jsonl", [{"id": "n1", "text": FIG_TEXT}])
+    fixtures = write_fixture(tmp_path / "fx.jsonl", fig_fixture_entries(seed=0, k=5))
+    out = tmp_path / "out"
+    flags = ["--input", str(corpus), "--preset", "hybrid_ev", "--mock-fixtures", str(fixtures)]
+    assert main(["run", "--out", str(out), "--seed", "0"] + flags) == 0
+    manifest_path = out / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    edit(manifest["config"])
+    manifest_path.write_text(json.dumps(manifest))
+    replayed = tmp_path / "replayed"
+    assert main(["run", "--replay", str(manifest_path), "--out", str(replayed)]) == 2
+    assert not replayed.exists()
 
 def test_cli_exit_codes(tmp_path, capsys):
     code = main(

@@ -5,12 +5,18 @@ import pytest
 from crashdeid.corpus import Narrative
 from crashdeid.extract import Candidate, CandidateSet, SOURCE_LLM_SINGLE, SOURCE_RULE
 from crashdeid.redact import (
+    PLACEHOLDERS,
     RedactionCollision,
     RedactionStyle,
     SurfaceNotFound,
     render,
 )
-from crashdeid.tags import PiiCategory, detag_equals, parse_tagged
+from crashdeid.tags import (
+    PiiCategory,
+    contains_delimiter_sequence,
+    detag_equals,
+    parse_tagged,
+)
 
 NAME = PiiCategory.NAME
 PHONE = PiiCategory.PHONE
@@ -151,8 +157,9 @@ def test_randomized_collisions_never_nest():
             assert left.end <= right.start
 
 
-def test_custom_placeholders_validated():
-    with pytest.raises(ValueError):
-        RedactionStyle(mode="placeholder", placeholder_map={NAME: "@@@X@@@"})
+def test_fixed_placeholders_and_mode_validated():
+    assert set(PLACEHOLDERS) == set(PiiCategory)
+    for placeholder in PLACEHOLDERS.values():
+        assert placeholder and not contains_delimiter_sequence(placeholder)
     with pytest.raises(ValueError):
         RedactionStyle(mode="nonsense")

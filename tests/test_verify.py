@@ -13,7 +13,6 @@ from crashdeid.verify import (
     DEMOTION_NOTE,
     NotJson,
     SchemaMismatch,
-    VerifierOutput,
     VerifierPolicy,
     VerifierReview,
     apply_policy,
@@ -47,17 +46,17 @@ def fig_completion() -> str:
 
 def test_parse_fig_review():
     output = parse_verifier_output(fig_completion(), [FIG_CANDIDATE], [])
-    assert output.home_address_reviews == (
-        VerifierReview(FIG_CANDIDATE, "DROP", FIG_REASON, FIG_EVIDENCE),
-    )
-    assert output.alphanumeric_reviews == ()
+    assert output == {
+        HOME: (VerifierReview(FIG_CANDIDATE, "DROP", FIG_REASON, FIG_EVIDENCE),),
+        ALNUM: (),
+    }
 
 
 def test_parse_empty_candidates_empty_reviews():
     output = parse_verifier_output(
         '{"home_address_reviews": [], "alphanumeric_reviews": []}', [], []
     )
-    assert output == VerifierOutput((), ())
+    assert output == {HOME: (), ALNUM: ()}
 
 
 @pytest.mark.parametrize(
@@ -179,12 +178,12 @@ def test_check_evidence_leaves_conformant_uncertain(fig_narrative):
 @pytest.mark.parametrize(
     "decision,policy,expected",
     [
-        ("KEEP", VerifierPolicy.recall_first(), "retained"),
-        ("KEEP", VerifierPolicy.precision_first(), "retained"),
-        ("DROP", VerifierPolicy.recall_first(), "removed"),
-        ("DROP", VerifierPolicy.precision_first(), "removed"),
-        ("UNCERTAIN", VerifierPolicy.recall_first(), "retained"),
-        ("UNCERTAIN", VerifierPolicy.precision_first(), "removed"),
+        ("KEEP", VerifierPolicy.RECALL_FIRST, "retained"),
+        ("KEEP", VerifierPolicy.PRECISION_FIRST, "retained"),
+        ("DROP", VerifierPolicy.RECALL_FIRST, "removed"),
+        ("DROP", VerifierPolicy.PRECISION_FIRST, "removed"),
+        ("UNCERTAIN", VerifierPolicy.RECALL_FIRST, "retained"),
+        ("UNCERTAIN", VerifierPolicy.PRECISION_FIRST, "removed"),
     ],
 )
 def test_final_action_truth_table(decision, policy, expected):
@@ -204,14 +203,12 @@ def _candidate_set() -> CandidateSet:
 
 def test_apply_policy_drop_removes_and_audits():
     candidates = _candidate_set()
-    output = VerifierOutput(
-        home_address_reviews=(
-            VerifierReview(FIG_CANDIDATE, "DROP", FIG_REASON, FIG_EVIDENCE),
-        ),
-        alphanumeric_reviews=(VerifierReview("AB1234", "KEEP", "plate", "AB1234"),),
-    )
+    output = {
+        HOME: (VerifierReview(FIG_CANDIDATE, "DROP", FIG_REASON, FIG_EVIDENCE),),
+        ALNUM: (VerifierReview("AB1234", "KEEP", "plate", "AB1234"),),
+    }
     final, audit = apply_policy(
-        output, candidates, VerifierPolicy.recall_first(), backend_id="b", timestamp="t"
+        output, candidates, VerifierPolicy.RECALL_FIRST, backend_id="b", timestamp="t"
     )
     assert final.surfaces(HOME) == []
     assert final.surfaces(ALNUM) == ["AB1234"]
@@ -225,34 +222,32 @@ def test_apply_policy_drop_removes_and_audits():
 
 def test_apply_policy_all_keep_is_identity():
     candidates = _candidate_set()
-    output = VerifierOutput(
-        home_address_reviews=(
-            VerifierReview(FIG_CANDIDATE, "KEEP", "r", FIG_CANDIDATE),
-        ),
-        alphanumeric_reviews=(VerifierReview("AB1234", "KEEP", "r", "AB1234"),),
-    )
-    final, audit = apply_policy(output, candidates, VerifierPolicy.recall_first())
+    output = {
+        HOME: (VerifierReview(FIG_CANDIDATE, "KEEP", "r", FIG_CANDIDATE),),
+        ALNUM: (VerifierReview("AB1234", "KEEP", "r", "AB1234"),),
+    }
+    final, audit = apply_policy(output, candidates, VerifierPolicy.RECALL_FIRST)
     assert final.by_category == candidates.by_category
     assert len(audit) == 2
 
 
 def test_apply_policy_uncertain_follows_policy():
     candidates = _candidate_set()
-    output = VerifierOutput(
-        home_address_reviews=(VerifierReview(FIG_CANDIDATE, "UNCERTAIN", "r", ""),),
-        alphanumeric_reviews=(VerifierReview("AB1234", "UNCERTAIN", "r", ""),),
-    )
-    final, _ = apply_policy(output, candidates, VerifierPolicy.recall_first())
+    output = {
+        HOME: (VerifierReview(FIG_CANDIDATE, "UNCERTAIN", "r", ""),),
+        ALNUM: (VerifierReview("AB1234", "UNCERTAIN", "r", ""),),
+    }
+    final, _ = apply_policy(output, candidates, VerifierPolicy.RECALL_FIRST)
     assert final.surfaces(HOME) == [FIG_CANDIDATE]
-    final, _ = apply_policy(output, candidates, VerifierPolicy.precision_first())
+    final, _ = apply_policy(output, candidates, VerifierPolicy.PRECISION_FIRST)
     assert final.surfaces(HOME) == []
 
 
 def test_apply_policy_rejects_misaligned_output():
     candidates = _candidate_set()
-    output = VerifierOutput(home_address_reviews=(), alphanumeric_reviews=())
+    output = {HOME: (), ALNUM: ()}
     with pytest.raises(AlignmentViolation):
-        apply_policy(output, candidates, VerifierPolicy.recall_first())
+        apply_policy(output, candidates, VerifierPolicy.RECALL_FIRST)
 
 
 def test_verify_candidates_short_circuits_when_ambiguous_empty(tmp_path):
@@ -263,7 +258,7 @@ def test_verify_candidates_short_circuits_when_ambiguous_empty(tmp_path):
     )
     backend = mock_backend(tmp_path, [])  # would raise MissingFixture if called
     result = verify_candidates(
-        narrative, candidates, backend, VerifierPolicy.recall_first()
+        narrative, candidates, backend, VerifierPolicy.RECALL_FIRST
     )
     assert result.final == candidates
     assert result.audit == []
@@ -281,7 +276,7 @@ def test_verify_candidates_fig_scenario(tmp_path, fig_narrative):
         verifier_entries(fig_narrative, [FIG_CANDIDATE], [], [fig_completion()]),
     )
     result = verify_candidates(
-        narrative, candidates, backend, VerifierPolicy.recall_first()
+        narrative, candidates, backend, VerifierPolicy.RECALL_FIRST
     )
     assert result.final.surfaces(HOME) == []
     (record,) = result.audit
@@ -305,7 +300,7 @@ def test_verify_candidates_repair_loop_recovers(tmp_path, fig_narrative):
         tmp_path, verifier_entries(fig_narrative, [FIG_CANDIDATE], [], responses)
     )
     result = verify_candidates(
-        narrative, candidates, backend, VerifierPolicy.recall_first()
+        narrative, candidates, backend, VerifierPolicy.RECALL_FIRST
     )
     assert result.final.surfaces(HOME) == []
     assert not result.degraded
@@ -327,7 +322,7 @@ def test_verify_candidates_exhausted_repairs_fall_back_uncertain(
         tmp_path, verifier_entries(fig_narrative, [FIG_CANDIDATE], ["UNIT 1"], responses)
     )
     result = verify_candidates(
-        narrative, candidates, backend, VerifierPolicy.recall_first()
+        narrative, candidates, backend, VerifierPolicy.RECALL_FIRST
     )
     # Recall-first: everything retained rather than silently dropped.
     assert result.degraded
@@ -347,7 +342,7 @@ def test_verify_candidates_transport_failure_falls_back(tmp_path, fig_narrative)
     )
     backend = mock_backend(tmp_path, [])  # MissingFixture acts as backend failure
     result = verify_candidates(
-        narrative, candidates, backend, VerifierPolicy.precision_first()
+        narrative, candidates, backend, VerifierPolicy.PRECISION_FIRST
     )
     assert result.degraded
     assert result.final.surfaces(HOME) == []  # precision-first removes UNCERTAIN
@@ -369,7 +364,7 @@ def test_verifier_never_touches_rule_categories(tmp_path, fig_narrative):
         verifier_entries(narrative.text, [FIG_CANDIDATE], [], [fig_completion()]),
     )
     result = verify_candidates(
-        narrative, candidates, backend, VerifierPolicy.recall_first()
+        narrative, candidates, backend, VerifierPolicy.RECALL_FIRST
     )
     assert result.final.candidates(PiiCategory.PHONE) == candidates.candidates(
         PiiCategory.PHONE
