@@ -21,7 +21,7 @@ from typing import Iterable, Mapping
 
 from .corpus import Corpus, GoldAnnotation
 from .extract import CandidateSet
-from .tags import CATEGORY_ORDER, PiiCategory
+from .tags import AMBIGUOUS_CATEGORIES, CATEGORY_ORDER, PiiCategory
 
 
 @dataclass(frozen=True)
@@ -245,7 +245,6 @@ def write_report(report: MetricsReport, json_path, text_path) -> None:
     Path(text_path).write_text(render_report(report) + "\n", encoding="utf-8")
 
 
-_ABLATION_CATEGORIES = (PiiCategory.HOME_ADDRESS, PiiCategory.ALPHANUMERIC)
 _ABLATION_TITLES = {
     PiiCategory.HOME_ADDRESS: "Home Address",
     PiiCategory.ALPHANUMERIC: "Alphanumeric Identifier",
@@ -262,27 +261,27 @@ def ablation_table(reports: list[MetricsReport]) -> str:
     counts: dict[tuple[str, PiiCategory], TypeCounts] = {}
     for report in reports:
         for entry in report.per_type:
-            if entry.counts.category in _ABLATION_CATEGORIES:
+            if entry.counts.category in AMBIGUOUS_CATEGORIES:
                 counts[(report.config_label, entry.counts.category)] = entry.counts
 
     lines = []
     lines.append(
         f"{'':<8}"
         + "".join(
-            f"{_ABLATION_TITLES[cat]:^{group_width}}" for cat in _ABLATION_CATEGORIES
+            f"{_ABLATION_TITLES[cat]:^{group_width}}" for cat in AMBIGUOUS_CATEGORIES
         )
     )
     lines.append(
         f"{'':<8}"
         + "".join(
             f"{report.config_label:^{col_width}}"
-            for _ in _ABLATION_CATEGORIES
+            for _ in AMBIGUOUS_CATEGORIES
             for report in reports
         )
     )
     for row_label, attr in (("TP (↑)", "tp"), ("FP (↓)", "fp"), ("FN (↓)", "fn")):
         cells = []
-        for category in _ABLATION_CATEGORIES:
+        for category in AMBIGUOUS_CATEGORIES:
             for report in reports:
                 entry = counts.get((report.config_label, category))
                 cells.append(
