@@ -175,16 +175,20 @@ def test_check_evidence_leaves_conformant_uncertain(fig_narrative):
     assert check_evidence(review, fig_narrative) == review
 
 
+FINAL_ACTIONS = [
+    ("KEEP", VerifierPolicy.RECALL_FIRST, "retained"),
+    ("KEEP", VerifierPolicy.PRECISION_FIRST, "retained"),
+    ("DROP", VerifierPolicy.RECALL_FIRST, "removed"),
+    ("DROP", VerifierPolicy.PRECISION_FIRST, "removed"),
+    ("UNCERTAIN", VerifierPolicy.RECALL_FIRST, "retained"),
+    ("UNCERTAIN", VerifierPolicy.PRECISION_FIRST, "removed"),
+]
+
+
 @pytest.mark.parametrize(
     "decision,policy,expected",
-    [
-        ("KEEP", VerifierPolicy.RECALL_FIRST, "retained"),
-        ("KEEP", VerifierPolicy.PRECISION_FIRST, "retained"),
-        ("DROP", VerifierPolicy.RECALL_FIRST, "removed"),
-        ("DROP", VerifierPolicy.PRECISION_FIRST, "removed"),
-        ("UNCERTAIN", VerifierPolicy.RECALL_FIRST, "retained"),
-        ("UNCERTAIN", VerifierPolicy.PRECISION_FIRST, "removed"),
-    ],
+    FINAL_ACTIONS,
+    ids=[f"{d}-policy{i}-{e}" for i, (d, _, e) in enumerate(FINAL_ACTIONS)],
 )
 def test_final_action_truth_table(decision, policy, expected):
     assert final_action(decision, policy) == expected
