@@ -117,7 +117,8 @@ def main(argv: list[str] | None = None) -> int:
                     gold_path=args.gold,
                 )
             print(
-                f"processed {summary.processed}/{summary.narratives} narratives "
+                f"processed {summary.counts['processed']}/"
+                f"{summary.counts['narratives']} narratives "
                 f"-> {summary.output_dir}",
                 file=sys.stderr,
             )

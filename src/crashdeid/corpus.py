@@ -1,11 +1,10 @@
 """Corpus loading and pipeline output persistence.
 
 Narratives arrive as JSONL (one ``{"id", "text"}`` object per line) or as
-RFC 4180 CSV with ``id,text`` columns. Gold annotations live in a JSONL
-sidecar (``{"narrative_id", "category", "surface"}``) so one corpus can be
-scored against several gold versions; by convention the sidecar for
-``corpus.jsonl`` is ``corpus.gold.jsonl`` and it is attached automatically
-when present.
+RFC 4180 CSV with ``id,text`` columns. Gold annotations live in a separate
+JSONL file (``{"narrative_id", "category", "surface"}``) so one corpus can
+be scored against several gold versions; it is read only when the caller
+names it, so a run reads no file its manifest does not record.
 
 Narrative text is stored byte-for-byte as read; offsets elsewhere in the
 system are Unicode scalar-value indices into that exact text.
@@ -17,7 +16,7 @@ import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .tags import PiiCategory
 
@@ -68,10 +67,6 @@ class Corpus:
     gold: tuple[GoldAnnotation, ...] = field(default=())
 
 
-def default_gold_path(path: Path) -> Path:
-    return path.with_suffix(".gold.jsonl")
-
-
 def _infer_format(path: Path, fmt: str | None) -> str:
     if fmt is not None:
         if fmt not in ("jsonl", "csv"):
@@ -91,8 +86,8 @@ def _require_str(obj: dict, key: str, line_no: int, path: Path) -> str:
     return value
 
 
-def _read_narratives_jsonl(path: Path) -> list[Narrative]:
-    narratives = []
+def _read_jsonl_records(path: Path) -> Iterator[tuple[int, dict]]:
+    """``(line_no, object)`` for each non-blank line; line numbers count from 1."""
     with path.open(encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
@@ -107,13 +102,17 @@ def _read_narratives_jsonl(path: Path) -> list[Narrative]:
                 raise MalformedRecord(
                     f"{path}: line {line_no}: record is not an object"
                 )
-            narratives.append(
-                Narrative(
-                    id=_require_str(obj, "id", line_no, path),
-                    text=_require_str(obj, "text", line_no, path),
-                )
-            )
-    return narratives
+            yield line_no, obj
+
+
+def _read_narratives_jsonl(path: Path) -> list[Narrative]:
+    return [
+        Narrative(
+            id=_require_str(obj, "id", line_no, path),
+            text=_require_str(obj, "text", line_no, path),
+        )
+        for line_no, obj in _read_jsonl_records(path)
+    ]
 
 
 def _read_narratives_csv(path: Path) -> list[Narrative]:
@@ -133,42 +132,29 @@ def _read_narratives_csv(path: Path) -> list[Narrative]:
 
 def _read_gold(path: Path, by_id: dict[str, Narrative]) -> list[GoldAnnotation]:
     annotations = []
-    with path.open(encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(
-                    f"{path}: line {line_no}: invalid JSON ({exc.msg})"
-                ) from exc
-            if not isinstance(obj, dict):
-                raise MalformedRecord(
-                    f"{path}: line {line_no}: record is not an object"
-                )
-            narrative_id = _require_str(obj, "narrative_id", line_no, path)
-            raw_category = _require_str(obj, "category", line_no, path)
-            surface = _require_str(obj, "surface", line_no, path)
-            try:
-                category = PiiCategory(raw_category)
-            except ValueError:
-                raise MalformedRecord(
-                    f"{path}: line {line_no}: field 'category' has unknown "
-                    f"value {raw_category!r}"
-                ) from None
-            narrative = by_id.get(narrative_id)
-            if narrative is None:
-                raise DanglingGoldAnnotation(
-                    f"{path}: line {line_no}: gold annotation references "
-                    f"unknown narrative {narrative_id!r}"
-                )
-            if surface not in narrative.text:
-                raise GoldSurfaceMissing(
-                    f"{path}: line {line_no}: surface {surface!r} not found "
-                    f"in narrative {narrative_id!r}"
-                )
-            annotations.append(GoldAnnotation(narrative_id, category, surface))
+    for line_no, obj in _read_jsonl_records(path):
+        narrative_id = _require_str(obj, "narrative_id", line_no, path)
+        raw_category = _require_str(obj, "category", line_no, path)
+        surface = _require_str(obj, "surface", line_no, path)
+        try:
+            category = PiiCategory(raw_category)
+        except ValueError:
+            raise MalformedRecord(
+                f"{path}: line {line_no}: field 'category' has unknown "
+                f"value {raw_category!r}"
+            ) from None
+        narrative = by_id.get(narrative_id)
+        if narrative is None:
+            raise DanglingGoldAnnotation(
+                f"{path}: line {line_no}: gold annotation references "
+                f"unknown narrative {narrative_id!r}"
+            )
+        if surface not in narrative.text:
+            raise GoldSurfaceMissing(
+                f"{path}: line {line_no}: surface {surface!r} not found "
+                f"in narrative {narrative_id!r}"
+            )
+        annotations.append(GoldAnnotation(narrative_id, category, surface))
     return annotations
 
 
@@ -177,7 +163,7 @@ def load_corpus(
     fmt: str | None = None,
     gold_path: str | Path | None = None,
 ) -> Corpus:
-    """Load narratives (and gold sidecar, when present) preserving input order."""
+    """Load narratives, and the gold that ``gold_path`` names, in input order."""
     path = Path(path)
     fmt = _infer_format(path, fmt)
     if fmt == "csv":
@@ -195,10 +181,7 @@ def load_corpus(
             )
         by_id[narrative.id] = narrative
 
-    gold: list[GoldAnnotation] = []
-    sidecar = Path(gold_path) if gold_path is not None else default_gold_path(path)
-    if gold_path is not None or sidecar.exists():
-        gold = _read_gold(sidecar, by_id)
+    gold = _read_gold(Path(gold_path), by_id) if gold_path is not None else []
     return Corpus(narratives=tuple(narratives), gold=tuple(gold))
 
 

@@ -115,8 +115,8 @@ class EnsembleConfig:
     k_runs: int = 5
 
     def __post_init__(self) -> None:
-        if self.k_runs < 1:
-            raise ValueError("k_runs must be >= 1")
+        if type(self.k_runs) is not int or self.k_runs < 1:
+            raise ValueError("k_runs must be an integer >= 1")
 
 
 class SingleRun(NamedTuple):

@@ -117,8 +117,10 @@ class BackendConfig:
                 raise ValueError("scripted_mock backend requires fixture_path")
         else:
             raise ValueError(f"unknown backend kind: {self.kind!r}")
-        if self.retries < 0:
-            raise ValueError("retries must be >= 0")
+        if type(self.retries) is not int or self.retries < 0:
+            raise ValueError("retries must be an integer >= 0")
+        if type(self.timeout) not in (int, float) or self.timeout <= 0:
+            raise ValueError("timeout must be a positive number")
 
     @cached_property
     def backend_id(self) -> str:

@@ -9,9 +9,10 @@ those categories), and every preset extracts through
 A run writes ``redacted.jsonl``, ``audit.jsonl`` (when the verifier ran)
 and ``manifest.json`` into the output directory; ``run_eval --out`` writes
 the very results it scores, through the same writer as ``run_pipeline``.
-The manifest snapshot fully determines the run and can be replayed.
-Narratives that fail are listed as unprocessed; they are never emitted
-unredacted.
+``config_snapshot`` is the one description of a run: the manifest records
+it, and replay rebuilds the config from it and refuses any manifest whose
+snapshot that config would not write back unchanged. Narratives that fail
+are listed as unprocessed; they are never emitted unredacted.
 """
 
 from __future__ import annotations
@@ -79,8 +80,12 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.preset not in PRESETS:
             raise ConfigError(f"unknown preset {self.preset!r}")
-        if self.parallelism < 1:
-            raise ConfigError("parallelism must be >= 1")
+        if type(self.parallelism) is not int or self.parallelism < 1:
+            raise ConfigError("parallelism must be an integer >= 1")
+        if self.seed is not None and type(self.seed) is not int:
+            raise ConfigError("seed must be an integer or null")
+        if type(self.mask_timestamps) is not bool:
+            raise ConfigError("mask_timestamps must be true or false")
         stages = PRESETS[self.preset]
         if stages.llm and self.extractor_backend is None:
             raise ConfigError(f"preset {self.preset} requires an extractor backend")
@@ -162,17 +167,14 @@ def _backend_snapshot(backend: BackendConfig | None) -> dict | None:
     return values
 
 
-def _backend_from_snapshot(obj: dict | None) -> BackendConfig | None:
-    """Inverse of ``_backend_snapshot``; a field the manifest lacks (one
-    added after it was written) takes its default."""
-    if obj is None:
-        return None
-    return BackendConfig(**{name: obj[name] for name in _BACKEND_FIELDS if name in obj})
-
-
 def config_snapshot(
-    config: PipelineConfig, input_path: str, fmt: str | None, gold_path: str | None
+    config: PipelineConfig,
+    input_path: str | Path,
+    fmt: str | None,
+    gold_path: str | Path | None,
 ) -> dict:
+    """The manifest's record of a run: every settable value of ``config``,
+    what follows from its preset and fixed constants, and the files read."""
     pooled = AMBIGUOUS_CATEGORIES if PRESETS[config.preset].ensemble else ()
     return {
         "preset": config.preset,
@@ -188,48 +190,64 @@ def config_snapshot(
         "mask_timestamps": config.mask_timestamps,
         "extractor_backend": _backend_snapshot(config.extractor_backend),
         "verifier_backend": _backend_snapshot(config.verifier_backend),
-        "input": input_path,
+        "input": str(input_path),
         "format": fmt,
-        "gold": gold_path,
+        "gold": str(gold_path) if gold_path else None,
     }
 
 
 def config_from_snapshot(snapshot: dict) -> PipelineConfig:
+    """Rebuild the config a manifest's snapshot records.
+
+    The rebuilt config is written back with the snapshot's own ``input``,
+    ``format`` and ``gold``, and every key that comes out different is
+    refused: a value the preset overrides, a derived entry other than the
+    fixed one, a value of the wrong type. Keys no snapshot writes are
+    ignored.
+    """
+    if not isinstance(snapshot, dict):
+        raise ConfigError("manifest has no config object")
     if snapshot.get("discard_hallucinated_runs") is False:
         raise ConfigError(
             "manifest was recorded with discard_hallucinated_runs=false "
             "(salvage mode), which no longer exists; the run cannot be reproduced"
         )
-    label = snapshot["policy"]
-    config = PipelineConfig(
-        preset=snapshot["preset"],
-        ensemble=EnsembleConfig(k_runs=snapshot["k_runs"]),
-        policy=None if label is None else VerifierPolicy(label),
-        extractor_backend=_backend_from_snapshot(snapshot.get("extractor_backend")),
-        verifier_backend=_backend_from_snapshot(snapshot.get("verifier_backend")),
-        output_style=RedactionStyle(mode=snapshot["redaction"]["mode"]),
-        parallelism=snapshot["parallelism"],
-        seed=snapshot.get("seed"),
-        mask_timestamps=snapshot.get("mask_timestamps", False),
-    )
-    # The pooled categories and the placeholders follow from the preset and
-    # fixed constants; a manifest that records others cannot be reproduced.
-    rebuilt = config_snapshot(config, "", None, None)
-    if any(snapshot.get(key) != rebuilt[key] for key in ("ensemble_categories", "redaction")):
+    try:
+        label = snapshot["policy"]
+        backends = {
+            key: None if snapshot[key] is None else BackendConfig(**snapshot[key])
+            for key in ("extractor_backend", "verifier_backend")
+        }
+        config = PipelineConfig(
+            preset=snapshot["preset"],
+            ensemble=EnsembleConfig(k_runs=snapshot["k_runs"]),
+            policy=None if label is None else VerifierPolicy(label),
+            output_style=RedactionStyle(mode=snapshot["redaction"]["mode"]),
+            parallelism=snapshot["parallelism"],
+            seed=snapshot["seed"],
+            mask_timestamps=snapshot["mask_timestamps"],
+            **backends,
+        )
+        rebuilt = config_snapshot(
+            config, snapshot["input"], snapshot["format"], snapshot["gold"]
+        )
+    except KeyError as exc:
+        raise ConfigError(f"manifest config lacks {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"manifest config cannot be replayed: {exc}") from None
+    differing = [key for key, value in rebuilt.items() if snapshot.get(key) != value]
+    if differing:
         raise ConfigError(
-            "manifest records ensemble categories or placeholders other than "
-            "the fixed ones; the run cannot be reproduced"
+            "manifest config records values its run would not: "
+            + ", ".join(differing)
         )
     return config
 
 
 @dataclass
 class RunSummary:
-    narratives: int
-    processed: int
     failed_narratives: list[str]
     counts: dict
-    wall_time_s: float
     output_dir: Path
 
     @property
@@ -315,45 +333,32 @@ def _write_outputs(
         "candidates_by_category": candidates_by_category,
         **decisions,
     }
-    wall_time = 0.0 if config.mask_timestamps else time.monotonic() - started
     manifest = {
         "tool": "crashdeid",
         "version": __version__,
-        "config": config_snapshot(
-            config,
-            str(input_path),
-            fmt,
-            str(gold_path) if gold_path else None,
-        ),
+        "config": config_snapshot(config, input_path, fmt, gold_path),
         "counts": counts,
         "failed_narratives": failed,
-        "wall_time_s": wall_time,
+        "wall_time_s": 0.0 if config.mask_timestamps else time.monotonic() - started,
         "started_at": MASKED_TIMESTAMP if config.mask_timestamps else rfc3339_now(),
     }
     (output_dir / "manifest.json").write_text(
         json.dumps(manifest, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
     )
-    return RunSummary(
-        narratives=len(results),
-        processed=len(rows),
-        failed_narratives=failed,
-        counts=counts,
-        wall_time_s=wall_time,
-        output_dir=output_dir,
-    )
+    return RunSummary(failed_narratives=failed, counts=counts, output_dir=output_dir)
 
 
 def replay_manifest(manifest_path: str | Path, output_dir: str | Path) -> RunSummary:
     """Re-run a recorded manifest; outputs are reproduced byte-for-byte."""
     manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
-    snapshot = manifest["config"]
+    snapshot = manifest.get("config") if isinstance(manifest, dict) else None
     config = config_from_snapshot(snapshot)
     return run_pipeline(
         config,
         snapshot["input"],
         output_dir,
-        fmt=snapshot.get("format"),
-        gold_path=snapshot.get("gold"),
+        fmt=snapshot["format"],
+        gold_path=snapshot["gold"],
     )
 
 

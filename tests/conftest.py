@@ -8,7 +8,7 @@ from typing import Callable
 
 import pytest
 
-from crashdeid.corpus import Corpus, default_gold_path
+from crashdeid.corpus import Corpus
 from crashdeid.gateway import (
     BackendConfig,
     build_extraction_prompt,
@@ -98,8 +98,9 @@ def write_corpus_jsonl(path: Path, rows: list[dict]) -> Path:
     return path
 
 
-def write_corpus(corpus: Corpus, path: Path, fmt: str | None = None) -> None:
-    """Persist a corpus (and its gold sidecar) in the load_corpus grammar."""
+def write_corpus(corpus: Corpus, path: Path, fmt: str | None = None) -> Path:
+    """Persist a corpus in the load_corpus grammar; returns the path of its
+    gold file, ``corpus.gold.jsonl`` beside ``corpus.jsonl``."""
     if (fmt or ("csv" if path.suffix == ".csv" else "jsonl")) == "csv":
         with path.open("w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle)
@@ -109,18 +110,17 @@ def write_corpus(corpus: Corpus, path: Path, fmt: str | None = None) -> None:
         write_corpus_jsonl(
             path, [{"id": n.id, "text": n.text} for n in corpus.narratives]
         )
-    if corpus.gold:
-        write_corpus_jsonl(
-            default_gold_path(path),
-            [
-                {
-                    "narrative_id": a.narrative_id,
-                    "category": a.category.value,
-                    "surface": a.surface,
-                }
-                for a in corpus.gold
-            ],
-        )
+    return write_corpus_jsonl(
+        path.with_suffix(".gold.jsonl"),
+        [
+            {
+                "narrative_id": a.narrative_id,
+                "category": a.category.value,
+                "surface": a.surface,
+            }
+            for a in corpus.gold
+        ],
+    )
 
 
 def audit_record_from_json_line(line: str) -> AuditRecord:

@@ -53,7 +53,10 @@ def test_duplicate_id_is_an_error_naming_the_id(tmp_path):
 def test_malformed_json_reports_line(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text('{"id": "n1", "text": "A"}\n{broken\n', encoding="utf-8")
-    with pytest.raises(MalformedRecord, match="line 2"):
+    with pytest.raises(MalformedRecord, match=r"line 2: invalid JSON \("):
+        load_corpus(path)
+    path.write_text('{"id": "n1", "text": "A"}\n\n["n2", "B"]\n', encoding="utf-8")
+    with pytest.raises(MalformedRecord, match="line 3: record is not an object"):
         load_corpus(path)
 
 
@@ -82,21 +85,6 @@ def test_csv_requires_id_and_text_columns(tmp_path):
         load_corpus(path)
 
 
-def test_gold_sidecar_attaches_automatically(tmp_path):
-    path = write_corpus_jsonl(
-        tmp_path / "c.jsonl", [{"id": "n1", "text": "DRIVER JOHN SMITH FLED"}]
-    )
-    (tmp_path / "c.gold.jsonl").write_text(
-        json.dumps(
-            {"narrative_id": "n1", "category": "name", "surface": "JOHN SMITH"}
-        )
-        + "\n",
-        encoding="utf-8",
-    )
-    corpus = load_corpus(path)
-    assert corpus.gold == (GoldAnnotation("n1", PiiCategory.NAME, "JOHN SMITH"),)
-
-
 def test_gold_errors(tmp_path):
     path = write_corpus_jsonl(tmp_path / "c.jsonl", [{"id": "n1", "text": "ABC"}])
     gold = tmp_path / "g.jsonl"
@@ -117,6 +105,12 @@ def test_gold_errors(tmp_path):
         encoding="utf-8",
     )
     with pytest.raises(MalformedRecord, match="category"):
+        load_corpus(path, gold_path=gold)
+    gold.write_text("\n{broken\n", encoding="utf-8")
+    with pytest.raises(MalformedRecord, match=r"line 2: invalid JSON \("):
+        load_corpus(path, gold_path=gold)
+    gold.write_text('"n1"\n', encoding="utf-8")
+    with pytest.raises(MalformedRecord, match="line 1: record is not an object"):
         load_corpus(path, gold_path=gold)
 
 
@@ -144,8 +138,8 @@ def test_write_then_load_round_trips(tmp_path_factory, texts, fmt):
         ),
     )
     path = tmp / ("c.csv" if fmt == "csv" else "c.jsonl")
-    write_corpus(corpus, path, fmt=fmt)
-    assert load_corpus(path, fmt=fmt) == corpus
+    gold_path = write_corpus(corpus, path, fmt=fmt)
+    assert load_corpus(path, fmt=fmt, gold_path=gold_path) == corpus
 
 
 def test_jsonl_round_trips_control_characters(tmp_path):

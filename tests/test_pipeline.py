@@ -382,30 +382,36 @@ def test_replay_manifest_reproduces_outputs(tmp_path):
         assert (out / name).read_bytes() == (replayed / name).read_bytes()
 
 
-def test_config_snapshot_round_trip(tmp_path):
+@pytest.mark.parametrize("seed,parallelism", [(None, 1), (11, 2)], ids=["unset", "set"])
+@pytest.mark.parametrize("mock_extractor", [True, False], ids=["mock_extractor", "http_extractor"])
+@pytest.mark.parametrize("policy", list(VerifierPolicy), ids=lambda p: p.value)
+@pytest.mark.parametrize("mode", ["tagged", "placeholder"])
+@pytest.mark.parametrize("preset", list(PRESETS))
+def test_config_snapshot_round_trip(
+    tmp_path, preset, mode, policy, mock_extractor, seed, parallelism
+):
     fixtures = write_fixture(tmp_path / "fx.jsonl", [])
+    mock = BackendConfig(kind="scripted_mock", fixture_path=fixtures)
+    http = BackendConfig(kind="http_endpoint", endpoint_url="http://localhost:9", model_name="v")
     config = PipelineConfig(
-        preset="hybrid_ev",
+        preset=preset,
         ensemble=EnsembleConfig(k_runs=3),
-        policy=VerifierPolicy.PRECISION_FIRST,
-        extractor_backend=BackendConfig(kind="scripted_mock", fixture_path=fixtures),
-        verifier_backend=BackendConfig(
-            kind="http_endpoint", endpoint_url="http://localhost:9", model_name="v"
-        ),
-        output_style=RedactionStyle(mode="placeholder"),
-        parallelism=2,
-        seed=11,
+        policy=policy,
+        extractor_backend=mock if mock_extractor else http,
+        verifier_backend=http if mock_extractor else mock,
+        output_style=RedactionStyle(mode=mode),
+        parallelism=parallelism,
+        seed=seed,
         mask_timestamps=True,
     )
     snapshot = config_snapshot(config, "in.jsonl", "jsonl", None)
+    # Replay writes the rebuilt config back and refuses any difference, so
+    # every snapshot the program writes must survive its JSON round trip.
     rebuilt = config_from_snapshot(json.loads(json.dumps(snapshot)))
-    assert rebuilt.preset == config.preset
-    assert rebuilt.ensemble == config.ensemble
-    assert rebuilt.policy == config.policy
+    assert config_snapshot(rebuilt, "in.jsonl", "jsonl", None) == snapshot
+    assert rebuilt.ensemble == config.ensemble and rebuilt.policy == config.policy
     assert rebuilt.output_style == config.output_style
-    assert str(rebuilt.extractor_backend.fixture_path) == str(fixtures)
-    assert rebuilt.verifier_backend.endpoint_url == "http://localhost:9"
-    assert rebuilt.seed == 11 and rebuilt.mask_timestamps
+    assert (rebuilt.seed, rebuilt.parallelism) == (seed, parallelism)
 
 
 def test_snapshot_from_salvage_mode_cannot_be_replayed(tmp_path):
@@ -508,28 +514,104 @@ def test_cli_replay(tmp_path, capsys):
 
 
 
+def _config_with(**changes):
+    return lambda manifest: {**manifest, "config": {**manifest["config"], **changes}}
+
+
+def _config_without(key):
+    return lambda manifest: {
+        **manifest, "config": {k: v for k, v in manifest["config"].items() if k != key}
+    }
+
+
+def _verifier_with(**changes):
+    return lambda manifest: _config_with(
+        verifier_backend={**manifest["config"]["verifier_backend"], **changes}
+    )(manifest)
+
+
+def _renamed_placeholder(manifest):
+    manifest["config"]["redaction"]["placeholders"]["name"] = "[PERSON]"
+    return manifest
+
+
+_MOCK_SNAPSHOT = {
+    "kind": "scripted_mock",
+    "endpoint_url": None,
+    "model_name": None,
+    "fixture_path": "fx.jsonl",
+    "timeout": 30.0,
+    "retries": 2,
+}
+
+
 @pytest.mark.parametrize(
-    "edit",
+    "preset,edit",
     [
-        lambda config: config.update(policy="recal_first"),
-        lambda config: config.update(ensemble_categories=["name"]),
-        lambda config: config["redaction"]["placeholders"].update(name="[PERSON]"),
+        ("hybrid_ev", _config_with(policy="recal_first")),
+        ("hybrid_ev", _config_with(ensemble_categories=["name"])),
+        ("hybrid_ev", _renamed_placeholder),
+        ("hybrid_ev", _config_with(parallelism="2")),
+        ("hybrid_ev", _config_with(k_runs="5")),
+        ("hybrid_ev", _config_without("preset")),
+        ("hybrid_ev", _config_with(redaction="tagged")),
+        ("hybrid_ev", _config_with(mask_timestamps="yes")),
+        ("hybrid_ev", lambda manifest: {**manifest, "config": []}),
+        ("hybrid_ev", lambda manifest: []),
+        ("hybrid_ev", _verifier_with(retries=2.0)),
+        ("hybrid_ev", _verifier_with(timeout="30")),
+        ("rules_only", _config_with(k_runs=5)),
+        ("rules_only", _config_with(policy="recall_first")),
+        ("rules_only", _config_with(extractor_backend=_MOCK_SNAPSHOT)),
     ],
-    ids=["unknown_policy", "ensemble_categories", "placeholders"],
+    ids=[
+        "unknown_policy",
+        "ensemble_categories",
+        "placeholders",
+        "parallelism_string",
+        "k_runs_string",
+        "missing_preset",
+        "redaction_string",
+        "mask_timestamps_string",
+        "config_list",
+        "manifest_list",
+        "backend_retries_float",
+        "backend_timeout_string",
+        "rules_only_k_runs",
+        "rules_only_policy",
+        "rules_only_extractor_backend",
+    ],
 )
-def test_cli_replay_refuses_a_config_no_run_can_have(tmp_path, capsys, edit):
+def test_cli_replay_refuses_a_config_no_run_can_have(tmp_path, capsys, preset, edit):
     corpus = write_corpus_jsonl(tmp_path / "c.jsonl", [{"id": "n1", "text": FIG_TEXT}])
     fixtures = write_fixture(tmp_path / "fx.jsonl", fig_fixture_entries(seed=0, k=5))
     out = tmp_path / "out"
-    flags = ["--input", str(corpus), "--preset", "hybrid_ev", "--mock-fixtures", str(fixtures)]
+    flags = ["--input", str(corpus), "--preset", preset, "--mock-fixtures", str(fixtures)]
     assert main(["run", "--out", str(out), "--seed", "0"] + flags) == 0
     manifest_path = out / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    edit(manifest["config"])
-    manifest_path.write_text(json.dumps(manifest))
+    manifest_path.write_text(json.dumps(edit(json.loads(manifest_path.read_text()))))
+    capsys.readouterr()
     replayed = tmp_path / "replayed"
     assert main(["run", "--replay", str(manifest_path), "--out", str(replayed)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not replayed.exists()
+
+
+def test_cli_run_reads_gold_only_when_named(tmp_path, capsys):
+    corpus = write_corpus_jsonl(tmp_path / "c.jsonl", [{"id": "n1", "text": "NO PII"}])
+    gold = tmp_path / "c.gold.jsonl"
+    gold.write_text("{broken\n", encoding="utf-8")
+    flags = ["--input", str(corpus), "--preset", "rules_only"]
+    assert main(["run", "--out", str(tmp_path / "out")] + flags) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["config"]["gold"] is None
+    capsys.readouterr()
+    named = tmp_path / "named"
+    assert main(["run", "--out", str(named), "--gold", str(gold)] + flags) == 2
+    assert capsys.readouterr().err.startswith(f"error: {gold}: line 1: invalid JSON")
+    assert not named.exists()
+
 
 def test_cli_exit_codes(tmp_path, capsys):
     code = main(
