@@ -7,7 +7,9 @@ be scored against several gold versions; it is read only when the caller
 names it, so a run reads no file its manifest does not record.
 
 Narrative text is stored byte-for-byte as read; offsets elsewhere in the
-system are Unicode scalar-value indices into that exact text.
+system are Unicode scalar-value indices into that exact text. Error
+messages name the file, line, field and narrative id, never a value read
+from a text or gold field: a gold surface is PII by definition.
 """
 
 from __future__ import annotations
@@ -119,14 +121,20 @@ def _read_narratives_csv(path: Path) -> list[Narrative]:
     narratives = []
     with path.open(encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
-        if reader.fieldnames is None or not {"id", "text"} <= set(reader.fieldnames):
-            raise MalformedRecord(f"{path}: line 1: header must include id,text")
-        for line_no, row in enumerate(reader, start=2):
-            if row.get("id") is None or row.get("text") is None:
-                raise MalformedRecord(
-                    f"{path}: line {line_no}: field 'id' or 'text' missing"
-                )
-            narratives.append(Narrative(id=row["id"], text=row["text"]))
+        try:
+            if reader.fieldnames is None or not {"id", "text"} <= set(reader.fieldnames):
+                raise MalformedRecord(f"{path}: line 1: header must include id,text")
+            for line_no, row in enumerate(reader, start=2):
+                if row.get("id") is None or row.get("text") is None:
+                    raise MalformedRecord(
+                        f"{path}: line {line_no}: field 'id' or 'text' missing"
+                    )
+                narratives.append(Narrative(id=row["id"], text=row["text"]))
+        except csv.Error as exc:
+            # The csv module's messages name limits and dialect characters,
+            # never field content. ``DictReader.line_num`` lags a failed
+            # row; its underlying reader has counted it.
+            raise MalformedRecord(f"{path}: line {reader.reader.line_num}: {exc}") from exc
     return narratives
 
 
@@ -140,19 +148,18 @@ def _read_gold(path: Path, by_id: dict[str, Narrative]) -> list[GoldAnnotation]:
             category = PiiCategory(raw_category)
         except ValueError:
             raise MalformedRecord(
-                f"{path}: line {line_no}: field 'category' has unknown "
-                f"value {raw_category!r}"
+                f"{path}: line {line_no}: field 'category' has an unknown value"
             ) from None
         narrative = by_id.get(narrative_id)
         if narrative is None:
             raise DanglingGoldAnnotation(
-                f"{path}: line {line_no}: gold annotation references "
-                f"unknown narrative {narrative_id!r}"
+                f"{path}: line {line_no}: field 'narrative_id' names no "
+                f"narrative of the corpus"
             )
         if surface not in narrative.text:
             raise GoldSurfaceMissing(
-                f"{path}: line {line_no}: surface {surface!r} not found "
-                f"in narrative {narrative_id!r}"
+                f"{path}: line {line_no}: field 'surface' does not occur in "
+                f"narrative {narrative_id!r}"
             )
         annotations.append(GoldAnnotation(narrative_id, category, surface))
     return annotations

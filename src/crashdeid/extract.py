@@ -25,7 +25,7 @@ in clear.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import gateway, rules
 from .corpus import Narrative
@@ -272,8 +272,11 @@ def hybrid_extract(
     """Rules for phone/email, LLM channel for the rest, merged into one set.
 
     ``backend=None`` turns the LLM channel off and ``rules=False`` the rule
-    channel. An LLM candidate whose surface equals or sits inside a rule
-    match is suppressed: rules are the authority for their own span text.
+    channel. An LLM candidate is suppressed only when every occurrence of
+    its surface lies inside an occurrence of a rule surface: rules are the
+    authority for their own span text, and render redacts those regions
+    longest-first. A surface with any occurrence outside them is kept, so
+    that occurrence is redacted too.
     With a backend set, text that already contains a tag delimiter raises
     AmbiguousTagging: the tag protocol cannot represent it, and emitting it
     with rule candidates only would leave its contextual PII in clear.
@@ -287,11 +290,31 @@ def hybrid_extract(
         )
 
     ensemble = extract_ensemble(narrative, backend, cfg, base_seed=base_seed)
+    text = narrative.text
     rule_surfaces = [c.surface for candidates in merged.values() for c in candidates]
+
+    def inside_rule_matches(surface: str) -> bool:
+        regions = [
+            (hit, hit + len(rule_surface))
+            for rule_surface in rule_surfaces
+            if surface in rule_surface
+            for hit in _occurrences(text, rule_surface)
+        ]
+        return bool(regions) and all(
+            any(start <= hit and hit + len(surface) <= end for start, end in regions)
+            for hit in _occurrences(text, surface)
+        )
+
     for category, candidates in ensemble.by_category.items():
         merged[category] = tuple(
-            c
-            for c in candidates
-            if not any(c.surface in surface for surface in rule_surfaces)
+            c for c in candidates if not inside_rule_matches(c.surface)
         )
     return CandidateSet(narrative_id=narrative.id, by_category=merged)
+
+
+def _occurrences(text: str, surface: str) -> Iterator[int]:
+    """Start offset of every occurrence of ``surface``, overlapping ones too."""
+    hit = text.find(surface)
+    while hit != -1:
+        yield hit
+        hit = text.find(surface, hit + 1)

@@ -30,8 +30,8 @@ from .corpus import Corpus, Narrative, load_corpus, write_audit_log, write_redac
 from .evalkit import MetricsReport, build_report, write_report
 from .extract import AllRunsFailed, CandidateSet, EnsembleConfig, hybrid_extract
 from .gateway import BackendConfig, GatewayError
-from .redact import PLACEHOLDERS, RedactionStyle, RedactionCollision, SurfaceNotFound, render
-from .tags import AMBIGUOUS_CATEGORIES, PiiCategory
+from .redact import PLACEHOLDERS, RedactionStyle, SurfaceNotFound, render
+from .tags import AMBIGUOUS_CATEGORIES, AmbiguousTagging, PiiCategory
 from .verify import AuditRecord, VerifierPolicy, rfc3339_now, verify_candidates
 
 
@@ -300,7 +300,7 @@ def _write_outputs(
             continue
         try:
             redacted = render(result.narrative, result.final, config.output_style)
-        except (RedactionCollision, SurfaceNotFound) as exc:
+        except (AmbiguousTagging, SurfaceNotFound) as exc:
             result.error = f"{type(exc).__name__}: {exc}"
             failed.append(result.narrative.id)
             continue

@@ -11,14 +11,7 @@ from dataclasses import dataclass
 
 from .corpus import Narrative
 from .extract import CandidateSet
-from .tags import (
-    CATEGORY_ORDER,
-    DELIMITERS,
-    PiiCategory,
-    TagError,
-    detag_equals,
-    parse_tagged,
-)
+from .tags import CATEGORY_ORDER, PiiCategory, PiiSpan, serialize_spans
 
 #: Placeholder-mode replacement per category; none holds a tag delimiter.
 PLACEHOLDERS: dict[PiiCategory, str] = {
@@ -34,10 +27,6 @@ class SurfaceNotFound(ValueError):
     """A final candidate surface does not occur in the narrative text."""
 
 
-class RedactionCollision(TagError):
-    """Tagged-mode output would not parse back to the claimed spans."""
-
-
 @dataclass(frozen=True)
 class RedactionStyle:
     mode: str = "tagged"  # "tagged" | "placeholder"
@@ -47,24 +36,22 @@ class RedactionStyle:
             raise ValueError("mode must be 'tagged' or 'placeholder'")
 
 
-def _claim_occurrences(
-    text: str, final: CandidateSet
-) -> list[tuple[int, int, PiiCategory, str]]:
+def _claim_occurrences(text: str, final: CandidateSet) -> list[PiiSpan]:
     surfaces: list[tuple[str, PiiCategory]] = []
     for category in CATEGORY_ORDER:
         for candidate in final.candidates(category):
             if candidate.surface not in text:
                 raise SurfaceNotFound(
-                    f"candidate {candidate.surface!r} not found in narrative "
+                    f"a {category.value} candidate is not found in narrative "
                     f"{final.narrative_id!r}"
                 )
             surfaces.append((candidate.surface, category))
     surfaces.sort(key=lambda item: (-len(item[0]), CATEGORY_ORDER.index(item[1]), item[0]))
 
-    claimed: list[tuple[int, int, PiiCategory, str]] = []
+    claimed: list[PiiSpan] = []
 
     def overlaps(start: int, end: int) -> bool:
-        return any(start < c_end and c_start < end for c_start, c_end, _, _ in claimed)
+        return any(start < c.end and c.start < end for c in claimed)
 
     for surface, category in surfaces:
         idx = 0
@@ -73,42 +60,27 @@ def _claim_occurrences(
             if overlaps(hit, end):
                 idx = hit + 1
             else:
-                claimed.append((hit, end, category, surface))
+                claimed.append(PiiSpan(category, hit, end, surface))
                 idx = end
-    claimed.sort()
+    claimed.sort(key=lambda span: span.start)
     return claimed
 
 
 def render(narrative: Narrative, final: CandidateSet, style: RedactionStyle) -> str:
-    """Redact all occurrences of the final candidates in the narrative."""
-    claimed = _claim_occurrences(narrative.text, final)
+    """Redact all occurrences of the final candidates in the narrative.
+
+    Tagged output is written by ``tags.serialize_spans``, whose round-trip
+    check raises AmbiguousTagging rather than emit text that would not
+    parse back to the claimed spans.
+    """
+    spans = _claim_occurrences(narrative.text, final)
+    if style.mode == "tagged":
+        return serialize_spans(narrative.text, spans)
     parts: list[str] = []
     cursor = 0
-    for start, end, category, surface in claimed:
-        parts.append(narrative.text[cursor:start])
-        if style.mode == "tagged":
-            delim = DELIMITERS[category]
-            parts.append(f"{delim}{surface}{delim}")
-        else:
-            parts.append(PLACEHOLDERS[category])
-        cursor = end
+    for span in spans:
+        parts.append(narrative.text[cursor : span.start])
+        parts.append(PLACEHOLDERS[span.category])
+        cursor = span.end
     parts.append(narrative.text[cursor:])
-    output = "".join(parts)
-
-    if style.mode == "tagged":
-        if not detag_equals(output, narrative.text):
-            raise RedactionCollision(
-                f"tagged output for {narrative.id!r} does not detag to the input"
-            )
-        try:
-            _, spans = parse_tagged(output)
-        except TagError as exc:
-            raise RedactionCollision(
-                f"tagged output for {narrative.id!r} does not parse: {exc}"
-            ) from exc
-        recovered = [(s.start, s.end, s.category, s.surface) for s in spans]
-        if recovered != claimed:
-            raise RedactionCollision(
-                f"tagged output for {narrative.id!r} parses to different spans"
-            )
-    return output
+    return "".join(parts)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class PiiCategory(enum.Enum):
@@ -85,29 +85,19 @@ class EmptySpan(TagError):
     """Two adjacent delimiters enclose nothing."""
 
 
-class OverlappingSpans(TagError):
-    """Input spans overlap each other."""
-
-
-class OffsetOutOfRange(TagError):
-    """Span offsets fall outside the text."""
-
-
-class SurfaceMismatch(TagError):
-    """Span surface disagrees with the text at its offsets."""
-
-
 class AmbiguousTagging(TagError):
-    """Inserting delimiters would collide with delimiter characters already
-    present in the text, so the result would not parse back to the input."""
+    """Tagged text would not parse back to its input: the spans are bad
+    (out of range, empty, overlapping, disagreeing with the text) or their
+    delimiters collide with delimiter characters already in the text."""
 
 
-@dataclass(frozen=True)
-class PiiSpan:
+class PiiSpan(NamedTuple):
     """One detected entity, anchored to the untagged text.
 
     ``start``/``end`` are Unicode scalar-value offsets (Python string
-    indices), end-exclusive; ``surface`` equals ``text[start:end]``.
+    indices), end-exclusive; ``surface`` equals ``text[start:end]``. A
+    tuple, so building spans in parse and render and comparing them in
+    the writer's round-trip check run at C speed.
     """
 
     category: PiiCategory
@@ -171,33 +161,13 @@ def parse_tagged(raw: str) -> tuple[str, list[PiiSpan]]:
 def serialize_spans(clean_text: str, spans: list[PiiSpan]) -> str:
     """Render spans as tagged text; the exact inverse of ``parse_tagged``.
 
-    Spans must be in-range, non-empty, non-overlapping and agree with
-    ``clean_text`` at their offsets. The result is verification-parsed so
-    the round-trip guarantee holds; a delimiter-character collision in the
-    surrounding text raises AmbiguousTagging instead of corrupting spans.
+    The result must detag to ``clean_text`` and parse back to exactly the
+    given spans; any other result raises AmbiguousTagging. That one
+    round-trip check refuses out-of-range, empty, overlapping and
+    mismatched spans as well as delimiter characters in the text that
+    would merge with the inserted tags.
     """
     ordered = sorted(spans, key=lambda s: (s.start, s.end))
-    prev_end = -1
-    for span in ordered:
-        if not (0 <= span.start < span.end <= len(clean_text)):
-            raise OffsetOutOfRange(
-                f"span [{span.start},{span.end}) outside text of length "
-                f"{len(clean_text)}"
-            )
-        if clean_text[span.start : span.end] != span.surface:
-            raise SurfaceMismatch(
-                f"span surface {span.surface!r} != text at "
-                f"[{span.start},{span.end})"
-            )
-        if contains_delimiter_sequence(span.surface):
-            raise SurfaceMismatch(
-                f"span surface {span.surface!r} contains a delimiter sequence"
-            )
-        if span.start < prev_end:
-            raise OverlappingSpans(
-                f"span [{span.start},{span.end}) overlaps previous span"
-            )
-        prev_end = span.end
     parts: list[str] = []
     cursor = 0
     for span in ordered:
@@ -209,14 +179,14 @@ def serialize_spans(clean_text: str, spans: list[PiiSpan]) -> str:
         cursor = span.end
     parts.append(clean_text[cursor:])
     result = "".join(parts)
+    if not detag_equals(result, clean_text):
+        raise AmbiguousTagging("tagged text does not detag to its input")
     try:
         back_text, back_spans = parse_tagged(result)
     except TagError as exc:
-        raise AmbiguousTagging(str(exc)) from exc
+        raise AmbiguousTagging(f"tagged text does not parse: {exc}") from exc
     if back_text != clean_text or back_spans != ordered:
-        raise AmbiguousTagging(
-            "delimiter characters in the text collide with inserted tags"
-        )
+        raise AmbiguousTagging("tagged text parses to different spans")
     return result
 
 

@@ -50,3 +50,32 @@ def test_measure_builds_a_config_for_each_spec_shape(bench, preset, backend, k_r
     assert config.ensemble.k_runs == k_runs
     assert (config.verifier_backend is not None) == (preset == "hybrid_ev")
     assert config.parallelism == 2 and config.seed == 0 and config.mask_timestamps
+
+
+@pytest.mark.parametrize(
+    "workload,preset",
+    [("rules_long", "rules_only"), ("mock_hybrid_ev", "hybrid_ev")],
+)
+def test_tracer_wraps_and_fires_every_layer_of_a_workload(bench, tmp_path, workload, preset):
+    from crashdeid import pipeline
+
+    gen, run = bench("gen"), bench("run")
+    data = tmp_path / "data"
+    backend = None
+    if workload == "rules_long":
+        gen.generate_long(data, seed=1, narratives=20)
+    else:
+        gen.generate_hybrid(data, seed=1, narratives=gen.STUB_NARRATIVES)
+        backend = {"kind": "scripted_mock", "fixture_path": str(data / "fixtures.jsonl")}
+    config = bench("measure").pipeline_config(
+        {"preset": preset, "k_runs": 5, "pipeline_seed": 0, "backend": backend,
+         "parallelism": 1}
+    )
+    tracer = bench("tracing").Tracer()
+    tracer.install()
+    try:
+        assert tracer.missed_bindings() == []
+        pipeline.run_pipeline(config, data / "corpus.jsonl", tmp_path / "out")
+        assert tracer.unfired(run.WORKLOADS[workload]["fired"]) == []
+    finally:
+        tracer.uninstall()

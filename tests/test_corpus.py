@@ -85,6 +85,15 @@ def test_csv_requires_id_and_text_columns(tmp_path):
         load_corpus(path)
 
 
+def test_csv_field_over_the_csv_module_limit_is_a_malformed_record(tmp_path):
+    path = tmp_path / "c.csv"
+    text = "X" * 200_000
+    path.write_text(f"id,text\nn1,SHORT\nn2,{text}\n", encoding="utf-8")
+    with pytest.raises(MalformedRecord, match=r"c\.csv: line 3: field larger than") as err:
+        load_corpus(path)
+    assert text[:100] not in str(err.value)
+
+
 def test_gold_errors(tmp_path):
     path = write_corpus_jsonl(tmp_path / "c.jsonl", [{"id": "n1", "text": "ABC"}])
     gold = tmp_path / "g.jsonl"
@@ -92,20 +101,23 @@ def test_gold_errors(tmp_path):
         json.dumps({"narrative_id": "nX", "category": "name", "surface": "A"}) + "\n",
         encoding="utf-8",
     )
-    with pytest.raises(DanglingGoldAnnotation, match="nX"):
+    with pytest.raises(DanglingGoldAnnotation, match="line 1: field 'narrative_id'") as err:
         load_corpus(path, gold_path=gold)
+    assert "nX" not in str(err.value)
     gold.write_text(
         json.dumps({"narrative_id": "n1", "category": "name", "surface": "ZZZ"}) + "\n",
         encoding="utf-8",
     )
-    with pytest.raises(GoldSurfaceMissing, match="ZZZ"):
+    with pytest.raises(GoldSurfaceMissing, match="line 1: field 'surface'.*'n1'") as err:
         load_corpus(path, gold_path=gold)
+    assert "ZZZ" not in str(err.value)
     gold.write_text(
         json.dumps({"narrative_id": "n1", "category": "plate", "surface": "A"}) + "\n",
         encoding="utf-8",
     )
-    with pytest.raises(MalformedRecord, match="category"):
+    with pytest.raises(MalformedRecord, match="category") as err:
         load_corpus(path, gold_path=gold)
+    assert "plate" not in str(err.value)
     gold.write_text("\n{broken\n", encoding="utf-8")
     with pytest.raises(MalformedRecord, match=r"line 2: invalid JSON \("):
         load_corpus(path, gold_path=gold)

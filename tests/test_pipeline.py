@@ -230,6 +230,40 @@ def test_bad_first_run_does_not_leak_names(tmp_path, run_zero):
     assert row["redacted_text"] == "DRIVER [NAME] LIVES AT [HOME_ADDRESS]"
 
 
+CONTAINED_TEXT = "Driver smith called from smith@mail.com; smith was not injured."
+CONTAINED_TAGGED = "Driver @@@smith@@@ called from smith@mail.com; @@@smith@@@ was not injured."
+
+
+@pytest.mark.parametrize(
+    "mode,expected",
+    [
+        ("placeholder", "Driver [NAME] called from [EMAIL]; [NAME] was not injured."),
+        (
+            "tagged",
+            "Driver @@@smith@@@ called from %%%smith@mail.com%%%; @@@smith@@@ was not injured.",
+        ),
+    ],
+    ids=["placeholder", "tagged"],
+)
+def test_name_inside_an_email_is_still_redacted_elsewhere(tmp_path, mode, expected):
+    corpus = write_corpus_jsonl(tmp_path / "c.jsonl", [{"id": "n1", "text": CONTAINED_TEXT}])
+    fixtures = write_fixture(
+        tmp_path / "fx.jsonl", extraction_entries(CONTAINED_TEXT, {0: CONTAINED_TAGGED})
+    )
+    config = PipelineConfig(
+        preset="hybrid",
+        ensemble=EnsembleConfig(k_runs=1),
+        extractor_backend=BackendConfig(kind="scripted_mock", fixture_path=fixtures),
+        output_style=RedactionStyle(mode=mode),
+        seed=0,
+    )
+    out = tmp_path / "out"
+    run_pipeline(config, corpus, out)
+    (row,) = [json.loads(l) for l in (out / "redacted.jsonl").read_text().splitlines()]
+    # The occurrence inside the email stays part of the email's redaction.
+    assert row["redacted_text"] == expected
+
+
 def test_llm_single_rewritten_completion_fails_the_narrative(tmp_path):
     corpus = write_corpus_jsonl(
         tmp_path / "c.jsonl",

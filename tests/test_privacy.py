@@ -1,0 +1,310 @@
+"""Executable forms of the privacy invariant.
+
+A narrative is either emitted with every final candidate redacted, or
+listed as failed; it is never emitted with PII in clear. The leak oracle
+below recomputes, from the scripted completions alone, which surfaces must
+not survive in clear, and checks both output modes against it.
+"""
+
+from __future__ import annotations
+
+import json
+import re
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from crashdeid import gateway
+from crashdeid.cli import main
+from crashdeid.corpus import Narrative
+from crashdeid.extract import AllRunsFailed, EnsembleConfig, hybrid_extract
+from crashdeid.gateway import BackendConfig, write_fixture_file
+from crashdeid.pipeline import PipelineConfig, run_pipeline
+from crashdeid.redact import PLACEHOLDERS, RedactionStyle
+from crashdeid.tags import DELIMITERS, PiiCategory, parse_tagged
+from crashdeid.verify import VerifierPolicy
+
+from conftest import (
+    extraction_entries,
+    http_probe,
+    review_obj,
+    verifier_entries,
+    verifier_json,
+    write_corpus_jsonl,
+)
+
+NAME = PiiCategory.NAME
+HOME = PiiCategory.HOME_ADDRESS
+ALNUM = PiiCategory.ALPHANUMERIC
+
+# Each LLM-owned token also occurs inside a rule-owned one.
+NAMES = ["smith", "lee"]
+ADDRESSES = ["elm"]
+IDS = ["8366", "ab12"]
+PHONES = ["608-733-8366", "414-555-0199"]
+EMAILS = ["smith@mail.com", "lee@x.org", "elm@mail.com", "ab12@x.org"]
+FILLER = ["driver", "called", "from", "was", "hurt", "unit", "the", ";", "."]
+TOKENS = NAMES + ADDRESSES + IDS + PHONES + EMAILS + FILLER
+RULE_TOKENS = set(PHONES + EMAILS)
+
+_PLACEHOLDER_RE = re.compile("|".join(re.escape(p) for p in PLACEHOLDERS.values()))
+_NOT_IN_TEXT = "evidence-not-in-the-narrative"
+
+narratives = st.lists(
+    st.lists(st.sampled_from(TOKENS), min_size=1, max_size=10),
+    min_size=1,
+    max_size=3,
+    unique_by=tuple,
+)
+# One tagging run: its fate and the tag, if any, put on each token. The
+# model may mislabel any token as any category.
+runs = st.tuples(
+    st.sampled_from(["tagged", "tagged", "rewritten", "missing"]),
+    st.lists(st.sampled_from([None, None, *PiiCategory]), min_size=10, max_size=10),
+)
+# Per surface: the verifier's decision and whether its evidence is verbatim.
+reviews = st.fixed_dictionaries(
+    {token: st.tuples(st.sampled_from(["KEEP", "DROP", "UNCERTAIN"]), st.booleans())
+     for token in TOKENS}
+)
+
+
+def _tagged(tokens: list[str], tags: list) -> str:
+    return " ".join(
+        token if tag is None else f"{DELIMITERS[tag]}{token}{DELIMITERS[tag]}"
+        for token, tag in zip(tokens, tags)
+    )
+
+
+def _retained(surface: str, review: dict, answer: str, policy: VerifierPolicy) -> bool:
+    """The oracle's final action for one reviewed surface."""
+    decision, verbatim = review[surface]
+    if answer != "valid" or (decision != "UNCERTAIN" and not verbatim):
+        decision = "UNCERTAIN"  # degraded, or evidence demoted
+    return decision == "KEEP" or (
+        decision == "UNCERTAIN" and policy is VerifierPolicy.RECALL_FIRST
+    )
+
+
+def _protected(tokens, scripted, verify, review, answer, policy) -> set[str] | None:
+    """Surfaces that must not occur in clear, or None when no run is usable."""
+    usable = [tags for fate, tags in scripted if fate == "tagged"]
+    if not usable:
+        return None
+    protected = {t for t in tokens if t in RULE_TOKENS}
+    protected |= {t for t, tag in zip(tokens, usable[0]) if tag is NAME}
+    pooled = {t for tags in usable for t, tag in zip(tokens, tags) if tag in (HOME, ALNUM)}
+    if verify:
+        pooled = {s for s in pooled if _retained(s, review, answer, policy)}
+    return protected | pooled
+
+
+def _clear_text(output: str, mode: str, text: str) -> str:
+    """What an output shows in clear, each redaction cut to a NUL."""
+    if mode == "placeholder":
+        return "\0".join(_PLACEHOLDER_RE.split(output))
+    clean, spans = parse_tagged(output)
+    assert clean == text
+    pieces, cursor = [], 0
+    for span in spans:
+        pieces.append(clean[cursor : span.start])
+        cursor = span.end
+    pieces.append(clean[cursor:])
+    return "\0".join(pieces)
+
+
+def _fixtures(directory: Path, texts, scripted_runs, k, verify, review, answer) -> Path:
+    entries = []
+    for text, scripted in zip(texts, scripted_runs):
+        tokens = text.split(" ")
+        responses = {}
+        for seed, (fate, tags) in enumerate(scripted):
+            if fate != "missing":
+                tagged = _tagged(tokens, tags)
+                responses[seed] = tagged + " edited" if fate == "rewritten" else tagged
+        entries += extraction_entries(text, responses)
+    path = directory / "fixtures.jsonl"
+    write_fixture_file(path, entries)
+    if not verify or answer == "missing":
+        return path
+    # The verifier prompt lists the candidates the extractor hands on, so
+    # its fixtures are addressed through the extractor itself; the oracle
+    # does not read them.
+    backend = BackendConfig(kind="scripted_mock", fixture_path=path)
+    for i, text in enumerate(texts):
+        try:
+            found = hybrid_extract(Narrative(f"n{i}", text), backend, EnsembleConfig(k), base_seed=0)
+        except AllRunsFailed:
+            continue
+        home, alnum = found.surfaces(HOME), found.surfaces(ALNUM)
+        if not home and not alnum:
+            continue
+        if answer == "garbage":
+            response = "not json"
+        else:
+            def obj(surface):
+                decision, verbatim = review[surface]
+                evidence = "" if decision == "UNCERTAIN" else surface if verbatim else _NOT_IN_TEXT
+                return review_obj(surface, decision, "r", evidence)
+
+            response = verifier_json([obj(s) for s in home], [obj(s) for s in alnum])
+        entries += verifier_entries(text, home, alnum, [response])
+    path = directory / "fixtures-with-verifier.jsonl"
+    write_fixture_file(path, entries)
+    return path
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    token_lists=narratives,
+    k=st.integers(min_value=1, max_value=3),
+    verify=st.booleans(),
+    review=reviews,
+    answer=st.sampled_from(["valid", "valid", "garbage", "missing"]),
+    policy=st.sampled_from(list(VerifierPolicy)),
+)
+def test_no_emitted_narrative_shows_a_protected_surface(
+    data, token_lists, k, verify, review, answer, policy
+):
+    texts = [" ".join(tokens) for tokens in token_lists]
+    scripted_runs = [data.draw(st.lists(runs, min_size=k, max_size=k)) for _ in texts]
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        corpus = write_corpus_jsonl(
+            directory / "c.jsonl", [{"id": f"n{i}", "text": t} for i, t in enumerate(texts)]
+        )
+        backend = BackendConfig(
+            kind="scripted_mock",
+            fixture_path=_fixtures(directory, texts, scripted_runs, k, verify, review, answer),
+        )
+        for mode in ("tagged", "placeholder"):
+            config = PipelineConfig(
+                preset="hybrid_ev" if verify else "hybrid",
+                ensemble=EnsembleConfig(k_runs=k),
+                policy=policy,
+                extractor_backend=backend,
+                verifier_backend=backend,
+                output_style=RedactionStyle(mode=mode),
+                seed=0,
+            )
+            out = directory / mode
+            summary = run_pipeline(config, corpus, out)
+            rows = {
+                row["id"]: row["redacted_text"]
+                for row in map(json.loads, (out / "redacted.jsonl").read_text().splitlines())
+            }
+            for i, (text, scripted) in enumerate(zip(texts, scripted_runs)):
+                tokens = text.split(" ")
+                protected = _protected(tokens, scripted, verify, review, answer, policy)
+                nid = f"n{i}"
+                if protected is None:
+                    assert nid in summary.failed_narratives and nid not in rows
+                    continue
+                assert nid in rows and nid not in summary.failed_narratives
+                clear = _clear_text(rows[nid], mode, text)
+                leaked = sorted(s for s in protected if s in clear)
+                assert not leaked, (mode, text, rows[nid])
+
+
+# -- stderr canary -------------------------------------------------------------
+
+CANARY = "Qz9Wv3"
+CANARY_TEXT = f"DRIVER {CANARY} CALLED 608-733-8366"
+
+
+def _gold_line(**fields) -> str:
+    row = {"narrative_id": "n1", "category": "name", "surface": CANARY, **fields}
+    return json.dumps(row) + "\n"
+
+
+def _corpus_files(tmp: Path) -> dict[str, Path]:
+    """Corpus and gold files, each broken in one way, all holding the canary."""
+    files = {
+        "broken-json.jsonl": f'{{"id": "n1", "text": "{CANARY_TEXT}"\n',
+        "delimiter.jsonl": json.dumps({"id": "n1", "text": f"{CANARY_TEXT} ^^^"}) + "\n",
+        "text-not-a-string.jsonl": json.dumps({"id": "n1", "text": [CANARY]}) + "\n",
+        "duplicate-id.jsonl": (json.dumps({"id": "n1", "text": CANARY_TEXT}) + "\n") * 2,
+        "oversize.csv": f"id,text\nn1,{CANARY_TEXT} {'X' * 200_000}\n",
+        "gold-id.jsonl": _gold_line(narrative_id=CANARY),
+        "gold-category.jsonl": _gold_line(category=CANARY),
+        "gold-surface.jsonl": _gold_line(surface=f"{CANARY} JR"),
+        "gold-surface-not-a-string.jsonl": _gold_line(surface=[CANARY]),
+        "gold-json.jsonl": '{"narrative_id": "n1", "surface": "' + CANARY + '"\n',
+    }
+    paths = {}
+    for name, content in files.items():
+        paths[name] = tmp / name
+        paths[name].write_text(content, encoding="utf-8")
+    return paths
+
+
+def test_no_error_path_prints_narrative_or_gold_content(tmp_path, capsys, monkeypatch):
+    files = _corpus_files(tmp_path)
+    corpus = write_corpus_jsonl(tmp_path / "good.jsonl", [{"id": "n1", "text": CANARY_TEXT}])
+    good_gold = tmp_path / "good-gold.jsonl"
+    good_gold.write_text(_gold_line(), encoding="utf-8")
+    seen: list[str] = []
+    codes: list[int] = []
+
+    def cli(*argv: str) -> None:
+        codes.append(main(list(argv)))
+        captured = capsys.readouterr()
+        seen.append(captured.out + captured.err)
+
+    def run(name: str, *flags: str, corpus_path: Path = corpus) -> Path:
+        out = tmp_path / name
+        cli("run", "--input", str(corpus_path), "--out", str(out), "--mask-timestamps", *flags)
+        return out
+
+    # Corpus errors, and a text the tagged writer refuses.
+    for name in [n for n in files if not n.startswith("gold-")]:
+        run(f"out-{name}", "--preset", "rules_only", corpus_path=files[name])
+    # Gold errors, through run and eval.
+    for name in [n for n in files if n.startswith("gold-")]:
+        run(f"out-{name}", "--preset", "rules_only", "--gold", str(files[name]))
+        cli("eval", "--input", str(corpus), "--gold", str(files[name]),
+            "--report", str(tmp_path / f"report-{name}.json"), "--preset", "rules_only")
+    # Replay errors: a gold file broken after the run, an edited manifest.
+    recorded = run("recorded", "--preset", "rules_only", "--gold", str(good_gold))
+    good_gold.write_text(_gold_line(surface=f"{CANARY} JR"), encoding="utf-8")
+    cli("run", "--replay", str(recorded / "manifest.json"), "--out", str(tmp_path / "replayed"))
+    manifest = json.loads((recorded / "manifest.json").read_text())
+    manifest["config"]["seed"] = "zero"
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(manifest), encoding="utf-8")
+    cli("run", "--replay", str(edited), "--out", str(tmp_path / "replayed-edited"))
+    # Backend errors: no fixture, a rewritten completion, a garbage verifier
+    # answer, and an HTTP backend whose errors quote the request.
+    empty = tmp_path / "empty.jsonl"
+    write_fixture_file(empty, [])
+    run("out-missing", "--preset", "hybrid_ev", "--mock-fixtures", str(empty))
+    rewritten = tmp_path / "rewritten.jsonl"
+    write_fixture_file(rewritten, extraction_entries(CANARY_TEXT, {0: CANARY_TEXT + "!"}))
+    run("out-rewritten", "--preset", "hybrid", "--k-ensemble", "1", "--seed", "0",
+        "--mock-fixtures", str(rewritten))
+    tagged = CANARY_TEXT.replace(CANARY, f"^^^{CANARY}^^^")
+    garbage = tmp_path / "garbage.jsonl"
+    write_fixture_file(
+        garbage,
+        extraction_entries(CANARY_TEXT, {0: tagged})
+        + verifier_entries(CANARY_TEXT, [], [CANARY], [f"not json: {CANARY}"]),
+    )
+    run("out-garbage", "--preset", "hybrid_ev", "--k-ensemble", "1", "--seed", "0",
+        "--mock-fixtures", str(garbage))
+
+    def echo(payload):
+        raise ValueError(f"server error for {payload['messages'][1]['content']}")
+
+    monkeypatch.setattr(gateway, "_http_post", http_probe(echo)[0])
+    monkeypatch.setattr(gateway, "_BACKOFF_BASE_SECONDS", 0.0)
+    run("out-http", "--preset", "hybrid", "--k-ensemble", "1",
+        "--extractor-endpoint", "http://127.0.0.1:9/v1/chat/completions")
+
+    assert (codes.count(2), codes.count(1), codes.count(0)) == (16, 4, 2), codes
+    leaks = [text for text in seen if CANARY in text]
+    assert not leaks
+    for path in tmp_path.rglob("manifest.json"):
+        assert CANARY not in path.read_text(encoding="utf-8"), path

@@ -6,12 +6,12 @@ from crashdeid.corpus import Narrative
 from crashdeid.extract import Candidate, CandidateSet, SOURCE_LLM_SINGLE, SOURCE_RULE
 from crashdeid.redact import (
     PLACEHOLDERS,
-    RedactionCollision,
     RedactionStyle,
     SurfaceNotFound,
     render,
 )
 from crashdeid.tags import (
+    AmbiguousTagging,
     PiiCategory,
     contains_delimiter_sequence,
     detag_equals,
@@ -115,7 +115,7 @@ def test_placeholder_mode_is_idempotent():
 def test_tagged_mode_refuses_delimiter_collision():
     # "@@" next to a span boundary would merge with the inserted tag.
     narrative = Narrative("n1", "ODD @@TEXT HERE")
-    with pytest.raises(RedactionCollision):
+    with pytest.raises(AmbiguousTagging):
         render(narrative, _set("n1", name=["TEXT"]), TAGGED)
 
 
