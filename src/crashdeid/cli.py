@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Progress and errors go to standard error only; narrative content is never
-printed to the terminal. All data artifacts are written to files.
+printed to the terminal. All data artifacts are written to files. ``run``,
+its ``--replay`` and ``eval`` exit 0 when every narrative was emitted, 1
+when any is listed as unprocessed, and 2 on an ``error:`` that stops the run.
 
     crashdeid run  --input corpus.jsonl --out outdir --preset hybrid_ev ...
     crashdeid run  --replay outdir/manifest.json --out newdir
@@ -21,7 +23,6 @@ from .pipeline import (
     ConfigError,
     PipelineConfig,
     replay_manifest,
-    run_eval,
     run_pipeline,
 )
 from .redact import RedactionStyle
@@ -95,58 +96,44 @@ def main(argv: list[str] | None = None) -> int:
     _add_common_flags(run_parser)
     run_parser.add_argument("--out", required=True, help="output directory")
     run_parser.add_argument("--replay", help="re-run a recorded manifest")
+    run_parser.set_defaults(report=None)
 
     eval_parser = sub.add_parser("eval", help="run and score against gold")
     _add_common_flags(eval_parser)
     eval_parser.add_argument("--report", required=True, help="report JSON path")
     eval_parser.add_argument("--out", help="also write pipeline outputs here")
+    eval_parser.set_defaults(replay=None)
 
     args = parser.parse_args(argv)
+    if not (args.input or args.replay):
+        parser.error("run requires --input (or --replay)" if args.command == "run"
+                     else "eval requires --input")
+    if args.command == "eval" and not args.gold:
+        parser.error("eval requires --gold")
     try:
-        if args.command == "run":
-            if args.replay:
-                summary = replay_manifest(args.replay, args.out)
-            else:
-                if not args.input:
-                    parser.error("run requires --input (or --replay)")
-                summary = run_pipeline(
-                    _config_from_args(args),
-                    args.input,
-                    args.out,
-                    fmt=args.format,
-                    gold_path=args.gold,
-                )
-            print(
-                f"processed {summary.counts['processed']}/"
-                f"{summary.counts['narratives']} narratives "
-                f"-> {summary.output_dir}",
-                file=sys.stderr,
+        if args.replay:
+            summary = replay_manifest(args.replay, args.out)
+        else:
+            summary = run_pipeline(
+                _config_from_args(args), args.input, args.out,
+                fmt=args.format, gold_path=args.gold, report_path=args.report,
             )
-            if summary.failed_narratives:
-                print(
-                    "unprocessed narratives: "
-                    + ", ".join(summary.failed_narratives),
-                    file=sys.stderr,
-                )
-                return 1
-            return 0
-        if not args.input:
-            parser.error("eval requires --input")
-        if not args.gold:
-            parser.error("eval requires --gold")
-        run_eval(
-            _config_from_args(args),
-            args.input,
-            args.gold,
-            args.report,
-            fmt=args.format,
-            output_dir=args.out,
-        )
-        print(f"report written to {args.report}", file=sys.stderr)
-        return 0
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    counts = summary.counts
+    target = "" if summary.output_dir is None else f" -> {summary.output_dir}"
+    print(f"processed {counts['processed']}/{counts['narratives']} narratives{target}",
+          file=sys.stderr)
+    if args.report:
+        print(f"report written to {args.report}", file=sys.stderr)
+    if summary.failed_narratives:
+        print(
+            "unprocessed narratives: " + ", ".join(summary.failed_narratives),
+            file=sys.stderr,
+        )
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

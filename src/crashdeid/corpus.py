@@ -79,7 +79,7 @@ def _infer_format(path: Path, fmt: str | None) -> str:
     return "jsonl"
 
 
-def _require_str(obj: dict, key: str, line_no: int, path: Path) -> str:
+def require_str(obj: dict, key: str, line_no: int, path: Path) -> str:
     value = obj.get(key)
     if not isinstance(value, str):
         raise MalformedRecord(
@@ -88,32 +88,47 @@ def _require_str(obj: dict, key: str, line_no: int, path: Path) -> str:
     return value
 
 
-def _read_jsonl_records(path: Path) -> Iterator[tuple[int, dict]]:
+def _not_utf8(path: Path) -> MalformedRecord:
+    """Name the line of the first byte that is not UTF-8, never the byte."""
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        data = data[: exc.start]
+    text = data.decode("utf-8")
+    line_no = 1 + text.count("\n") + text.count("\r") - text.count("\r\n")
+    return MalformedRecord(f"{path}: line {line_no}: not valid UTF-8")
+
+
+def read_jsonl_records(path: Path) -> Iterator[tuple[int, dict]]:
     """``(line_no, object)`` for each non-blank line; line numbers count from 1."""
     with path.open(encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(
-                    f"{path}: line {line_no}: invalid JSON ({exc.msg})"
-                ) from exc
-            if not isinstance(obj, dict):
-                raise MalformedRecord(
-                    f"{path}: line {line_no}: record is not an object"
-                )
-            yield line_no, obj
+        try:
+            for line_no, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise MalformedRecord(
+                        f"{path}: line {line_no}: invalid JSON ({exc.msg})"
+                    ) from exc
+                if not isinstance(obj, dict):
+                    raise MalformedRecord(
+                        f"{path}: line {line_no}: record is not an object"
+                    )
+                yield line_no, obj
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
 
 
 def _read_narratives_jsonl(path: Path) -> list[Narrative]:
     return [
         Narrative(
-            id=_require_str(obj, "id", line_no, path),
-            text=_require_str(obj, "text", line_no, path),
+            id=require_str(obj, "id", line_no, path),
+            text=require_str(obj, "text", line_no, path),
         )
-        for line_no, obj in _read_jsonl_records(path)
+        for line_no, obj in read_jsonl_records(path)
     ]
 
 
@@ -135,15 +150,17 @@ def _read_narratives_csv(path: Path) -> list[Narrative]:
             # never field content. ``DictReader.line_num`` lags a failed
             # row; its underlying reader has counted it.
             raise MalformedRecord(f"{path}: line {reader.reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
     return narratives
 
 
 def _read_gold(path: Path, by_id: dict[str, Narrative]) -> list[GoldAnnotation]:
     annotations = []
-    for line_no, obj in _read_jsonl_records(path):
-        narrative_id = _require_str(obj, "narrative_id", line_no, path)
-        raw_category = _require_str(obj, "category", line_no, path)
-        surface = _require_str(obj, "surface", line_no, path)
+    for line_no, obj in read_jsonl_records(path):
+        narrative_id = require_str(obj, "narrative_id", line_no, path)
+        raw_category = require_str(obj, "category", line_no, path)
+        surface = require_str(obj, "surface", line_no, path)
         try:
             category = PiiCategory(raw_category)
         except ValueError:

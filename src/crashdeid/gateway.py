@@ -18,7 +18,9 @@ Two backend kinds sit behind one ``complete`` call:
     ``{"key", "response"}`` where ``key`` is ``request_key(system_prompt,
     user_content, seed)``; a completion depends only on request content,
     so repeated calls are byte-identical. Including the optional seed in
-    the key lets fixtures script distinct sampled runs of one prompt.
+    the key lets fixtures script distinct sampled runs of one prompt. A
+    malformed fixture line raises ``MalformedFixture``, which fails every
+    narrative that calls the mock, as any other backend error does.
     ``fan_out`` runs inline for it: a lookup gains nothing from threads.
 """
 
@@ -36,6 +38,8 @@ from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable
 from urllib.parse import urlsplit
+
+from .corpus import MalformedRecord, read_jsonl_records, require_str
 
 DEFAULT_EXTRACTION_TEMPERATURE = 0.7
 DEFAULT_VERIFIER_TEMPERATURE = 0.0
@@ -64,6 +68,10 @@ class TransportFailure(GatewayError):
 
 class MissingFixture(GatewayError):
     """The scripted mock has no entry for this request."""
+
+
+class MalformedFixture(GatewayError):
+    """A fixture line is not a ``{"key", "response"}`` object of strings."""
 
 
 class OversizeOutput(GatewayError):
@@ -167,13 +175,13 @@ def _load_fixtures(path: str | Path) -> dict[str, str]:
         cached = _fixture_cache.get(path)
     if cached is not None and cached[0] == stamp:
         return cached[1]
-    table: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            if not line.strip():
-                continue
-            entry = json.loads(line)
-            table[entry["key"]] = entry["response"]
+    try:
+        table = {
+            require_str(entry, "key", n, path): require_str(entry, "response", n, path)
+            for n, entry in read_jsonl_records(Path(path))
+        }
+    except MalformedRecord as exc:
+        raise MalformedFixture(f"fixture file {exc}") from None
     with _fixture_lock:
         _fixture_cache[path] = (stamp, table)
     return table

@@ -6,9 +6,11 @@ configured K runs pooled on the ambiguous categories; the verifier on
 those categories), and every preset extracts through
 ``extract.hybrid_extract``.
 
-A run writes ``redacted.jsonl``, ``audit.jsonl`` (when the verifier ran)
-and ``manifest.json`` into the output directory; ``run_eval --out`` writes
-the very results it scores, through the same writer as ``run_pipeline``.
+``run_pipeline`` is the one run path of ``run``, ``eval`` and replay. It
+executes the corpus, renders every result once, and then scores and writes
+the same settled results: ``redacted.jsonl``, ``audit.jsonl`` (when the
+verifier ran) and ``manifest.json`` into the output directory, and a report
+that scores only the narratives it emits.
 ``config_snapshot`` is the one description of a run: the manifest records
 it, and replay rebuilds the config from it and refuses any manifest whose
 snapshot that config would not write back unchanged. Narratives that fail
@@ -109,6 +111,7 @@ class NarrativeResult:
     audit: list[AuditRecord] = field(default_factory=list)
     degraded: bool = False
     error: str | None = None
+    redacted: str | None = None
 
 
 def process_narrative(narrative: Narrative, config: PipelineConfig) -> NarrativeResult:
@@ -248,7 +251,8 @@ def config_from_snapshot(snapshot: dict) -> PipelineConfig:
 class RunSummary:
     failed_narratives: list[str]
     counts: dict
-    output_dir: Path
+    output_dir: Path | None
+    report: MetricsReport | None = None
 
     @property
     def ok(self) -> bool:
@@ -258,134 +262,111 @@ class RunSummary:
 def run_pipeline(
     config: PipelineConfig,
     input_path: str | Path,
-    output_dir: str | Path,
+    output_dir: str | Path | None,
     fmt: str | None = None,
     gold_path: str | Path | None = None,
+    report_path: str | Path | None = None,
 ) -> RunSummary:
-    """Process the corpus and write redacted output, audit log and manifest."""
+    """Process the corpus, score it when ``report_path`` is set (JSON there,
+    text beside it as ``.txt``) and write the outputs when ``output_dir`` is.
+    The report covers emitted narratives only: a failed one has no predictions.
+    """
     started = time.monotonic()
     corpus = load_corpus(input_path, fmt=fmt, gold_path=gold_path)
     results = execute(corpus, config)
-    return _write_outputs(
-        config, results, output_dir, started, input_path, fmt, gold_path
+    # Settle on this thread, in input order: a text the writer refuses
+    # fails its narrative, so ``redacted`` is set exactly when ``error`` is not.
+    for result in results:
+        if result.error is None:
+            try:
+                result.redacted = render(result.narrative, result.final, config.output_style)
+            except (AmbiguousTagging, SurfaceNotFound) as exc:
+                result.error = f"{type(exc).__name__}: {exc}"
+    emitted = [result for result in results if result.error is None]
+    summary = RunSummary(
+        failed_narratives=[r.narrative.id for r in results if r.error is not None],
+        counts=_counts(results, emitted),
+        output_dir=None if output_dir is None else Path(output_dir),
     )
+    if report_path is not None:
+        predictions = {r.narrative.id: r.final for r in emitted}
+        summary.report = build_report(corpus.gold, predictions, corpus, config.preset)
+        report_path = Path(report_path)
+        write_report(summary.report, report_path, report_path.with_suffix(".txt"))
+    if summary.output_dir is not None:
+        snapshot = config_snapshot(config, input_path, fmt, gold_path)
+        _write_outputs(config, emitted, summary, snapshot, started)
+    return summary
+
+
+_DECISIONS = {"KEEP": "kept", "DROP": "dropped"}
+
+
+def _counts(results: list[NarrativeResult], emitted: list[NarrativeResult]) -> dict:
+    candidates_by_category = {c.value: 0 for c in PiiCategory}
+    decisions = {"kept": 0, "dropped": 0, "uncertain": 0}
+    for result in emitted:
+        for category in PiiCategory:
+            candidates_by_category[category.value] += len(result.final.candidates(category))
+        for record in result.audit:
+            decisions[_DECISIONS.get(record.review.decision, "uncertain")] += 1
+    return {
+        "narratives": len(results),
+        "processed": len(emitted),
+        "failed": len(results) - len(emitted),
+        "degraded": sum(result.degraded for result in emitted),
+        "candidates_by_category": candidates_by_category,
+        **decisions,
+    }
 
 
 def _write_outputs(
     config: PipelineConfig,
-    results: list[NarrativeResult],
-    output_dir: str | Path,
+    emitted: list[NarrativeResult],
+    summary: RunSummary,
+    snapshot: dict,
     started: float,
-    input_path: str | Path,
-    fmt: str | None,
-    gold_path: str | Path | None,
-) -> RunSummary:
-    """Render the results and write redacted output, audit log and manifest.
+) -> None:
+    """Write the emitted results, their audit log and the run's manifest.
 
-    A narrative whose rendering fails gets its ``error`` set and is listed
-    as failed. The audit log is written for presets with a verifier and
-    removed otherwise, so no earlier run's log outlives its manifest.
+    The audit log is written for presets with a verifier and removed
+    otherwise, so no earlier run's log outlives its manifest.
     """
-    output_dir = Path(output_dir)
+    output_dir = summary.output_dir
     output_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    audit: list[AuditRecord] = []
-    failed: list[str] = []
-    candidates_by_category = {c.value: 0 for c in PiiCategory}
-    decisions = {"kept": 0, "dropped": 0, "uncertain": 0}
-    degraded = 0
-    for result in results:
-        if result.error is not None or result.final is None:
-            failed.append(result.narrative.id)
-            continue
-        try:
-            redacted = render(result.narrative, result.final, config.output_style)
-        except (AmbiguousTagging, SurfaceNotFound) as exc:
-            result.error = f"{type(exc).__name__}: {exc}"
-            failed.append(result.narrative.id)
-            continue
-        rows.append((result.narrative.id, redacted, result.final.total() > 0))
-        for category in PiiCategory:
-            candidates_by_category[category.value] += len(
-                result.final.candidates(category)
-            )
-        audit.extend(result.audit)
-        degraded += int(result.degraded)
-    for record in audit:
-        if record.review.decision == "KEEP":
-            decisions["kept"] += 1
-        elif record.review.decision == "DROP":
-            decisions["dropped"] += 1
-        else:
-            decisions["uncertain"] += 1
-
-    write_redacted(output_dir / "redacted.jsonl", rows)
+    write_redacted(
+        output_dir / "redacted.jsonl",
+        [(r.narrative.id, r.redacted, r.final.total() > 0) for r in emitted],
+    )
     audit_path = output_dir / "audit.jsonl"
     audit_path.unlink(missing_ok=True)
     if PRESETS[config.preset].verify:
-        write_audit_log(audit_path, audit)
-
-    counts = {
-        "narratives": len(results),
-        "processed": len(rows),
-        "failed": len(failed),
-        "degraded": degraded,
-        "candidates_by_category": candidates_by_category,
-        **decisions,
-    }
+        write_audit_log(audit_path, [record for r in emitted for record in r.audit])
     manifest = {
         "tool": "crashdeid",
         "version": __version__,
-        "config": config_snapshot(config, input_path, fmt, gold_path),
-        "counts": counts,
-        "failed_narratives": failed,
+        "config": snapshot,
+        "counts": summary.counts,
+        "failed_narratives": summary.failed_narratives,
         "wall_time_s": 0.0 if config.mask_timestamps else time.monotonic() - started,
         "started_at": MASKED_TIMESTAMP if config.mask_timestamps else rfc3339_now(),
     }
     (output_dir / "manifest.json").write_text(
         json.dumps(manifest, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
     )
-    return RunSummary(failed_narratives=failed, counts=counts, output_dir=output_dir)
 
 
 def replay_manifest(manifest_path: str | Path, output_dir: str | Path) -> RunSummary:
     """Re-run a recorded manifest; outputs are reproduced byte-for-byte."""
-    manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
-    snapshot = manifest.get("config") if isinstance(manifest, dict) else None
-    config = config_from_snapshot(snapshot)
+    path = Path(manifest_path)
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        snapshot = manifest.get("config") if isinstance(manifest, dict) else None
+        config = config_from_snapshot(snapshot)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    except ValueError:
+        raise ConfigError(f"{path}: manifest is not UTF-8 JSON") from None
     return run_pipeline(
-        config,
-        snapshot["input"],
-        output_dir,
-        fmt=snapshot["format"],
-        gold_path=snapshot["gold"],
+        config, snapshot["input"], output_dir, fmt=snapshot["format"], gold_path=snapshot["gold"]
     )
-
-
-def run_eval(
-    config: PipelineConfig,
-    input_path: str | Path,
-    gold_path: str | Path,
-    report_path: str | Path,
-    fmt: str | None = None,
-    output_dir: str | Path | None = None,
-) -> MetricsReport:
-    """Run the pipeline and score it against gold; writes JSON + text reports.
-
-    With ``output_dir`` set, the scored results are also written there,
-    exactly as ``run_pipeline`` writes them.
-    """
-    started = time.monotonic()
-    corpus = load_corpus(input_path, fmt=fmt, gold_path=gold_path)
-    results = execute(corpus, config)
-    predictions = {
-        r.narrative.id: r.final for r in results if r.final is not None
-    }
-    report = build_report(corpus.gold, predictions, corpus, config.preset)
-    report_path = Path(report_path)
-    write_report(report, report_path, report_path.with_suffix(".txt"))
-    if output_dir is not None:
-        _write_outputs(
-            config, results, output_dir, started, input_path, fmt, gold_path
-        )
-    return report

@@ -22,6 +22,19 @@ from crashdeid.verify import AuditRecord, VerifierReview, repair_user_content
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
 
+#: Fixture lines that are not ``{"key", "response"}`` objects of strings,
+#: each holding a canary that must not reach the error message.
+MALFORMED_FIXTURE_LINES = {
+    "invalid-json": b'{"key": "k", "response": "CANARY-7Q',
+    "not-an-object": b'["CANARY-7Q"]',
+    "missing-key": b'{"response": "CANARY-7Q"}',
+    "missing-response": b'{"key": "CANARY-7Q"}',
+    "key-not-a-string": b'{"key": 7, "response": "CANARY-7Q"}',
+    "response-not-a-string": b'{"key": "k", "response": ["CANARY-7Q"]}',
+    "not-utf8": '{"key": "k", "response": "CANARY-7Q CAFÉ"}'.encode("latin-1"),
+}
+
+
 def extraction_entries(
     narrative_text: str, responses_by_seed: dict[int | None, str]
 ) -> list[dict[str, str]]:

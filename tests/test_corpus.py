@@ -94,6 +94,39 @@ def test_csv_field_over_the_csv_module_limit_is_a_malformed_record(tmp_path):
     assert text[:100] not in str(err.value)
 
 
+#: Latin-1 bytes for "CAFÉ": 0xc9 is not valid UTF-8 after "CAF".
+LATIN1 = "CAFÉ".encode("latin-1")
+
+
+@pytest.mark.parametrize(
+    "name, content, line",
+    [
+        ("c.jsonl", b'{"id": "n1", "text": "OK"}\n\n{"id": "n2", "text": "' + LATIN1 + b'"}\n', 3),
+        ("c.csv", b'id,text\r\nn1,"A\r\nB"\r\nn2,' + LATIN1 + b"\r\n", 4),
+        ("c.csv", b"id,text\rn1,OK\rn2," + LATIN1 + b"\r", 3),
+    ],
+    ids=["jsonl", "csv-crlf", "csv-cr"],
+)
+def test_corpus_not_utf8_names_the_line_and_no_byte(tmp_path, name, content, line):
+    path = tmp_path / name
+    path.write_bytes(content)
+    with pytest.raises(MalformedRecord) as err:
+        load_corpus(path)
+    assert str(err.value) == f"{path}: line {line}: not valid UTF-8"
+
+
+def test_gold_not_utf8_names_the_line_and_no_byte(tmp_path):
+    path = write_corpus_jsonl(tmp_path / "c.jsonl", [{"id": "n1", "text": "CAFE"}])
+    gold = tmp_path / "g.jsonl"
+    good = json.dumps({"narrative_id": "n1", "category": "name", "surface": "CAFE"})
+    gold.write_bytes(
+        good.encode() + b"\n" + good.encode().replace(b"CAFE", LATIN1) + b"\n"
+    )
+    with pytest.raises(MalformedRecord) as err:
+        load_corpus(path, gold_path=gold)
+    assert str(err.value) == f"{gold}: line 2: not valid UTF-8"
+
+
 def test_gold_errors(tmp_path):
     path = write_corpus_jsonl(tmp_path / "c.jsonl", [{"id": "n1", "text": "ABC"}])
     gold = tmp_path / "g.jsonl"

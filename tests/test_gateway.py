@@ -15,6 +15,7 @@ from crashdeid.gateway import (
     BackendConfig,
     ChatRequest,
     EmptyCandidateString,
+    MalformedFixture,
     MissingFixture,
     OversizeOutput,
     TransportFailure,
@@ -26,7 +27,7 @@ from crashdeid.gateway import (
     write_fixture_file,
 )
 
-from conftest import http_probe
+from conftest import MALFORMED_FIXTURE_LINES, http_probe
 
 
 def test_chat_request_validation():
@@ -83,6 +84,19 @@ def test_mock_missing_entry(tmp_path):
     config = BackendConfig(kind="scripted_mock", fixture_path=path)
     with pytest.raises(MissingFixture):
         complete(build_extraction_prompt("X"), config)
+
+
+@pytest.mark.parametrize("line", MALFORMED_FIXTURE_LINES.values(), ids=MALFORMED_FIXTURE_LINES)
+def test_mock_malformed_fixture_line_names_file_and_line(tmp_path, line):
+    request = build_extraction_prompt("N")
+    path = tmp_path / "fx.jsonl"
+    write_fixture_file(path, [fixture_entry(request, "N")])
+    path.write_bytes(path.read_bytes() + b"\n" + line + b"\n")
+    config = BackendConfig(kind="scripted_mock", fixture_path=path)
+    with pytest.raises(MalformedFixture) as err:
+        complete(request, config)
+    assert str(err.value).startswith(f"fixture file {path}: line 3: ")
+    assert "CANARY" not in str(err.value) and "0xc9" not in str(err.value)
 
 
 def test_mock_oversize_output(tmp_path):

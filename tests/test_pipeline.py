@@ -22,6 +22,7 @@ from crashdeid.redact import RedactionStyle
 from crashdeid.verify import VerifierPolicy
 
 from conftest import (
+    MALFORMED_FIXTURE_LINES,
     extraction_entries,
     read_audit_log,
     review_obj,
@@ -794,7 +795,6 @@ def test_eval_two_presets_ablation_against_hand_counts(tmp_path):
     backend = BackendConfig(kind="scripted_mock", fixture_path=fixtures)
 
     from crashdeid.evalkit import ablation_table
-    from crashdeid.pipeline import run_eval
 
     reports = []
     for preset in ("hybrid", "hybrid_ev"):
@@ -806,7 +806,10 @@ def test_eval_two_presets_ablation_against_hand_counts(tmp_path):
             seed=0,
         )
         reports.append(
-            run_eval(config, corpus, gold_path, tmp_path / f"{preset}.json")
+            run_pipeline(
+                config, corpus, None,
+                gold_path=gold_path, report_path=tmp_path / f"{preset}.json",
+            ).report
         )
     # Hand-computed: without the verifier each category carries one false
     # positive; the verifier drops exactly those.
@@ -886,3 +889,137 @@ def test_cli_eval_out_scores_what_run_writes(tmp_path, monkeypatch):
     # Writing the outputs does not change what is scored.
     assert main(["eval", "--report", str(tmp_path / "b.json")] + eval_flags) == 0
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+@pytest.mark.parametrize("line", MALFORMED_FIXTURE_LINES.values(), ids=MALFORMED_FIXTURE_LINES)
+def test_cli_malformed_mock_fixture_fails_each_narrative(tmp_path, capsys, line):
+    corpus = write_corpus_jsonl(
+        tmp_path / "c.jsonl",
+        [{"id": "n1", "text": FIG_TEXT}, {"id": "n2", "text": ""}],
+    )
+    # The entries n1 needs are all there; the malformed line still refuses
+    # the whole file.
+    fixtures = write_fixture(tmp_path / "fx.jsonl", fig_fixture_entries(seed=0, k=5))
+    fixtures.write_bytes(fixtures.read_bytes() + line + b"\n")
+    out = tmp_path / "out"
+    code = main(
+        ["run", "--input", str(corpus), "--out", str(out), "--preset", "hybrid_ev",
+         "--mock-fixtures", str(fixtures), "--seed", "0", "--mask-timestamps"]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"processed 1/2 narratives -> {out}\nunprocessed narratives: n1\n"
+    manifest = (out / "manifest.json").read_text(encoding="utf-8")
+    assert json.loads(manifest)["failed_narratives"] == ["n1"]
+    assert "CANARY" not in manifest
+    rows = (out / "redacted.jsonl").read_text().splitlines()
+    assert [json.loads(row)["id"] for row in rows] == ["n2"]
+
+
+@pytest.mark.parametrize("broken", ["corpus-jsonl", "corpus-csv", "gold"])
+@pytest.mark.parametrize("command", ["run", "eval"])
+def test_cli_input_not_utf8_exits_2_naming_file_and_line(tmp_path, capsys, command, broken):
+    latin1 = "CAFÉ".encode("latin-1")
+    corpus = write_corpus_jsonl(tmp_path / "c.jsonl", [{"id": "n1", "text": "CAFE"}])
+    gold = tmp_path / "g.jsonl"
+    gold.write_text("", encoding="utf-8")
+    if broken == "corpus-jsonl":
+        bad = corpus
+        bad.write_bytes(bad.read_bytes() + b'{"id": "n2", "text": "' + latin1 + b'"}\n')
+    elif broken == "corpus-csv":
+        bad = corpus = tmp_path / "c.csv"
+        bad.write_bytes(b"id,text\nn1,CAFE\nn2," + latin1 + b"\n")
+    else:
+        bad = gold
+        record = {"narrative_id": "n1", "category": "name", "surface": "CAFE"}
+        bad.write_bytes(json.dumps(record).encode().replace(b"CAFE", latin1) + b"\n")
+    out = tmp_path / "out"
+    flags = ["--input", str(corpus), "--gold", str(gold), "--preset", "rules_only"]
+    if command == "run":
+        flags += ["--out", str(out)]
+    else:
+        flags += ["--report", str(tmp_path / "r.json")]
+    assert main([command] + flags) == 2
+    line = 1 if broken == "gold" else 2 + (broken == "corpus-csv")
+    assert capsys.readouterr().err == f"error: {bad}: line {line}: not valid UTF-8\n"
+    assert not out.exists() and not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"{'config': {}}\n", b"", b'{"config": "CAF\xc9"}\n'],
+    ids=["not-json", "empty", "not-utf8"],
+)
+def test_cli_replay_of_unreadable_manifest_names_it(tmp_path, capsys, content):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_bytes(content)
+    replayed = tmp_path / "replayed"
+    assert main(["run", "--replay", str(manifest), "--out", str(replayed)]) == 2
+    assert capsys.readouterr().err == f"error: {manifest}: manifest is not UTF-8 JSON\n"
+    assert not replayed.exists()
+
+
+PHONE_TEXT = "NOTE ^^^ CALL 608-555-1234 TODAY"
+EMAIL_TEXT = "EMAILED jsmith@gmail.com TODAY"
+
+
+@pytest.mark.parametrize("mode", ["tagged", "placeholder"])
+@pytest.mark.parametrize("preset", list(PRESETS))
+def test_eval_scores_exactly_what_run_writes(tmp_path, capsys, preset, mode):
+    rows = [
+        {"id": "n1", "text": PHONE_TEXT},  # holds a tag delimiter
+        {"id": "n2", "text": FIG_TEXT},
+        {"id": "n3", "text": EMAIL_TEXT},
+    ]
+    corpus = write_corpus_jsonl(tmp_path / "c.jsonl", rows)
+    gold = tmp_path / "gold.jsonl"
+    gold.write_text(
+        json.dumps({"narrative_id": "n1", "category": "phone", "surface": "608-555-1234"})
+        + "\n"
+        + json.dumps({"narrative_id": "n3", "category": "email", "surface": "jsmith@gmail.com"})
+        + "\n",
+        encoding="utf-8",
+    )
+    entries = fig_fixture_entries(seed=0, k=5)
+    entries += extraction_entries(EMAIL_TEXT, {s: EMAIL_TEXT for s in range(5)})
+    fixtures = write_fixture(tmp_path / "fx.jsonl", entries)
+    flags = [
+        "--input", str(corpus), "--gold", str(gold), "--preset", preset,
+        "--redaction", mode, "--mock-fixtures", str(fixtures), "--seed", "0",
+        "--mask-timestamps",
+    ]
+    run_code = main(["run", "--out", str(tmp_path / "A")] + flags)
+    run_err = capsys.readouterr().err
+    eval_code = main(
+        ["eval", "--out", str(tmp_path / "B"), "--report", str(tmp_path / "r1.json")] + flags
+    )
+    eval_err = capsys.readouterr().err
+    assert main(["eval", "--report", str(tmp_path / "r2.json")] + flags) == eval_code
+
+    assert eval_code == run_code
+    for name in ("redacted.jsonl", "audit.jsonl", "manifest.json"):
+        a, b = tmp_path / "A" / name, tmp_path / "B" / name
+        assert a.exists() == b.exists()
+        assert not a.exists() or a.read_bytes() == b.read_bytes(), name
+    for suffix in (".json", ".txt"):
+        assert (tmp_path / f"r1{suffix}").read_bytes() == (tmp_path / f"r2{suffix}").read_bytes()
+
+    failed = json.loads((tmp_path / "A" / "manifest.json").read_text())["failed_narratives"]
+    emitted = {
+        json.loads(line)["id"]
+        for line in (tmp_path / "A" / "redacted.jsonl").read_text().splitlines()
+    }
+    assert emitted | set(failed) == {"n1", "n2", "n3"}
+    assert run_code == (1 if failed else 0)
+    processed = f"processed {len(emitted)}/3 narratives -> {tmp_path}"
+    unprocessed = f"unprocessed narratives: {', '.join(failed)}\n" if failed else ""
+    assert run_err == f"{processed}/A\n" + unprocessed
+    assert eval_err == f"{processed}/B\nreport written to {tmp_path}/r1.json\n" + unprocessed
+    report = {
+        row["category"]: row for row in json.loads((tmp_path / "r1.json").read_text())["per_type"]
+    }
+    phone = report["phone"]
+    assert (phone["tp"], phone["fn"]) == ((1, 0) if "n1" in emitted else (0, 1))
+    if (preset, mode) == ("rules_only", "tagged"):
+        assert "n1" not in emitted and eval_code == 1
+        assert "unprocessed narratives: n1\n" in eval_err
