@@ -210,11 +210,10 @@ def load_corpus(
 
 
 def write_audit_log(path: str | Path, records: Iterable["AuditRecord"]) -> None:
-    """Append audit records as JSONL; serialization is deterministic so the
-    same records always append the same bytes."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("a", encoding="utf-8") as handle:
+    """Write audit records as JSONL, replacing any earlier file; the
+    serialization is deterministic, so the same records always give the
+    same bytes."""
+    with Path(path).open("w", encoding="utf-8") as handle:
         for record in records:
             handle.write(record.to_json_line() + "\n")
 

@@ -68,12 +68,12 @@ class Candidate:
     surface: str
     source: str
     run_votes: int = 1
-    first_offset: int = -1
 
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Per-narrative candidates, one deduplicated list per category."""
+    """Per-narrative candidates, one deduplicated list of non-empty
+    surfaces per category."""
 
     narrative_id: str
     by_category: dict[PiiCategory, tuple[Candidate, ...]] = field(default_factory=dict)
@@ -84,6 +84,10 @@ class CandidateSet:
         for category, candidates in self.by_category.items():
             seen: set[str] = set()
             for candidate in candidates:
+                if not candidate.surface:
+                    raise ValueError(
+                        f"empty {category.value} surface in narrative {self.narrative_id!r}"
+                    )
                 if category in RULE_CATEGORIES and candidate.source not in _RULE_SOURCES:
                     raise ResponsibilitySplitViolation(
                         f"{category.value} candidate {candidate.surface!r} "
@@ -169,17 +173,10 @@ def _candidates_from_votes(
     votes: dict[str, int],
     source: str,
 ) -> tuple[Candidate, ...]:
-    candidates = [
-        Candidate(
-            surface=surface,
-            source=source,
-            run_votes=count,
-            first_offset=narrative.text.find(surface),
-        )
-        for surface, count in votes.items()
-    ]
-    candidates.sort(key=lambda c: (c.first_offset, c.surface))
-    return tuple(candidates)
+    """Candidates in order of first occurrence, ties by surface; verifier
+    prompts list them in this order."""
+    ordered = sorted(votes, key=lambda surface: (narrative.text.find(surface), surface))
+    return tuple(Candidate(surface, source, votes[surface]) for surface in ordered)
 
 
 def extract_ensemble(
@@ -249,14 +246,7 @@ def rule_candidates(text: str) -> dict[PiiCategory, tuple[Candidate, ...]]:
             if match.span.surface in seen:
                 continue
             seen.add(match.span.surface)
-            candidates.append(
-                Candidate(
-                    surface=match.span.surface,
-                    source=SOURCE_RULE,
-                    run_votes=1,
-                    first_offset=match.span.start,
-                )
-            )
+            candidates.append(Candidate(match.span.surface, SOURCE_RULE))
         out[category] = tuple(candidates)
     return out
 

@@ -20,7 +20,9 @@ Two backend kinds sit behind one ``complete`` call:
     so repeated calls are byte-identical. Including the optional seed in
     the key lets fixtures script distinct sampled runs of one prompt. A
     malformed fixture line raises ``MalformedFixture``, which fails every
-    narrative that calls the mock, as any other backend error does.
+    narrative that calls the mock, as any other backend error does. The
+    file is read once per ``BackendConfig``, at its first call, and its
+    table or error is kept: an edited file needs a new config.
     ``fan_out`` runs inline for it: a lookup gains nothing from threads.
 """
 
@@ -29,7 +31,6 @@ from __future__ import annotations
 import hashlib
 import http.client
 import json
-import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -43,7 +44,8 @@ from .corpus import MalformedRecord, read_jsonl_records, require_str
 
 DEFAULT_EXTRACTION_TEMPERATURE = 0.7
 DEFAULT_VERIFIER_TEMPERATURE = 0.0
-DEFAULT_MAX_OUTPUT_CHARS = 65536
+#: Longest completion accepted; a longer one raises ``OversizeOutput``.
+MAX_OUTPUT_CHARS = 65536
 
 _BACKOFF_BASE_SECONDS = 0.25
 
@@ -75,7 +77,7 @@ class MalformedFixture(GatewayError):
 
 
 class OversizeOutput(GatewayError):
-    """The completion exceeds the request's output budget."""
+    """The completion exceeds ``MAX_OUTPUT_CHARS``."""
 
 
 class EmptyCandidateString(ValueError):
@@ -88,21 +90,17 @@ class ChatRequest:
     user_content: str
     temperature: float = 0.0
     seed: int | None = None
-    max_output_chars: int = DEFAULT_MAX_OUTPUT_CHARS
 
     def __post_init__(self) -> None:
         if not self.system_prompt or not self.user_content:
             raise ValueError("system_prompt and user_content must be non-empty")
         if self.temperature < 0:
             raise ValueError("temperature must be non-negative")
-        if self.max_output_chars <= 0:
-            raise ValueError("max_output_chars must be positive")
 
 
 @dataclass(frozen=True)
 class ChatResponse:
     text: str
-    backend_id: str
     latency: float
 
 
@@ -137,6 +135,19 @@ class BackendConfig:
         model = self.model_name or "default"
         return f"http:{model}@{self.endpoint_url}"
 
+    @cached_property
+    def fixtures(self) -> dict[str, str] | str:
+        """The scripted mock's table of key -> response, or the
+        ``MalformedFixture`` message when the file is malformed."""
+        path = Path(self.fixture_path)
+        try:
+            return {
+                require_str(entry, "key", n, path): require_str(entry, "response", n, path)
+                for n, entry in read_jsonl_records(path)
+            }
+        except MalformedRecord as exc:
+            return f"fixture file {exc}"
+
 
 def request_key(system_prompt: str, user_content: str, seed: int | None = None) -> str:
     """Content hash identifying a request in mock fixture files."""
@@ -159,32 +170,6 @@ def write_fixture_file(path: str | Path, entries: Iterable[dict[str, str]]) -> N
     with Path(path).open("w", encoding="utf-8") as handle:
         for entry in entries:
             handle.write(json.dumps(entry, ensure_ascii=False) + "\n")
-
-
-#: Absolute fixture path -> (stat stamp, table); one entry per path, so an
-#: edited file replaces its table.
-_fixture_cache: dict[str, tuple[tuple[int, int], dict[str, str]]] = {}
-_fixture_lock = threading.Lock()
-
-
-def _load_fixtures(path: str | Path) -> dict[str, str]:
-    path = os.path.abspath(path)
-    status = os.stat(path)
-    stamp = (status.st_mtime_ns, status.st_size)
-    with _fixture_lock:
-        cached = _fixture_cache.get(path)
-    if cached is not None and cached[0] == stamp:
-        return cached[1]
-    try:
-        table = {
-            require_str(entry, "key", n, path): require_str(entry, "response", n, path)
-            for n, entry in read_jsonl_records(Path(path))
-        }
-    except MalformedRecord as exc:
-        raise MalformedFixture(f"fixture file {exc}") from None
-    with _fixture_lock:
-        _fixture_cache[path] = (stamp, table)
-    return table
 
 
 _pool = ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT, thread_name_prefix="crashdeid-backend")
@@ -267,7 +252,9 @@ def complete(request: ChatRequest, config: BackendConfig) -> ChatResponse:
     started = time.monotonic()
     if config.kind == "scripted_mock":
         key = request_key(request.system_prompt, request.user_content, request.seed)
-        table = _load_fixtures(config.fixture_path)
+        table = config.fixtures
+        if isinstance(table, str):
+            raise MalformedFixture(table)
         if key not in table:
             raise MissingFixture(
                 f"no fixture entry for request key {key} in {config.fixture_path}"
@@ -275,16 +262,11 @@ def complete(request: ChatRequest, config: BackendConfig) -> ChatResponse:
         text = table[key]
     else:
         text = _complete_http(request, config)
-    if len(text) > request.max_output_chars:
+    if len(text) > MAX_OUTPUT_CHARS:
         raise OversizeOutput(
-            f"completion of {len(text)} chars exceeds limit "
-            f"{request.max_output_chars}"
+            f"completion of {len(text)} chars exceeds limit {MAX_OUTPUT_CHARS}"
         )
-    return ChatResponse(
-        text=text,
-        backend_id=config.backend_id,
-        latency=time.monotonic() - started,
-    )
+    return ChatResponse(text=text, latency=time.monotonic() - started)
 
 
 EXTRACTION_SYSTEM_PROMPT = """\

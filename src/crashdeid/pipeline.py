@@ -102,6 +102,9 @@ class PipelineConfig:
             object.__setattr__(self, "policy", None)
         if not stages.ensemble:
             object.__setattr__(self, "ensemble", EnsembleConfig(k_runs=1))
+        if self.verifier_backend == self.extractor_backend:
+            # One object for both roles, so a fixture file is read once.
+            object.__setattr__(self, "verifier_backend", self.extractor_backend)
 
 
 @dataclass
@@ -339,9 +342,10 @@ def _write_outputs(
         [(r.narrative.id, r.redacted, r.final.total() > 0) for r in emitted],
     )
     audit_path = output_dir / "audit.jsonl"
-    audit_path.unlink(missing_ok=True)
     if PRESETS[config.preset].verify:
         write_audit_log(audit_path, [record for r in emitted for record in r.audit])
+    else:
+        audit_path.unlink(missing_ok=True)
     manifest = {
         "tool": "crashdeid",
         "version": __version__,

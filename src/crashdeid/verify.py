@@ -213,18 +213,16 @@ DEMOTION_NOTE = "[demoted: evidence not found verbatim in narrative]"
 
 def check_evidence(review: VerifierReview, narrative_text: str) -> VerifierReview:
     """Enforce verbatim evidence; violations demote to UNCERTAIN, never fail."""
-    if review.decision in (KEEP, DROP):
-        if review.evidence and review.evidence in narrative_text:
-            return review
-        return VerifierReview(
-            text=review.text,
-            decision=UNCERTAIN,
-            reason=f"{review.reason} {DEMOTION_NOTE}".strip(),
-            evidence="",
-        )
-    if review.evidence:
-        return replace(review, evidence="")
-    return review
+    if review.decision not in (KEEP, DROP) or (
+        review.evidence and review.evidence in narrative_text
+    ):
+        return review
+    return VerifierReview(
+        text=review.text,
+        decision=UNCERTAIN,
+        reason=f"{review.reason} {DEMOTION_NOTE}".strip(),
+        evidence="",
+    )
 
 
 def final_action(decision: str, policy: VerifierPolicy) -> str:
@@ -242,16 +240,15 @@ def apply_policy(
     candidates: CandidateSet,
     policy: VerifierPolicy,
     *,
-    backend_id: str = "",
-    timestamp: str = "",
-    policy_applied: str | None = None,
+    label: str,
+    backend_id: str,
+    timestamp: str,
 ) -> tuple[CandidateSet, list[AuditRecord]]:
     """Materialize reviews: DROP removes, KEEP retains, UNCERTAIN per policy.
 
     Name/phone/email candidates pass through untouched. Emits one audit
-    record per reviewed candidate.
+    record per reviewed candidate, recording ``label`` as ``policy_applied``.
     """
-    label = policy_applied if policy_applied is not None else policy.value
     final_by_category = dict(candidates.by_category)
     audit: list[AuditRecord] = []
     for category in AMBIGUOUS_CATEGORIES:
@@ -320,7 +317,7 @@ def verify_candidates(
 
     base = gateway.build_verifier_prompt(narrative.text, *surfaces)
     request = base
-    failure: str | None = None
+    reviews: VerifierOutput | None = None
     for _ in range(MAX_REPAIR_ATTEMPTS + 1):
         try:
             response = gateway.complete(request, backend)
@@ -335,30 +332,25 @@ def verify_candidates(
                 base, user_content=repair_user_content(base.user_content, str(exc))
             )
             continue
-        checked = {
-            category: tuple(check_evidence(r, narrative.text) for r in reviews)
-            for category, reviews in output.items()
+        reviews = {
+            category: tuple(check_evidence(r, narrative.text) for r in category_reviews)
+            for category, category_reviews in output.items()
         }
-        final, audit = apply_policy(
-            checked,
-            candidates,
-            policy,
-            backend_id=response.backend_id,
-            timestamp=timestamp_fn(),
-        )
-        return VerificationResult(final, audit, False)
+        break
 
-    reason = f"verifier unavailable or output unrecoverable: {failure}"
-    fallback = {
-        category: tuple(VerifierReview(s, UNCERTAIN, reason, "") for s in reviewed)
-        for category, reviewed in zip(AMBIGUOUS_CATEGORIES, surfaces)
-    }
+    degraded = reviews is None
+    if degraded:
+        reason = f"verifier unavailable or output unrecoverable: {failure}"
+        reviews = {
+            category: tuple(VerifierReview(s, UNCERTAIN, reason, "") for s in reviewed)
+            for category, reviewed in zip(AMBIGUOUS_CATEGORIES, surfaces)
+        }
     final, audit = apply_policy(
-        fallback,
+        reviews,
         candidates,
         policy,
+        label=f"{policy.value}+uncertain_fallback" if degraded else policy.value,
         backend_id=backend.backend_id,
         timestamp=timestamp_fn(),
-        policy_applied=f"{policy.value}+uncertain_fallback",
     )
-    return VerificationResult(final, audit, True)
+    return VerificationResult(final, audit, degraded)

@@ -252,6 +252,6 @@ def test_audit_log_round_trip_and_deterministic_bytes(tmp_path):
     write_audit_log(second, records)
     assert read_audit_log(first) == records
     assert first.read_bytes() == second.read_bytes()
-    # Appending is additive and keeps the serialized form bit-stable.
+    # Writing again replaces the file with the same bytes.
     write_audit_log(first, records)
-    assert first.read_bytes() == second.read_bytes() * 2
+    assert first.read_bytes() == second.read_bytes()

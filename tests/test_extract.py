@@ -55,6 +55,12 @@ def test_candidate_set_rejects_duplicate_surfaces():
         )
 
 
+def test_candidate_set_rejects_empty_surface():
+    # An empty surface occurs everywhere: render would claim it forever.
+    with pytest.raises(ValueError, match="empty name surface in narrative 'a'"):
+        CandidateSet("a", {PiiCategory.NAME: (Candidate("", SOURCE_LLM_SINGLE),)})
+
+
 def test_single_run_parses_name(tmp_path):
     narrative = Narrative("n1", "UNIT 1 DRIVER JOHN SMITH FLED")
     backend = mock_backend(
@@ -368,9 +374,7 @@ def test_rule_candidates_dedupe_and_offsets():
     text = "CALL 608-733-8366 OR 608-733-8366 OR jsmith@gmail.com"
     out = rule_candidates(text)
     phones = out[PiiCategory.PHONE]
-    assert [(c.surface, c.run_votes, c.first_offset) for c in phones] == [
-        ("608-733-8366", 1, 5)
-    ]
+    assert [(c.surface, c.run_votes) for c in phones] == [("608-733-8366", 1)]
     assert out[PiiCategory.EMAIL][0].surface == "jsmith@gmail.com"
     assert all(c.source == SOURCE_RULE for c in phones)
 

@@ -11,6 +11,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from crashdeid import gateway
+from crashdeid.corpus import read_jsonl_records
 from crashdeid.gateway import (
     BackendConfig,
     ChatRequest,
@@ -67,7 +68,7 @@ def test_mock_lookup_returns_scripted_text(tmp_path):
     config = BackendConfig(kind="scripted_mock", fixture_path=path)
     response = complete(request, config)
     assert response.text == "DRIVER @@@JOHN SMITH@@@ FLED"
-    assert response.backend_id == "mock:fx.jsonl"
+    assert config.backend_id == "mock:fx.jsonl"
 
 
 def test_mock_is_deterministic(tmp_path):
@@ -100,30 +101,48 @@ def test_mock_malformed_fixture_line_names_file_and_line(tmp_path, line):
 
 
 def test_mock_oversize_output(tmp_path):
-    request = ChatRequest(
-        system_prompt="s", user_content="u", max_output_chars=5
-    )
+    request = ChatRequest(system_prompt="s", user_content="u")
+    longest = ChatRequest(system_prompt="s", user_content="v")
     path = tmp_path / "fx.jsonl"
-    write_fixture_file(path, [fixture_entry(request, "MORE THAN FIVE CHARS")])
+    write_fixture_file(path, [
+        fixture_entry(request, "x" * (gateway.MAX_OUTPUT_CHARS + 1)),
+        fixture_entry(longest, "x" * gateway.MAX_OUTPUT_CHARS),
+    ])
     config = BackendConfig(kind="scripted_mock", fixture_path=path)
     with pytest.raises(OversizeOutput):
         complete(request, config)
+    assert len(complete(longest, config).text) == gateway.MAX_OUTPUT_CHARS
 
 
-def test_mock_reloads_when_fixture_changes(tmp_path):
+def test_fixture_file_is_read_once_per_backend(tmp_path, monkeypatch):
+    reads = []
+
+    def counting_read(path):
+        reads.append(path)
+        return read_jsonl_records(path)
+
+    monkeypatch.setattr(gateway, "read_jsonl_records", counting_read)
     request = build_extraction_prompt("N")
     path = tmp_path / "fx.jsonl"
-    write_fixture_file(path, [fixture_entry(request, "FIRST")])
+    write_fixture_file(path, [fixture_entry(request, "N")])
+    path.write_bytes(path.read_bytes() + b'{"response": "x"}\n')
     config = BackendConfig(kind="scripted_mock", fixture_path=path)
-    assert complete(request, config).text == "FIRST"
-    cached_tables = len(gateway._fixture_cache)
-    import os
+    for _ in range(3):
+        with pytest.raises(MalformedFixture) as err:
+            complete(request, config)
+        assert str(err.value).startswith(f"fixture file {path}: line 2: ")
+    assert len(reads) == 1
 
-    write_fixture_file(path, [fixture_entry(request, "SECOND")])
-    os.utime(path, (0, 12345))  # force a distinct mtime stamp
-    assert complete(request, config).text == "SECOND"
-    # The edited file's table replaces the old one instead of adding to it.
-    assert len(gateway._fixture_cache) == cached_tables
+    good = tmp_path / "good.jsonl"
+    write_fixture_file(good, [fixture_entry(request, "FIRST")])
+    config = BackendConfig(kind="scripted_mock", fixture_path=good)
+    assert complete(request, config).text == "FIRST"
+    write_fixture_file(good, [fixture_entry(request, "SECOND")])
+    # A config keeps the table it read; an edited file needs a new config.
+    assert complete(request, config).text == "FIRST"
+    fresh = BackendConfig(kind="scripted_mock", fixture_path=good)
+    assert complete(request, fresh).text == "SECOND"
+    assert len(reads) == 3
 
 
 def test_http_unreachable_counts_attempts(monkeypatch):
@@ -234,7 +253,7 @@ def test_http_round_trip(chat_server):
         config,
     )
     assert response.text == "echo:NARRATIVE|model:tagger|temp:0.7"
-    assert response.backend_id == f"http:tagger@{chat_server}"
+    assert config.backend_id == f"http:tagger@{chat_server}"
     assert response.latency >= 0
 
 

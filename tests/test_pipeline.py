@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
-from crashdeid.cli import main
+from crashdeid.cli import _add_common_flags, _config_from_args, main
 from crashdeid.extract import EnsembleConfig
 from crashdeid.gateway import BackendConfig
 from crashdeid import gateway
@@ -339,7 +340,7 @@ def test_rules_only_delimiter_bearing_text_fails_only_in_tagged_mode(tmp_path):
     ]
 
 
-@pytest.mark.parametrize("preset", [p for p, s in PRESETS.items() if not s.verify])
+@pytest.mark.parametrize("preset", list(PRESETS))
 def test_run_without_verifier_removes_stale_audit_log(tmp_path, preset):
     corpus = write_corpus_jsonl(tmp_path / "c.jsonl", [{"id": "n1", "text": FIG_TEXT}])
     entries = fig_fixture_entries(seed=0, k=5) + extraction_entries(
@@ -361,8 +362,10 @@ def test_run_without_verifier_removes_stale_audit_log(tmp_path, preset):
         )
         assert summary.ok
         if run_preset == "hybrid_ev":
+            # A second verifier run replaces the log instead of adding to it.
             assert len(read_audit_log(out / "audit.jsonl")) == 1
-    assert not (out / "audit.jsonl").exists()
+    if not PRESETS[preset].verify:
+        assert not (out / "audit.jsonl").exists()
 
 
 def test_parallelism_preserves_input_order(tmp_path):
@@ -447,6 +450,18 @@ def test_config_snapshot_round_trip(
     assert rebuilt.ensemble == config.ensemble and rebuilt.policy == config.policy
     assert rebuilt.output_style == config.output_style
     assert (rebuilt.seed, rebuilt.parallelism) == (seed, parallelism)
+
+
+def test_equal_backends_share_one_object(tmp_path):
+    # One object for both roles reads a fixture file once per run.
+    fixtures = str(write_fixture(tmp_path / "fx.jsonl", []))
+    parser = argparse.ArgumentParser()
+    _add_common_flags(parser)
+    config = _config_from_args(parser.parse_args(["--mock-fixtures", fixtures]))
+    assert config.verifier_backend == BackendConfig(kind="scripted_mock", fixture_path=fixtures)
+    assert config.extractor_backend is config.verifier_backend
+    rebuilt = config_from_snapshot(config_snapshot(config, "in.jsonl", None, None))
+    assert rebuilt.extractor_backend is rebuilt.verifier_backend
 
 
 def test_snapshot_from_salvage_mode_cannot_be_replayed(tmp_path):

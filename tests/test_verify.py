@@ -205,15 +205,16 @@ def _candidate_set() -> CandidateSet:
     )
 
 
+AUDIT_FIELDS = {"label": "recall_first", "backend_id": "b", "timestamp": "t"}
+
+
 def test_apply_policy_drop_removes_and_audits():
     candidates = _candidate_set()
     output = {
         HOME: (VerifierReview(FIG_CANDIDATE, "DROP", FIG_REASON, FIG_EVIDENCE),),
         ALNUM: (VerifierReview("AB1234", "KEEP", "plate", "AB1234"),),
     }
-    final, audit = apply_policy(
-        output, candidates, VerifierPolicy.RECALL_FIRST, backend_id="b", timestamp="t"
-    )
+    final, audit = apply_policy(output, candidates, VerifierPolicy.RECALL_FIRST, **AUDIT_FIELDS)
     assert final.surfaces(HOME) == []
     assert final.surfaces(ALNUM) == ["AB1234"]
     assert final.surfaces(PiiCategory.PHONE) == ["608-733-8366"]
@@ -230,7 +231,7 @@ def test_apply_policy_all_keep_is_identity():
         HOME: (VerifierReview(FIG_CANDIDATE, "KEEP", "r", FIG_CANDIDATE),),
         ALNUM: (VerifierReview("AB1234", "KEEP", "r", "AB1234"),),
     }
-    final, audit = apply_policy(output, candidates, VerifierPolicy.RECALL_FIRST)
+    final, audit = apply_policy(output, candidates, VerifierPolicy.RECALL_FIRST, **AUDIT_FIELDS)
     assert final.by_category == candidates.by_category
     assert len(audit) == 2
 
@@ -241,9 +242,9 @@ def test_apply_policy_uncertain_follows_policy():
         HOME: (VerifierReview(FIG_CANDIDATE, "UNCERTAIN", "r", ""),),
         ALNUM: (VerifierReview("AB1234", "UNCERTAIN", "r", ""),),
     }
-    final, _ = apply_policy(output, candidates, VerifierPolicy.RECALL_FIRST)
+    final, _ = apply_policy(output, candidates, VerifierPolicy.RECALL_FIRST, **AUDIT_FIELDS)
     assert final.surfaces(HOME) == [FIG_CANDIDATE]
-    final, _ = apply_policy(output, candidates, VerifierPolicy.PRECISION_FIRST)
+    final, _ = apply_policy(output, candidates, VerifierPolicy.PRECISION_FIRST, **AUDIT_FIELDS)
     assert final.surfaces(HOME) == []
 
 
@@ -251,7 +252,7 @@ def test_apply_policy_rejects_misaligned_output():
     candidates = _candidate_set()
     output = {HOME: (), ALNUM: ()}
     with pytest.raises(AlignmentViolation):
-        apply_policy(output, candidates, VerifierPolicy.RECALL_FIRST)
+        apply_policy(output, candidates, VerifierPolicy.RECALL_FIRST, **AUDIT_FIELDS)
 
 
 def test_verify_candidates_short_circuits_when_ambiguous_empty(tmp_path):
