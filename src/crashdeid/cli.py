@@ -29,35 +29,33 @@ from .redact import RedactionStyle
 from .verify import VerifierPolicy
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--input", help="narratives file (JSONL or CSV)")
-    parser.add_argument("--format", choices=["jsonl", "csv"], default=None)
-    parser.add_argument("--gold", help="gold annotations JSONL sidecar")
-    parser.add_argument("--preset", choices=list(PRESETS), default="hybrid_ev")
-    parser.add_argument("--k-ensemble", type=int, default=5)
-    parser.add_argument(
-        "--policy",
-        choices=["recall-first", "precision-first"],
-        default="recall-first",
-    )
-    parser.add_argument("--extractor-endpoint", help="chat-completions URL")
-    parser.add_argument("--verifier-endpoint", help="chat-completions URL")
-    parser.add_argument("--extractor-model", default=None)
-    parser.add_argument("--verifier-model", default=None)
-    parser.add_argument(
-        "--mock-fixtures",
-        help="scripted-mock fixture JSONL; used for any backend without an endpoint",
-    )
-    parser.add_argument("--parallelism", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument(
-        "--redaction", choices=["tagged", "placeholder"], default="tagged"
-    )
-    parser.add_argument(
-        "--mask-timestamps",
-        action="store_true",
-        help="write fixed timestamps for byte-reproducible outputs",
-    )
+def _add_common_flags(parser: argparse.ArgumentParser) -> list[argparse.Action]:
+    """Add the flags ``run`` and ``eval`` share; return their actions."""
+    add = parser.add_argument
+    return [
+        add("--input", help="narratives file (JSONL or CSV)"),
+        add("--format", choices=["jsonl", "csv"], default=None),
+        add("--gold", help="gold annotations JSONL sidecar"),
+        add("--preset", choices=list(PRESETS), default="hybrid_ev"),
+        add("--k-ensemble", type=int, default=5),
+        add("--policy", choices=["recall-first", "precision-first"], default="recall-first"),
+        add("--extractor-endpoint", help="chat-completions URL"),
+        add("--verifier-endpoint", help="chat-completions URL"),
+        add("--extractor-model", default=None),
+        add("--verifier-model", default=None),
+        add(
+            "--mock-fixtures",
+            help="scripted-mock fixture JSONL; used for any backend without an endpoint",
+        ),
+        add("--parallelism", type=int, default=1),
+        add("--seed", type=int, default=None),
+        add("--redaction", choices=["tagged", "placeholder"], default="tagged"),
+        add(
+            "--mask-timestamps",
+            action="store_true",
+            help="write fixed timestamps for byte-reproducible outputs",
+        ),
+    ]
 
 
 def _backend(endpoint: str | None, model: str | None, fixtures: str | None):
@@ -93,7 +91,7 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_parser = sub.add_parser("run", help="de-identify a corpus")
-    _add_common_flags(run_parser)
+    common = _add_common_flags(run_parser)
     run_parser.add_argument("--out", required=True, help="output directory")
     run_parser.add_argument("--replay", help="re-run a recorded manifest")
     run_parser.set_defaults(report=None)
@@ -105,6 +103,14 @@ def main(argv: list[str] | None = None) -> int:
     eval_parser.set_defaults(replay=None)
 
     args = parser.parse_args(argv)
+    if args.replay:
+        # Parse again with no defaults: a shared flag still set was given.
+        for action in common:
+            action.default = argparse.SUPPRESS
+        given = vars(parser.parse_args(argv))
+        conflicts = [a.option_strings[0] for a in common if a.dest in given]
+        if conflicts:
+            run_parser.error("--replay takes only --out; drop " + ", ".join(conflicts))
     if not (args.input or args.replay):
         parser.error("run requires --input (or --replay)" if args.command == "run"
                      else "eval requires --input")

@@ -79,12 +79,26 @@ def _infer_format(path: Path, fmt: str | None) -> str:
     return "jsonl"
 
 
+def is_unicode(value: str) -> bool:
+    """False when ``value`` holds a lone surrogate, which a JSON ``\\ud800``
+    escape can carry but no UTF-8 writer accepts."""
+    if value.isascii():
+        return True
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def require_str(obj: dict, key: str, line_no: int, path: Path) -> str:
     value = obj.get(key)
     if not isinstance(value, str):
         raise MalformedRecord(
             f"{path}: line {line_no}: field {key!r} missing or not a string"
         )
+    if not is_unicode(value):
+        raise MalformedRecord(f"{path}: line {line_no}: field {key!r} is not valid Unicode")
     return value
 
 

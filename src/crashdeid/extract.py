@@ -82,25 +82,23 @@ class CandidateSet:
         for category in CATEGORY_ORDER:
             self.by_category.setdefault(category, ())
         for category, candidates in self.by_category.items():
+            owners = _RULE_SOURCES if category in RULE_CATEGORIES else _LLM_SOURCES
             seen: set[str] = set()
             for candidate in candidates:
+                # Messages never quote the surface: a candidate surface is PII.
                 if not candidate.surface:
                     raise ValueError(
                         f"empty {category.value} surface in narrative {self.narrative_id!r}"
                     )
-                if category in RULE_CATEGORIES and candidate.source not in _RULE_SOURCES:
+                if candidate.source not in owners:
                     raise ResponsibilitySplitViolation(
-                        f"{category.value} candidate {candidate.surface!r} "
-                        f"from non-rule source {candidate.source!r}"
-                    )
-                if category in LLM_CATEGORIES and candidate.source not in _LLM_SOURCES:
-                    raise ResponsibilitySplitViolation(
-                        f"{category.value} candidate {candidate.surface!r} "
-                        f"from non-LLM source {candidate.source!r}"
+                        f"{category.value} candidate from non-owning source "
+                        f"{candidate.source!r} in narrative {self.narrative_id!r}"
                     )
                 if candidate.surface in seen:
                     raise ValueError(
-                        f"duplicate {category.value} surface {candidate.surface!r}"
+                        f"duplicate {category.value} surface from source "
+                        f"{candidate.source!r} in narrative {self.narrative_id!r}"
                     )
                 seen.add(candidate.surface)
 
@@ -141,8 +139,6 @@ def extract_single_run(
     equality (or does not parse) counts as hallucinated and contributes
     no spans. Gateway errors propagate.
     """
-    if not narrative.text:
-        raise ValueError("narrative text must be non-empty")
     request = gateway.build_extraction_prompt(narrative.text, seed=seed)
     response = gateway.complete(request, backend)
     if not detag_equals(response.text, narrative.text):
@@ -159,13 +155,8 @@ class EnsembleResult:
     """LLM-channel candidate fragment plus per-run accounting."""
 
     by_category: dict[PiiCategory, tuple[Candidate, ...]]
-    runs_attempted: int
     runs_failed: int
     runs_discarded: int
-
-    @property
-    def effective_runs(self) -> int:
-        return self.runs_attempted - self.runs_failed - self.runs_discarded
 
 
 def _candidates_from_votes(
@@ -227,7 +218,6 @@ def extract_ensemble(
         by_category[category] = _candidates_from_votes(narrative, votes, source)
     return EnsembleResult(
         by_category=by_category,
-        runs_attempted=cfg.k_runs,
         runs_failed=failed,
         runs_discarded=cfg.k_runs - failed - len(useful),
     )
@@ -262,17 +252,18 @@ def hybrid_extract(
     """Rules for phone/email, LLM channel for the rest, merged into one set.
 
     ``backend=None`` turns the LLM channel off and ``rules=False`` the rule
-    channel. An LLM candidate is suppressed only when every occurrence of
-    its surface lies inside an occurrence of a rule surface: rules are the
-    authority for their own span text, and render redacts those regions
-    longest-first. A surface with any occurrence outside them is kept, so
-    that occurrence is redacted too.
+    channel; empty text skips the LLM channel, so an empty narrative costs
+    no backend call under any preset. An LLM candidate is suppressed only
+    when every occurrence of its surface lies inside an occurrence of a rule
+    surface: rules are the authority for their own span text, and render
+    redacts those regions longest-first. A surface with any occurrence
+    outside them is kept, so that occurrence is redacted too.
     With a backend set, text that already contains a tag delimiter raises
     AmbiguousTagging: the tag protocol cannot represent it, and emitting it
     with rule candidates only would leave its contextual PII in clear.
     """
     merged = rule_candidates(narrative.text) if rules else {}
-    if backend is None:
+    if backend is None or not narrative.text:
         return CandidateSet(narrative_id=narrative.id, by_category=merged)
     if contains_delimiter_sequence(narrative.text):
         raise AmbiguousTagging(

@@ -322,8 +322,6 @@ Output JSON only, matching the schema exactly."""
 
 def build_extraction_prompt(narrative_text: str, seed: int | None = None) -> ChatRequest:
     """Tagging request: the fixed extraction instructions plus the narrative."""
-    if not narrative_text:
-        raise ValueError("narrative_text must be non-empty")
     return ChatRequest(
         system_prompt=EXTRACTION_SYSTEM_PROMPT,
         user_content=narrative_text,

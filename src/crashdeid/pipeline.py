@@ -119,34 +119,18 @@ class NarrativeResult:
 
 def process_narrative(narrative: Narrative, config: PipelineConfig) -> NarrativeResult:
     result = NarrativeResult(narrative=narrative)
-    if not narrative.text:
-        result.final = CandidateSet(narrative_id=narrative.id)
-        return result
     stages = PRESETS[config.preset]
     try:
-        candidates = hybrid_extract(
-            narrative,
-            config.extractor_backend,
-            config.ensemble,
-            base_seed=config.seed,
-            rules=stages.rules,
+        final = hybrid_extract(
+            narrative, config.extractor_backend, config.ensemble,
+            base_seed=config.seed, rules=stages.rules,
         )
         if stages.verify:
-            timestamp_fn = (
-                (lambda: MASKED_TIMESTAMP) if config.mask_timestamps else rfc3339_now
+            stamp = (lambda: MASKED_TIMESTAMP) if config.mask_timestamps else rfc3339_now
+            final, result.audit, result.degraded = verify_candidates(
+                narrative, final, config.verifier_backend, config.policy, timestamp_fn=stamp
             )
-            verification = verify_candidates(
-                narrative,
-                candidates,
-                config.verifier_backend,
-                config.policy,
-                timestamp_fn=timestamp_fn,
-            )
-            result.final = verification.final
-            result.audit = verification.audit
-            result.degraded = verification.degraded
-        else:
-            result.final = candidates
+        result.final = final
     except (GatewayError, AllRunsFailed, ValueError) as exc:
         result.error = f"{type(exc).__name__}: {exc}"
     return result

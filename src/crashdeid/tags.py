@@ -35,9 +35,6 @@ class PiiCategory(enum.Enum):
     HOME_ADDRESS = "home_address"
     ALPHANUMERIC = "alphanumeric"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
 
 #: Categories recognized by deterministic rules; the rest belong to the LLM channel.
 RULE_CATEGORIES = frozenset({PiiCategory.PHONE, PiiCategory.EMAIL})

@@ -29,6 +29,7 @@ from datetime import datetime, timezone
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import gateway
+from .corpus import is_unicode
 from .extract import Candidate, CandidateSet
 from .gateway import BackendConfig, GatewayError
 from .tags import AMBIGUOUS_CATEGORIES, PiiCategory
@@ -131,6 +132,8 @@ def _parse_review(item: object, list_name: str, index: int) -> VerifierReview:
     for fieldname in _REVIEW_FIELDS:
         if not isinstance(item[fieldname], str):
             raise SchemaMismatch(f"{list_name}[{index}].{fieldname} is not a string")
+        if not is_unicode(item[fieldname]):
+            raise SchemaMismatch(f"{list_name}[{index}].{fieldname} is not valid Unicode")
     if item["decision"] not in DECISIONS:
         raise SchemaMismatch(
             f"{list_name}[{index}].decision is {item['decision']!r}, "

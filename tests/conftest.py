@@ -32,6 +32,7 @@ MALFORMED_FIXTURE_LINES = {
     "key-not-a-string": b'{"key": 7, "response": "CANARY-7Q"}',
     "response-not-a-string": b'{"key": "k", "response": ["CANARY-7Q"]}',
     "not-utf8": '{"key": "k", "response": "CANARY-7Q CAFÉ"}'.encode("latin-1"),
+    "lone-surrogate": b'{"key": "k", "response": "CANARY-7Q \\ud800"}',
 }
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import threading
 from pathlib import Path
 
 import pytest
@@ -79,3 +80,45 @@ def test_tracer_wraps_and_fires_every_layer_of_a_workload(bench, tmp_path, workl
         assert tracer.unfired(run.WORKLOADS[workload]["fired"]) == []
     finally:
         tracer.uninstall()
+
+
+def test_stub_answers_every_request_of_one_block(bench, tmp_path):
+    """The stub keys requests as the gateway sends them: a change to the
+    payload shape or to ``request_key`` shows here, not only in a bench run."""
+    from crashdeid import pipeline
+
+    gen, measure, stub = bench("gen"), bench("measure"), bench("stub")
+    gen.generate_hybrid(tmp_path, seed=1, narratives=gen.STUB_NARRATIVES)
+    chat, control, counters = stub.make_servers(
+        stub.load_table(tmp_path / "fixtures.jsonl"), frozenset(), 0.0
+    )
+    server = threading.Thread(target=chat.serve_forever, daemon=True)
+    server.start()
+    host, port = chat.server_address[:2]
+    backends = {
+        "http": {"kind": "http_endpoint", "endpoint_url": f"http://{host}:{port}/v1/chat"},
+        "mock": {"kind": "scripted_mock", "fixture_path": str(tmp_path / "fixtures.jsonl")},
+    }
+
+    def run(name: str):
+        config = measure.pipeline_config({"preset": "hybrid_ev", "k_runs": 5, "pipeline_seed": 0,
+                                          "parallelism": 2, "backend": backends[name]})
+        return pipeline.run_pipeline(config, tmp_path / "corpus.jsonl", tmp_path / name)
+
+    try:
+        served = run("http")
+    finally:
+        chat.shutdown()
+        server.join(timeout=10)
+        chat.server_close()
+        control.server_close()
+    assert not server.is_alive()
+    assert counters.snapshot()["unknown"] == 0
+    scripted = run("mock")
+    # Only the block's narrative that already holds a delimiter fails, as it
+    # does against the mock.
+    assert len(served.failed_narratives) == gen.BLOCK_DELIMITED
+    assert served.failed_narratives == scripted.failed_narratives
+    assert (tmp_path / "http" / "redacted.jsonl").read_bytes() == (
+        tmp_path / "mock" / "redacted.jsonl"
+    ).read_bytes()

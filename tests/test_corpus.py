@@ -115,6 +115,18 @@ def test_corpus_not_utf8_names_the_line_and_no_byte(tmp_path, name, content, lin
     assert str(err.value) == f"{path}: line {line}: not valid UTF-8"
 
 
+@pytest.mark.parametrize("field", ["id", "text"])
+def test_corpus_lone_surrogate_escape_is_refused_at_load(tmp_path, field):
+    # A JSON \ud800 escape decodes to a str no UTF-8 writer accepts: refused
+    # here, the run would die while writing its outputs.
+    rows = [{"id": "a", "text": "OK"}, {"id": "b", "text": "x 608-733-8366", field: "x\ud800y"}]
+    path = tmp_path / "c.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    with pytest.raises(MalformedRecord) as err:
+        load_corpus(path)
+    assert str(err.value) == f"{path}: line 2: field {field!r} is not valid Unicode"
+
+
 def test_gold_not_utf8_names_the_line_and_no_byte(tmp_path):
     path = write_corpus_jsonl(tmp_path / "c.jsonl", [{"id": "n1", "text": "CAFE"}])
     gold = tmp_path / "g.jsonl"

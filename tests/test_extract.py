@@ -55,6 +55,23 @@ def test_candidate_set_rejects_duplicate_surfaces():
         )
 
 
+@pytest.mark.parametrize(
+    "category,candidates",
+    [
+        (PiiCategory.PHONE, (Candidate("608-733-8366", SOURCE_LLM_SINGLE),)),
+        (PiiCategory.NAME, (Candidate("JOHN SMITH", SOURCE_RULE),)),
+        (PiiCategory.NAME, (Candidate("JOHN SMITH", SOURCE_LLM_SINGLE),) * 2),
+    ],
+)
+def test_candidate_set_messages_name_no_surface(category, candidates):
+    with pytest.raises(ValueError) as raised:
+        CandidateSet(narrative_id="n1", by_category={category: candidates})
+    message = str(raised.value)
+    assert candidates[0].surface not in message
+    assert category.value in message
+    assert repr(candidates[0].source) in message and "'n1'" in message
+
+
 def test_candidate_set_rejects_empty_surface():
     # An empty surface occurs everywhere: render would claim it forever.
     with pytest.raises(ValueError, match="empty name surface in narrative 'a'"):
@@ -149,7 +166,7 @@ def test_ensemble_union_votes(tmp_path):
     candidates = {c.surface: c.run_votes for c in result.by_category[HOME]}
     assert candidates == {"123 ELM ST": 3, "77 OAK AVE": 1}
     assert all(c.source == SOURCE_LLM_ENSEMBLE for c in result.by_category[HOME])
-    assert result.effective_runs == 5
+    assert 5 - result.runs_failed - result.runs_discarded == 5
 
 
 def test_ensemble_k1_equals_single_run(tmp_path):
@@ -202,7 +219,7 @@ def test_ensemble_partial_failures_reduce_effective_count(tmp_path):
     )  # seed 1 missing -> run 2 fails
     result = extract_ensemble(narrative, backend, EnsembleConfig(k_runs=3), base_seed=0)
     assert result.runs_failed == 1
-    assert result.effective_runs == 2
+    assert 3 - result.runs_failed - result.runs_discarded == 2
     assert {c.surface: c.run_votes for c in result.by_category[HOME]} == {
         "123 ELM ST": 2
     }
@@ -217,7 +234,8 @@ def test_ensemble_discards_hallucinated_runs(tmp_path):
     assert {c.surface: c.run_votes for c in result.by_category[HOME]} == {
         "123 ELM ST": 2
     }
-    assert all(c.run_votes <= result.effective_runs for c in result.by_category[HOME])
+    effective_runs = 3 - result.runs_failed - result.runs_discarded
+    assert all(c.run_votes <= effective_runs for c in result.by_category[HOME])
 
 
 def test_ensemble_names_come_from_run_one_only(tmp_path):
@@ -318,7 +336,8 @@ def test_http_ensemble_counts_failed_runs(monkeypatch):
     result = extract_ensemble(
         Narrative("n1", HTTP_TEXT), backend, EnsembleConfig(k_runs=5), base_seed=0
     )
-    assert (result.runs_failed, result.runs_discarded, result.effective_runs) == (2, 1, 2)
+    effective_runs = 5 - result.runs_failed - result.runs_discarded
+    assert (result.runs_failed, result.runs_discarded, effective_runs) == (2, 1, 2)
     assert {c.surface: c.run_votes for c in result.by_category[HOME]} == {"123 ELM ST": 2}
 
 

@@ -648,6 +648,46 @@ def test_cli_replay_refuses_a_config_no_run_can_have(tmp_path, capsys, preset, e
     assert not replayed.exists()
 
 
+def test_cli_replay_refuses_any_other_flag(tmp_path, capsys):
+    corpus = write_corpus_jsonl(tmp_path / "c.jsonl", [{"id": "n1", "text": "CALL 608-733-8366"}])
+    out = tmp_path / "out"
+    assert main(["run", "--input", str(corpus), "--out", str(out), "--preset", "rules_only"]) == 0
+    capsys.readouterr()
+    replayed = tmp_path / "replayed"
+    with pytest.raises(SystemExit) as exited:
+        main(["run", "--replay", str(out / "manifest.json"), "--input", str(corpus),
+              "--preset", "hybrid_ev", "--redaction", "placeholder", "--out", str(replayed)])
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert "--replay takes only --out; drop --input, --preset, --redaction" in err
+    assert not replayed.exists()
+
+
+@pytest.mark.parametrize("repaired", [True, False])
+def test_verifier_reason_with_lone_surrogate_goes_to_repair(tmp_path, repaired):
+    corpus = write_corpus_jsonl(tmp_path / "c.jsonl", [{"id": "n1", "text": FIG_TEXT}])
+    # verifier_json escapes the surrogate, so the completion itself is valid text.
+    bad = verifier_json([review_obj(FIG_CANDIDATE, "DROP", "home \ud800", FIG_EVIDENCE)], [])
+    good = verifier_json([review_obj(FIG_CANDIDATE, "DROP", "crash site", FIG_EVIDENCE)], [])
+    responses = [bad, good] if repaired else [bad] * 3
+    entries = extraction_entries(FIG_TEXT, {0: FIG_TAGGED})
+    entries += verifier_entries(FIG_TEXT, [FIG_CANDIDATE], [], responses)
+    fixtures = write_fixture(tmp_path / "fx.jsonl", entries)
+    backend = BackendConfig(kind="scripted_mock", fixture_path=fixtures)
+    config = PipelineConfig(
+        preset="hybrid_ev", ensemble=EnsembleConfig(k_runs=1),
+        extractor_backend=backend, verifier_backend=backend, seed=0,
+    )
+    out = tmp_path / "out"
+    summary = run_pipeline(config, corpus, out)
+    assert summary.ok and summary.counts["degraded"] == (0 if repaired else 1)
+    assert (out / "manifest.json").exists()
+    (record,) = read_audit_log(out / "audit.jsonl")
+    expected = "crash site" if repaired else "reason is not valid Unicode"
+    assert expected in record.review.reason
+    (out / "audit.jsonl").read_bytes().decode("utf-8")
+
+
 def test_cli_run_reads_gold_only_when_named(tmp_path, capsys):
     corpus = write_corpus_jsonl(tmp_path / "c.jsonl", [{"id": "n1", "text": "NO PII"}])
     gold = tmp_path / "c.gold.jsonl"
@@ -835,10 +875,15 @@ def test_eval_two_presets_ablation_against_hand_counts(tmp_path):
     assert lines[4].split()[2:] == ["0", "0", "0", "0"]  # FN
 
 
-def test_empty_text_narrative_short_circuits(tmp_path):
+@pytest.mark.parametrize("preset", list(PRESETS))
+def test_empty_text_narrative_short_circuits(tmp_path, preset):
     corpus = write_corpus_jsonl(tmp_path / "c.jsonl", [{"id": "n1", "text": ""}])
+    # No fixture entry at all: any backend call would fail the narrative.
+    fixtures = write_fixture(tmp_path / "fx.jsonl", [])
+    backend = BackendConfig(kind="scripted_mock", fixture_path=fixtures)
+    config = PipelineConfig(preset=preset, extractor_backend=backend, verifier_backend=backend)
     out = tmp_path / "out"
-    summary = run_pipeline(PipelineConfig(preset="rules_only"), corpus, out)
+    summary = run_pipeline(config, corpus, out)
     assert summary.ok
     (row,) = [json.loads(l) for l in (out / "redacted.jsonl").read_text().splitlines()]
     assert row == {"id": "n1", "redacted_text": "", "pii_found": False}

@@ -228,10 +228,12 @@ def _corpus_files(tmp: Path) -> dict[str, Path]:
         "text-not-a-string.jsonl": json.dumps({"id": "n1", "text": [CANARY]}) + "\n",
         "duplicate-id.jsonl": (json.dumps({"id": "n1", "text": CANARY_TEXT}) + "\n") * 2,
         "oversize.csv": f"id,text\nn1,{CANARY_TEXT} {'X' * 200_000}\n",
+        "lone-surrogate.jsonl": json.dumps({"id": "n1", "text": f"{CANARY_TEXT} \ud800"}) + "\n",
         "gold-id.jsonl": _gold_line(narrative_id=CANARY),
         "gold-category.jsonl": _gold_line(category=CANARY),
         "gold-surface.jsonl": _gold_line(surface=f"{CANARY} JR"),
         "gold-surface-not-a-string.jsonl": _gold_line(surface=[CANARY]),
+        "gold-surface-lone-surrogate.jsonl": _gold_line(surface=f"{CANARY}\ud800"),
         "gold-json.jsonl": '{"narrative_id": "n1", "surface": "' + CANARY + '"\n',
     }
     paths = {}
@@ -303,7 +305,9 @@ def test_no_error_path_prints_narrative_or_gold_content(tmp_path, capsys, monkey
     run("out-http", "--preset", "hybrid", "--k-ensemble", "1",
         "--extractor-endpoint", "http://127.0.0.1:9/v1/chat/completions")
 
-    assert (codes.count(2), codes.count(1), codes.count(0)) == (16, 4, 2), codes
+    assert (codes.count(2), codes.count(1), codes.count(0)) == (19, 4, 2), codes
+    # Refused at load, so no partial output is left behind.
+    assert not (tmp_path / "out-lone-surrogate.jsonl").exists()
     leaks = [text for text in seen if CANARY in text]
     assert not leaks
     for path in tmp_path.rglob("manifest.json"):
