@@ -7,8 +7,10 @@ Two backend kinds sit behind one ``complete`` call:
     messages, temperature, seed}``; the completion is the first choice's
     message content. Each attempt opens one connection straight to the
     endpoint and closes it; no proxy or ``.netrc`` is consulted, so
-    narrative text never passes through another host. Transport failures
-    are retried with exponential backoff. At most ``MAX_IN_FLIGHT`` (4)
+    narrative text never passes through another host. Transport failures,
+    5xx, 408 and 429 replies are retried with exponential backoff; any other
+    4xx reply raises ``TransportFailure`` at once, since resending the same
+    request cannot change the answer. At most ``MAX_IN_FLIGHT`` (4)
     POSTs are in flight at once across the whole process, whatever the
     endpoint or model; ``fan_out`` overlaps independent calls, such as a
     narrative's K tagging runs, on one pool of as many worker threads.
@@ -78,6 +80,10 @@ class MalformedFixture(GatewayError):
 
 class OversizeOutput(GatewayError):
     """The completion exceeds ``MAX_OUTPUT_CHARS``."""
+
+
+class ClientError(http.client.HTTPException):
+    """A 4xx reply other than 408 or 429: the server refuses the request itself."""
 
 
 class EmptyCandidateString(ValueError):
@@ -207,6 +213,8 @@ def _http_post(url: str, payload: dict, timeout: float) -> dict:
             body = response.read()
     finally:
         connection.close()
+    if 400 <= response.status < 500 and response.status not in (408, 429):
+        raise ClientError(f"HTTP {response.status} {response.reason}")
     if not 200 <= response.status < 300:
         raise http.client.HTTPException(f"HTTP {response.status} {response.reason}")
     return json.loads(body)
@@ -234,6 +242,8 @@ def _complete_http(request: ChatRequest, config: BackendConfig) -> str:
             if not isinstance(text, str):
                 raise TypeError(f"completion content is {type(text).__name__}")
             return text
+        except ClientError as exc:
+            raise TransportFailure(f"backend refused the request: {exc}") from exc
         except (
             OSError, http.client.HTTPException, ValueError, KeyError, IndexError, TypeError
         ) as exc:

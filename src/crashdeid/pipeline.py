@@ -118,6 +118,13 @@ class NarrativeResult:
 
 
 def process_narrative(narrative: Narrative, config: PipelineConfig) -> NarrativeResult:
+    """Extract and, when the preset verifies, review one narrative.
+
+    The narrative fails only for a named reason: a backend error, no usable
+    tagging run, or text that already holds a tag delimiter. ``error`` then
+    holds the exception's type name alone, since messages may quote what the
+    backend sent. Any other exception is a bug and propagates.
+    """
     result = NarrativeResult(narrative=narrative)
     stages = PRESETS[config.preset]
     try:
@@ -131,8 +138,8 @@ def process_narrative(narrative: Narrative, config: PipelineConfig) -> Narrative
                 narrative, final, config.verifier_backend, config.policy, timestamp_fn=stamp
             )
         result.final = final
-    except (GatewayError, AllRunsFailed, ValueError) as exc:
-        result.error = f"{type(exc).__name__}: {exc}"
+    except (GatewayError, AllRunsFailed, AmbiguousTagging) as exc:
+        result.error = type(exc).__name__
     return result
 
 
@@ -268,7 +275,7 @@ def run_pipeline(
             try:
                 result.redacted = render(result.narrative, result.final, config.output_style)
             except (AmbiguousTagging, SurfaceNotFound) as exc:
-                result.error = f"{type(exc).__name__}: {exc}"
+                result.error = type(exc).__name__
     emitted = [result for result in results if result.error is None]
     summary = RunSummary(
         failed_narratives=[r.narrative.id for r in results if r.error is not None],

@@ -15,9 +15,13 @@ demoting violators to UNCERTAIN rather than failing.
 
 Malformed completions are re-prompted with the validation error appended,
 up to ``MAX_REPAIR_ATTEMPTS`` times; after that every candidate is treated
-as UNCERTAIN and the policy applied (fail-safe: never a silent DROP). The
-whole stage touches only the two ambiguous categories; name, phone and
-email candidates pass through untouched.
+as UNCERTAIN (fail-safe: never a silent DROP). ``verify_candidates`` then
+settles each candidate in one pass: KEEP retains, DROP removes, and
+UNCERTAIN follows the ``VerifierPolicy``; every decision is written as one
+``AuditRecord``. Alignment of reviews with candidates is checked once, where
+a completion enters the program, in ``parse_verifier_output``. The whole
+stage touches only the two ambiguous categories; name, phone and email
+candidates pass through untouched.
 """
 
 from __future__ import annotations
@@ -48,7 +52,9 @@ REMOVED = "removed"
 #: Repair prompts sent after a malformed verifier completion.
 MAX_REPAIR_ATTEMPTS = 2
 
-_REVIEW_FIELDS = {"text", "decision", "reason", "evidence"}
+#: In the order checked, so a review with several bad fields always names
+#: the same one, and its repair prompt and degraded reason are reproducible.
+_REVIEW_FIELDS = ("text", "decision", "reason", "evidence")
 _OUTPUT_KEYS = {f"{category.value}_reviews" for category in AMBIGUOUS_CATEGORIES}
 
 
@@ -124,7 +130,7 @@ def rfc3339_now() -> str:
 def _parse_review(item: object, list_name: str, index: int) -> VerifierReview:
     if not isinstance(item, dict):
         raise SchemaMismatch(f"{list_name}[{index}] is not an object")
-    if set(item.keys()) != _REVIEW_FIELDS:
+    if item.keys() != set(_REVIEW_FIELDS):
         raise SchemaMismatch(
             f"{list_name}[{index}] must have exactly the fields "
             f"text, decision, reason, evidence"
@@ -228,63 +234,6 @@ def check_evidence(review: VerifierReview, narrative_text: str) -> VerifierRevie
     )
 
 
-def final_action(decision: str, policy: VerifierPolicy) -> str:
-    if decision == KEEP:
-        return RETAINED
-    if decision == DROP:
-        return REMOVED
-    if decision == UNCERTAIN:
-        return RETAINED if policy is VerifierPolicy.RECALL_FIRST else REMOVED
-    raise ValueError(f"unknown decision {decision!r}")
-
-
-def apply_policy(
-    output: VerifierOutput,
-    candidates: CandidateSet,
-    policy: VerifierPolicy,
-    *,
-    label: str,
-    backend_id: str,
-    timestamp: str,
-) -> tuple[CandidateSet, list[AuditRecord]]:
-    """Materialize reviews: DROP removes, KEEP retains, UNCERTAIN per policy.
-
-    Name/phone/email candidates pass through untouched. Emits one audit
-    record per reviewed candidate, recording ``label`` as ``policy_applied``.
-    """
-    final_by_category = dict(candidates.by_category)
-    audit: list[AuditRecord] = []
-    for category in AMBIGUOUS_CATEGORIES:
-        existing = candidates.candidates(category)
-        reviews = output[category]
-        _check_alignment(
-            reviews,
-            [c.surface for c in existing],
-            f"{category.value}_reviews",
-        )
-        kept: list[Candidate] = []
-        for candidate, review in zip(existing, reviews):
-            action = final_action(review.decision, policy)
-            if action == RETAINED:
-                kept.append(candidate)
-            audit.append(
-                AuditRecord(
-                    narrative_id=candidates.narrative_id,
-                    category=category,
-                    review=review,
-                    policy_applied=label,
-                    final_action=action,
-                    backend_id=backend_id,
-                    timestamp=timestamp,
-                )
-            )
-        final_by_category[category] = tuple(kept)
-    final = CandidateSet(
-        narrative_id=candidates.narrative_id, by_category=final_by_category
-    )
-    return final, audit
-
-
 def repair_user_content(base_user_content: str, error_text: str) -> str:
     return (
         f"{base_user_content}\n\n"
@@ -311,8 +260,10 @@ def verify_candidates(
 
     Short-circuits without a backend call when both ambiguous categories
     are empty. Unrecoverable output or transport failure falls back to
-    treating every reviewed candidate as UNCERTAIN (then the policy
-    decides), flagged degraded in the result and in ``policy_applied``.
+    treating every reviewed candidate as UNCERTAIN, flagged degraded in the
+    result and in ``policy_applied``. Each reviewed candidate is retained
+    on KEEP, or on UNCERTAIN under ``RECALL_FIRST``, and removed otherwise,
+    with one audit record each; other categories pass through untouched.
     """
     surfaces = [candidates.surfaces(category) for category in AMBIGUOUS_CATEGORIES]
     if not any(surfaces):
@@ -348,12 +299,31 @@ def verify_candidates(
             category: tuple(VerifierReview(s, UNCERTAIN, reason, "") for s in reviewed)
             for category, reviewed in zip(AMBIGUOUS_CATEGORIES, surfaces)
         }
-    final, audit = apply_policy(
-        reviews,
-        candidates,
-        policy,
-        label=f"{policy.value}+uncertain_fallback" if degraded else policy.value,
-        backend_id=backend.backend_id,
-        timestamp=timestamp_fn(),
-    )
+    label = f"{policy.value}+uncertain_fallback" if degraded else policy.value
+    timestamp = timestamp_fn()
+    by_category = dict(candidates.by_category)
+    audit: list[AuditRecord] = []
+    for category in AMBIGUOUS_CATEGORIES:
+        kept: list[Candidate] = []
+        for candidate, review in zip(
+            candidates.candidates(category), reviews[category], strict=True
+        ):
+            retained = review.decision == KEEP or (
+                review.decision == UNCERTAIN and policy is VerifierPolicy.RECALL_FIRST
+            )
+            if retained:
+                kept.append(candidate)
+            audit.append(
+                AuditRecord(
+                    narrative_id=candidates.narrative_id,
+                    category=category,
+                    review=review,
+                    policy_applied=label,
+                    final_action=RETAINED if retained else REMOVED,
+                    backend_id=backend.backend_id,
+                    timestamp=timestamp,
+                )
+            )
+        by_category[category] = tuple(kept)
+    final = CandidateSet(narrative_id=candidates.narrative_id, by_category=by_category)
     return VerificationResult(final, audit, degraded)

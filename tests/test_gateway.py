@@ -353,6 +353,33 @@ def test_http_server_error_is_retried(monkeypatch):
     assert len(received) == 2
 
 
+def test_http_client_error_costs_one_post_and_no_sleep(monkeypatch):
+    posts = []
+    sleeps = []
+
+    def respond(payload):
+        posts.append(payload)
+        raise gateway.ClientError("HTTP 404 Not Found")
+
+    monkeypatch.setattr(gateway, "_http_post", http_probe(respond)[0])
+    monkeypatch.setattr(gateway.time, "sleep", sleeps.append)
+    config = BackendConfig(kind="http_endpoint", endpoint_url="http://127.0.0.1:9/v1", retries=2)
+    with pytest.raises(TransportFailure, match="refused the request: HTTP 404"):
+        complete(_REQUEST, config)
+    assert (len(posts), sleeps) == (1, [])
+
+
+@pytest.mark.parametrize("status, posts", [(400, 1), (404, 1), (408, 2), (429, 2)])
+def test_http_4xx_is_retried_only_for_timeout_and_rate_limit(monkeypatch, status, posts):
+    monkeypatch.setattr(gateway.time, "sleep", lambda s: None)
+    with _no_unclosed_sockets(), _scripted_server(
+        lambda handler, n, body: _reply(handler, status, b'{"error": "no"}')
+    ) as (url, received):
+        with pytest.raises(TransportFailure):
+            complete(_REQUEST, _http_config(url))
+    assert len(received) == posts
+
+
 def test_http_in_flight_requests_are_bounded(chat_server, monkeypatch):
     import time as _time
     from concurrent.futures import ThreadPoolExecutor

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,7 +12,7 @@ import pytest
 from crashdeid.cli import _add_common_flags, _config_from_args, main
 from crashdeid.extract import EnsembleConfig
 from crashdeid.gateway import BackendConfig
-from crashdeid import gateway
+from crashdeid import extract, gateway
 from crashdeid.pipeline import (
     PRESETS,
     ConfigError,
@@ -723,6 +726,57 @@ def test_cli_exit_codes(tmp_path, capsys):
     )
     assert code == 1
     assert "unprocessed narratives: n1" in capsys.readouterr().err
+
+
+def test_a_bug_inside_the_pipeline_stops_the_run(tmp_path, capsys, monkeypatch):
+    # Only named reasons fail a narrative; any other ValueError is a bug.
+    def broken(text):
+        raise ValueError("bug in a recognizer")
+
+    monkeypatch.setattr(extract, "rule_candidates", broken)
+    corpus = write_corpus_jsonl(tmp_path / "c.jsonl", [{"id": "n1", "text": "CALL ME"}])
+    with pytest.raises(ValueError, match="bug in a recognizer"):
+        run_pipeline(PipelineConfig(preset="rules_only"), corpus, tmp_path / "out")
+    code = main(["run", "--input", str(corpus), "--out", str(tmp_path / "o2"),
+                 "--preset", "rules_only"])
+    assert (code, capsys.readouterr().err) == (2, "error: bug in a recognizer\n")
+
+
+def test_replay_in_another_process_reproduces_a_repaired_review(tmp_path):
+    # The first verifier answer has four non-string fields; the schema error
+    # it provokes keys the repair prompt, so it must not vary with the hash seed.
+    corpus = write_corpus_jsonl(tmp_path / "c.jsonl", [{"id": "n1", "text": FIG_TEXT}])
+    bad = dict(text=1, decision=2, reason=3, evidence=4)
+    good = review_obj(FIG_CANDIDATE, "DROP", "crash location", FIG_EVIDENCE)
+    fixtures = write_fixture(
+        tmp_path / "fx.jsonl",
+        extraction_entries(FIG_TEXT, {s: FIG_TAGGED for s in range(2)})
+        + verifier_entries(
+            FIG_TEXT, [FIG_CANDIDATE], [],
+            [verifier_json([bad], []), verifier_json([good], [])],
+        ),
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+
+    def crashdeid(hash_seed: int, *argv: str) -> None:
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(hash_seed))
+        subprocess.run(
+            [sys.executable, "-m", "crashdeid.cli", *argv],
+            env=env, capture_output=True, timeout=60, check=True,
+        )
+
+    first = tmp_path / "out-1"
+    crashdeid(1, "run", "--input", str(corpus), "--out", str(first), "--preset", "hybrid_ev",
+              "--k-ensemble", "2", "--seed", "0", "--mock-fixtures", str(fixtures),
+              "--mask-timestamps")
+    (record,) = read_audit_log(first / "audit.jsonl")
+    assert (record.review.decision, record.final_action) == ("DROP", "removed")
+    for hash_seed in (2, 3, 4):
+        replayed = tmp_path / f"out-{hash_seed}"
+        crashdeid(hash_seed, "run", "--replay", str(first / "manifest.json"),
+                  "--out", str(replayed))
+        for name in ("redacted.jsonl", "audit.jsonl"):
+            assert (replayed / name).read_bytes() == (first / name).read_bytes(), name
 
 
 def test_cli_eval_writes_reports(tmp_path):

@@ -21,7 +21,7 @@ from crashdeid.cli import main
 from crashdeid.corpus import Narrative
 from crashdeid.extract import AllRunsFailed, EnsembleConfig, hybrid_extract
 from crashdeid.gateway import BackendConfig, write_fixture_file
-from crashdeid.pipeline import PipelineConfig, run_pipeline
+from crashdeid.pipeline import PipelineConfig, process_narrative, run_pipeline
 from crashdeid.redact import PLACEHOLDERS, RedactionStyle
 from crashdeid.tags import DELIMITERS, PiiCategory, parse_tagged
 from crashdeid.verify import VerifierPolicy
@@ -312,3 +312,20 @@ def test_no_error_path_prints_narrative_or_gold_content(tmp_path, capsys, monkey
     assert not leaks
     for path in tmp_path.rglob("manifest.json"):
         assert CANARY not in path.read_text(encoding="utf-8"), path
+
+
+def test_a_failed_narrative_records_only_the_error_type(monkeypatch):
+    # The echo server's errors quote the narrative; the result keeps none of it.
+    def echo(payload):
+        raise ValueError(f"server error for {payload['messages'][1]['content']}")
+
+    monkeypatch.setattr(gateway, "_http_post", http_probe(echo)[0])
+    monkeypatch.setattr(gateway, "_BACKOFF_BASE_SECONDS", 0.0)
+    backend = BackendConfig(
+        kind="http_endpoint", endpoint_url="http://127.0.0.1:9/v1/chat/completions"
+    )
+    config = PipelineConfig(
+        preset="hybrid", ensemble=EnsembleConfig(k_runs=1), extractor_backend=backend
+    )
+    result = process_narrative(Narrative("n1", CANARY_TEXT), config)
+    assert (result.final, result.error) == (None, "AllRunsFailed")

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,9 +19,7 @@ from crashdeid.verify import (
     SchemaMismatch,
     VerifierPolicy,
     VerifierReview,
-    apply_policy,
     check_evidence,
-    final_action,
     parse_verifier_output,
     verify_candidates,
 )
@@ -96,6 +98,32 @@ def test_parse_rejects_missing_and_extra_review_fields():
     )
     with pytest.raises(SchemaMismatch, match="exactly the fields"):
         parse_verifier_output(completion, ["X"], [])
+
+
+def test_schema_error_names_the_same_field_under_every_hash_seed():
+    # Every field is bad; the repair prompt and the degraded audit reason
+    # quote this message, so it must not depend on string hashing.
+    script = (
+        "import json\n"
+        "from crashdeid.verify import SchemaMismatch, parse_verifier_output\n"
+        "review = dict(text=1, decision=2, reason=3, evidence=4)\n"
+        "completion = json.dumps("
+        "{'home_address_reviews': [review], 'alphanumeric_reviews': []})\n"
+        "try:\n"
+        "    parse_verifier_output(completion, ['X'], [])\n"
+        "except SchemaMismatch as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    messages = set()
+    for seed in range(1, 7):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        messages.add(done.stdout)
+    assert messages == {"home_address_reviews[0].text is not a string\n"}
 
 
 def test_parse_rejects_keep_drop_without_evidence():
@@ -190,8 +218,25 @@ FINAL_ACTIONS = [
     FINAL_ACTIONS,
     ids=[f"{d}-policy{i}-{e}" for i, (d, _, e) in enumerate(FINAL_ACTIONS)],
 )
-def test_final_action_truth_table(decision, policy, expected):
-    assert final_action(decision, policy) == expected
+def test_final_action_truth_table(tmp_path, fig_narrative, decision, policy, expected):
+    evidence = "" if decision == "UNCERTAIN" else FIG_EVIDENCE
+    completion = verifier_json([review_obj(FIG_CANDIDATE, decision, evidence=evidence)], [])
+    backend = mock_backend(
+        tmp_path, verifier_entries(fig_narrative, [FIG_CANDIDATE], [], [completion])
+    )
+    candidates = CandidateSet(
+        narrative_id="n1",
+        by_category={HOME: (Candidate(FIG_CANDIDATE, SOURCE_LLM_ENSEMBLE, 1),)},
+    )
+    result = verify_candidates(Narrative("n1", fig_narrative), candidates, backend, policy)
+    (record,) = result.audit
+    assert not result.degraded
+    assert (record.review.decision, record.final_action) == (decision, expected)
+    assert result.final.surfaces(HOME) == ([FIG_CANDIDATE] if expected == "retained" else [])
+
+
+#: Holds the phone and the plate of ``_candidate_set``, so evidence is verbatim.
+TWO_CATEGORY_TEXT = "UNIT 1 HIT THE DRIVEWAY OF 4647 HIGHWAY 47. PLATE AB1234. CALL 608-733-8366."
 
 
 def _candidate_set() -> CandidateSet:
@@ -205,54 +250,54 @@ def _candidate_set() -> CandidateSet:
     )
 
 
-AUDIT_FIELDS = {"label": "recall_first", "backend_id": "b", "timestamp": "t"}
+def _verify_two_categories(tmp_path, home_review, alnum_review, policy):
+    backend = mock_backend(
+        tmp_path,
+        verifier_entries(
+            TWO_CATEGORY_TEXT, [FIG_CANDIDATE], ["AB1234"],
+            [verifier_json([home_review], [alnum_review])],
+        ),
+    )
+    return verify_candidates(
+        Narrative("n1", TWO_CATEGORY_TEXT), _candidate_set(), backend, policy,
+        timestamp_fn=lambda: "t",
+    )
 
 
-def test_apply_policy_drop_removes_and_audits():
-    candidates = _candidate_set()
-    output = {
-        HOME: (VerifierReview(FIG_CANDIDATE, "DROP", FIG_REASON, FIG_EVIDENCE),),
-        ALNUM: (VerifierReview("AB1234", "KEEP", "plate", "AB1234"),),
-    }
-    final, audit = apply_policy(output, candidates, VerifierPolicy.RECALL_FIRST, **AUDIT_FIELDS)
-    assert final.surfaces(HOME) == []
-    assert final.surfaces(ALNUM) == ["AB1234"]
-    assert final.surfaces(PiiCategory.PHONE) == ["608-733-8366"]
-    by_text = {record.review.text: record for record in audit}
+def test_verify_candidates_drop_removes_and_audits(tmp_path):
+    result = _verify_two_categories(
+        tmp_path,
+        review_obj(FIG_CANDIDATE, "DROP", FIG_REASON, FIG_EVIDENCE),
+        review_obj("AB1234", "KEEP", "plate", "AB1234"),
+        VerifierPolicy.RECALL_FIRST,
+    )
+    assert result.final.surfaces(HOME) == []
+    assert result.final.surfaces(ALNUM) == ["AB1234"]
+    assert result.final.surfaces(PiiCategory.PHONE) == ["608-733-8366"]
+    by_text = {record.review.text: record for record in result.audit}
     assert by_text[FIG_CANDIDATE].final_action == "removed"
     assert by_text["AB1234"].final_action == "retained"
-    assert all(r.policy_applied == "recall_first" for r in audit)
-    assert all(r.backend_id == "b" and r.timestamp == "t" for r in audit)
+    assert all(r.policy_applied == "recall_first" for r in result.audit)
+    assert all(r.backend_id == "mock:mock.jsonl" and r.timestamp == "t" for r in result.audit)
 
 
-def test_apply_policy_all_keep_is_identity():
-    candidates = _candidate_set()
-    output = {
-        HOME: (VerifierReview(FIG_CANDIDATE, "KEEP", "r", FIG_CANDIDATE),),
-        ALNUM: (VerifierReview("AB1234", "KEEP", "r", "AB1234"),),
-    }
-    final, audit = apply_policy(output, candidates, VerifierPolicy.RECALL_FIRST, **AUDIT_FIELDS)
-    assert final.by_category == candidates.by_category
-    assert len(audit) == 2
+def test_verify_candidates_all_keep_is_identity(tmp_path):
+    result = _verify_two_categories(
+        tmp_path,
+        review_obj(FIG_CANDIDATE, "KEEP", evidence=FIG_CANDIDATE),
+        review_obj("AB1234", "KEEP", evidence="AB1234"),
+        VerifierPolicy.RECALL_FIRST,
+    )
+    assert result.final.by_category == _candidate_set().by_category
+    assert len(result.audit) == 2
 
 
-def test_apply_policy_uncertain_follows_policy():
-    candidates = _candidate_set()
-    output = {
-        HOME: (VerifierReview(FIG_CANDIDATE, "UNCERTAIN", "r", ""),),
-        ALNUM: (VerifierReview("AB1234", "UNCERTAIN", "r", ""),),
-    }
-    final, _ = apply_policy(output, candidates, VerifierPolicy.RECALL_FIRST, **AUDIT_FIELDS)
-    assert final.surfaces(HOME) == [FIG_CANDIDATE]
-    final, _ = apply_policy(output, candidates, VerifierPolicy.PRECISION_FIRST, **AUDIT_FIELDS)
-    assert final.surfaces(HOME) == []
-
-
-def test_apply_policy_rejects_misaligned_output():
-    candidates = _candidate_set()
-    output = {HOME: (), ALNUM: ()}
-    with pytest.raises(AlignmentViolation):
-        apply_policy(output, candidates, VerifierPolicy.RECALL_FIRST, **AUDIT_FIELDS)
+def test_verify_candidates_uncertain_follows_policy(tmp_path):
+    reviews = (review_obj(FIG_CANDIDATE, "UNCERTAIN"), review_obj("AB1234", "UNCERTAIN"))
+    result = _verify_two_categories(tmp_path, *reviews, VerifierPolicy.RECALL_FIRST)
+    assert result.final.surfaces(HOME) == [FIG_CANDIDATE]
+    result = _verify_two_categories(tmp_path, *reviews, VerifierPolicy.PRECISION_FIRST)
+    assert result.final.surfaces(HOME) == []
 
 
 def test_verify_candidates_short_circuits_when_ambiguous_empty(tmp_path):
