@@ -7,9 +7,10 @@ be scored against several gold versions; it is read only when the caller
 names it, so a run reads no file its manifest does not record.
 
 Narrative text is stored byte-for-byte as read; offsets elsewhere in the
-system are Unicode scalar-value indices into that exact text. Error
-messages name the file, line, field and narrative id, never a value read
-from a text or gold field: a gold surface is PII by definition.
+system are Unicode scalar-value indices into that exact text. A file's
+leading UTF-8 byte-order mark (Excel's "CSV UTF-8" writes one) is
+skipped. Error messages name the file, line, field and narrative id, never
+a value read from a text or gold field: a gold surface is PII by definition.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ def _not_utf8(path: Path) -> MalformedRecord:
 
 def read_jsonl_records(path: Path) -> Iterator[tuple[int, dict]]:
     """``(line_no, object)`` for each non-blank line; line numbers count from 1."""
-    with path.open(encoding="utf-8") as handle:
+    with path.open(encoding="utf-8-sig") as handle:
         try:
             for line_no, line in enumerate(handle, start=1):
                 if not line.strip():
@@ -148,7 +149,7 @@ def _read_narratives_jsonl(path: Path) -> list[Narrative]:
 
 def _read_narratives_csv(path: Path) -> list[Narrative]:
     narratives = []
-    with path.open(encoding="utf-8", newline="") as handle:
+    with path.open(encoding="utf-8-sig", newline="") as handle:
         reader = csv.DictReader(handle)
         try:
             if reader.fieldnames is None or not {"id", "text"} <= set(reader.fieldnames):

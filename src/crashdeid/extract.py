@@ -8,10 +8,11 @@ to caller discipline.
 The LLM tagger runs K times. For the ambiguous categories
 (``tags.AMBIGUOUS_CATEGORIES``) the union of candidate surfaces across
 runs is kept, with ``run_votes`` counting how many runs produced each
-surface; names come from the first useful run in seed order. A run whose
-completion fails the detag-equality guard is treated as hallucinated and
-discarded wholesale: offsets cannot be trusted once the model rewrote the
-text. A narrative with no useful run at all raises ``AllRunsFailed``.
+surface; names come from the first useful run in seed order. A run is
+hallucinated, and discarded wholesale, unless deleting its delimiters and
+parsing it both give back the narrative (``tags.read_tagged``): once the
+model rewrote the text, its spans cannot be trusted. A narrative with no
+useful run at all raises ``AllRunsFailed``.
 
 ``hybrid_extract`` is the one extraction path of every preset: without a
 backend it yields rule candidates only, with ``rules=False`` LLM
@@ -40,8 +41,7 @@ from .tags import (
     PiiSpan,
     TagError,
     contains_delimiter_sequence,
-    detag_equals,
-    parse_tagged,
+    read_tagged,
 )
 
 SOURCE_RULE = "rule"
@@ -132,22 +132,21 @@ def extract_single_run(
     *,
     seed: int | None = None,
 ) -> SingleRun:
-    """One tagging run: prompt, complete, guard, parse.
+    """One tagging run: prompt, complete, read.
 
     Returns spans restricted to the LLM-owned categories; rule-owned tags
-    in the completion are discarded. A completion that fails detag
-    equality (or does not parse) counts as hallucinated and contributes
-    no spans. Gateway errors propagate.
+    in the completion are discarded. The run is hallucinated, and
+    contributes no spans, unless deleting its delimiters and parsing it
+    both give back the narrative (``read_tagged``); so every span it
+    returns is a slice of the narrative. Gateway errors propagate.
     """
     request = gateway.build_extraction_prompt(narrative.text, seed=seed)
     response = gateway.complete(request, backend)
-    if not detag_equals(response.text, narrative.text):
-        return SingleRun([], True)
     try:
-        _, parsed = parse_tagged(response.text)
+        spans = read_tagged(response.text, narrative.text)
     except TagError:
         return SingleRun([], True)
-    return SingleRun([s for s in parsed if s.category in LLM_CATEGORIES], False)
+    return SingleRun([s for s in spans if s.category in LLM_CATEGORIES], False)
 
 
 @dataclass(frozen=True)

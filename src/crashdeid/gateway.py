@@ -82,10 +82,6 @@ class OversizeOutput(GatewayError):
     """The completion exceeds ``MAX_OUTPUT_CHARS``."""
 
 
-class ClientError(http.client.HTTPException):
-    """A 4xx reply other than 408 or 429: the server refuses the request itself."""
-
-
 class EmptyCandidateString(ValueError):
     """A verifier candidate list contains an empty string."""
 
@@ -214,7 +210,9 @@ def _http_post(url: str, payload: dict, timeout: float) -> dict:
     finally:
         connection.close()
     if 400 <= response.status < 500 and response.status not in (408, 429):
-        raise ClientError(f"HTTP {response.status} {response.reason}")
+        raise TransportFailure(
+            f"backend refused the request: HTTP {response.status} {response.reason}"
+        )
     if not 200 <= response.status < 300:
         raise http.client.HTTPException(f"HTTP {response.status} {response.reason}")
     return json.loads(body)
@@ -242,8 +240,6 @@ def _complete_http(request: ChatRequest, config: BackendConfig) -> str:
             if not isinstance(text, str):
                 raise TypeError(f"completion content is {type(text).__name__}")
             return text
-        except ClientError as exc:
-            raise TransportFailure(f"backend refused the request: {exc}") from exc
         except (
             OSError, http.client.HTTPException, ValueError, KeyError, IndexError, TypeError
         ) as exc:

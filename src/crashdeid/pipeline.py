@@ -32,7 +32,7 @@ from .corpus import Corpus, Narrative, load_corpus, write_audit_log, write_redac
 from .evalkit import MetricsReport, build_report, write_report
 from .extract import AllRunsFailed, CandidateSet, EnsembleConfig, hybrid_extract
 from .gateway import BackendConfig, GatewayError
-from .redact import PLACEHOLDERS, RedactionStyle, SurfaceNotFound, render
+from .redact import PLACEHOLDERS, RedactionStyle, render
 from .tags import AMBIGUOUS_CATEGORIES, AmbiguousTagging, PiiCategory
 from .verify import AuditRecord, VerifierPolicy, rfc3339_now, verify_candidates
 
@@ -262,19 +262,22 @@ def run_pipeline(
     report_path: str | Path | None = None,
 ) -> RunSummary:
     """Process the corpus, score it when ``report_path`` is set (JSON there,
-    text beside it as ``.txt``) and write the outputs when ``output_dir`` is.
-    The report covers emitted narratives only: a failed one has no predictions.
-    """
+    text beside it as ``.txt``, so a ``.txt`` path is refused before any file
+    is read) and write the outputs when ``output_dir`` is. The report covers
+    emitted narratives only: a failed one has no predictions."""
     started = time.monotonic()
+    if report_path is not None and Path(report_path).suffix == ".txt":
+        raise ConfigError(f"report path {report_path} ends in .txt, the text report's own path")
     corpus = load_corpus(input_path, fmt=fmt, gold_path=gold_path)
     results = execute(corpus, config)
     # Settle on this thread, in input order: a text the writer refuses
     # fails its narrative, so ``redacted`` is set exactly when ``error`` is not.
+    # Every surface is a slice of its narrative, so render finds each one.
     for result in results:
         if result.error is None:
             try:
                 result.redacted = render(result.narrative, result.final, config.output_style)
-            except (AmbiguousTagging, SurfaceNotFound) as exc:
+            except AmbiguousTagging as exc:
                 result.error = type(exc).__name__
     emitted = [result for result in results if result.error is None]
     summary = RunSummary(

@@ -10,9 +10,9 @@ categories and their delimiters are fixed:
     home_address    $$$ ... $$$
     alphanumeric    ^^^ ... ^^^
 
-Tags are flat: no nesting, no overlap. Removing all delimiter sequences
-from a well-formed tagged string must reproduce the untagged text exactly;
-``detag_equals`` is the hallucination guard built on that property.
+Tags are flat: no nesting, no overlap. ``read_tagged`` is the one reader
+of tagged text: it accepts a tagging only when deleting its delimiters and
+parsing it both give back the untagged text exactly.
 
 Texts that already contain a delimiter sequence cannot be tagged
 unambiguously. ``contains_delimiter_sequence`` flags them so callers can
@@ -158,11 +158,11 @@ def parse_tagged(raw: str) -> tuple[str, list[PiiSpan]]:
 def serialize_spans(clean_text: str, spans: list[PiiSpan]) -> str:
     """Render spans as tagged text; the exact inverse of ``parse_tagged``.
 
-    The result must detag to ``clean_text`` and parse back to exactly the
-    given spans; any other result raises AmbiguousTagging. That one
-    round-trip check refuses out-of-range, empty, overlapping and
-    mismatched spans as well as delimiter characters in the text that
-    would merge with the inserted tags.
+    ``read_tagged`` must accept the result and give back exactly the given
+    spans; any other result raises AmbiguousTagging. That one round-trip
+    check refuses out-of-range, empty, overlapping and mismatched spans as
+    well as delimiter characters in the text that would merge with the
+    inserted tags.
     """
     ordered = sorted(spans, key=lambda s: (s.start, s.end))
     parts: list[str] = []
@@ -176,15 +176,24 @@ def serialize_spans(clean_text: str, spans: list[PiiSpan]) -> str:
         cursor = span.end
     parts.append(clean_text[cursor:])
     result = "".join(parts)
-    if not detag_equals(result, clean_text):
-        raise AmbiguousTagging("tagged text does not detag to its input")
     try:
-        back_text, back_spans = parse_tagged(result)
+        if read_tagged(result, clean_text) == ordered:
+            return result
     except TagError as exc:
-        raise AmbiguousTagging(f"tagged text does not parse: {exc}") from exc
-    if back_text != clean_text or back_spans != ordered:
-        raise AmbiguousTagging("tagged text parses to different spans")
-    return result
+        raise AmbiguousTagging(f"tagged text does not read back: {exc}") from exc
+    raise AmbiguousTagging("tagged text parses to different spans")
+
+
+def read_tagged(raw: str, text: str) -> list[PiiSpan]:
+    """The spans of ``raw`` in ascending order, each a slice of ``text``;
+    AmbiguousTagging unless deleting the delimiters of ``raw`` and parsing
+    it both give back exactly ``text``. A malformed tag raises its TagError."""
+    if not detag_equals(raw, text):
+        raise AmbiguousTagging("tagged text does not detag to its input")
+    parsed_text, spans = parse_tagged(raw)
+    if parsed_text != text:
+        raise AmbiguousTagging("tagged text parses to a different text")
+    return spans
 
 
 def strip_delimiters(raw: str) -> str:
@@ -195,8 +204,5 @@ def strip_delimiters(raw: str) -> str:
 
 
 def detag_equals(tagged: str, original: str) -> bool:
-    """Hallucination guard: does delimiter deletion recover the original?
-
-    Total on malformed input; no parsing is attempted.
-    """
+    """Does deleting the delimiters of ``tagged`` give ``original``? Never raises."""
     return strip_delimiters(tagged) == original

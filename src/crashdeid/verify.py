@@ -156,12 +156,7 @@ def _parse_review(item: object, list_name: str, index: int) -> VerifierReview:
         raise SchemaMismatch(
             f"{list_name}[{index}] is UNCERTAIN but carries non-empty evidence"
         )
-    return VerifierReview(
-        text=item["text"],
-        decision=item["decision"],
-        reason=item["reason"],
-        evidence=item["evidence"],
-    )
+    return VerifierReview(**item)
 
 
 def _check_alignment(

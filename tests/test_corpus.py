@@ -85,6 +85,27 @@ def test_csv_requires_id_and_text_columns(tmp_path):
         load_corpus(path)
 
 
+BOM = "\ufeff".encode()
+
+
+def test_csv_with_a_byte_order_mark_loads(tmp_path):
+    # Excel's "CSV UTF-8" opens the file with a BOM; only that one is skipped.
+    path = tmp_path / "c.csv"
+    path.write_bytes(BOM + "id,text\nn1,CAF\u00c9 \ufeff KEPT\n".encode())
+    assert load_corpus(path).narratives == (Narrative("n1", "CAF\u00c9 \ufeff KEPT"),)
+
+
+def test_jsonl_corpus_and_gold_with_a_byte_order_mark_load(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(BOM + json.dumps({"id": "n1", "text": "JOHN \ufeff"}).encode() + b"\n")
+    gold = tmp_path / "g.jsonl"
+    record = {"narrative_id": "n1", "category": "name", "surface": "JOHN"}
+    gold.write_bytes(BOM + json.dumps(record).encode() + b"\n")
+    corpus = load_corpus(path, gold_path=gold)
+    assert corpus.narratives == (Narrative("n1", "JOHN \ufeff"),)
+    assert corpus.gold == (GoldAnnotation("n1", PiiCategory.NAME, "JOHN"),)
+
+
 def test_csv_field_over_the_csv_module_limit_is_a_malformed_record(tmp_path):
     path = tmp_path / "c.csv"
     text = "X" * 200_000

@@ -17,6 +17,7 @@ from crashdeid.extract import (
     SOURCE_LLM_ENSEMBLE,
     SOURCE_LLM_SINGLE,
     SOURCE_RULE,
+    SingleRun,
     extract_ensemble,
     extract_single_run,
     hybrid_extract,
@@ -132,6 +133,15 @@ def test_single_run_unparseable_tagging_counts_as_hallucinated(tmp_path):
         tmp_path, extraction_entries(narrative.text, {None: "@@@SOME $$$TE$$$XT@@@"})
     )
     assert extract_single_run(narrative, backend) == ([], True)
+
+
+def test_single_run_whose_parse_differs_from_the_narrative_is_hallucinated(tmp_path):
+    narrative = Narrative("n1", "Driver Ann at home")
+    # Deleting the delimiters gives the narrative back; the parse does not.
+    backend = mock_backend(
+        tmp_path, extraction_entries(narrative.text, {None: "Driver &@@@&&Ann&@@@&& at home"})
+    )
+    assert extract_single_run(narrative, backend) == SingleRun([], True)
 
 
 def _ensemble_fixture(tmp_path, narrative, tagged_by_run, k=None):

@@ -359,7 +359,7 @@ def test_http_client_error_costs_one_post_and_no_sleep(monkeypatch):
 
     def respond(payload):
         posts.append(payload)
-        raise gateway.ClientError("HTTP 404 Not Found")
+        raise TransportFailure("backend refused the request: HTTP 404 Not Found")
 
     monkeypatch.setattr(gateway, "_http_post", http_probe(respond)[0])
     monkeypatch.setattr(gateway.time, "sleep", sleeps.append)

@@ -235,6 +235,28 @@ def test_bad_first_run_does_not_leak_names(tmp_path, run_zero):
     assert row["redacted_text"] == "DRIVER [NAME] LIVES AT [HOME_ADDRESS]"
 
 
+def test_a_run_whose_parse_differs_does_not_fail_the_narrative(tmp_path):
+    # Run 0 detags to the text but parses to "Driver &&&Ann&&& at home", with
+    # a name "&&Ann&" the narrative does not hold; it must count as
+    # hallucinated, so the names come from run 1.
+    text = "Driver Ann at home"
+    tagged = "Driver @@@Ann@@@ at home"
+    runs = {0: "Driver &@@@&&Ann&@@@&& at home", 1: tagged, 2: tagged}
+    corpus = write_corpus_jsonl(tmp_path / "c.jsonl", [{"id": "n1", "text": text}])
+    fixtures = write_fixture(tmp_path / "fx.jsonl", extraction_entries(text, runs))
+    config = PipelineConfig(
+        preset="hybrid",
+        ensemble=EnsembleConfig(k_runs=3),
+        extractor_backend=BackendConfig(kind="scripted_mock", fixture_path=fixtures),
+        seed=0,
+    )
+    out = tmp_path / "out"
+    summary = run_pipeline(config, corpus, out)
+    assert summary.failed_narratives == []
+    (row,) = [json.loads(l) for l in (out / "redacted.jsonl").read_text().splitlines()]
+    assert row["redacted_text"] == tagged
+
+
 CONTAINED_TEXT = "Driver smith called from smith@mail.com; smith was not injured."
 CONTAINED_TAGGED = "Driver @@@smith@@@ called from smith@mail.com; @@@smith@@@ was not injured."
 
@@ -823,6 +845,23 @@ def test_cli_eval_writes_reports(tmp_path):
     assert (row["tp"], row["fp"], row["fn"]) == (7, 0, 4)
     text_report = report_path.with_suffix(".txt").read_text()
     assert "1.00" in text_report and "0.64" in text_report and "0.78" in text_report
+
+
+def test_cli_eval_refuses_a_txt_report_path(tmp_path, capsys):
+    # The text report is written to the report path with suffix .txt, which
+    # is r.txt itself. The path is refused before any file is read, so the
+    # missing input is not what the error names.
+    corpus, gold = tmp_path / "missing.jsonl", tmp_path / "missing.gold.jsonl"
+    report, out = tmp_path / "r.txt", tmp_path / "out"
+    code = main([
+        "eval", "--input", str(corpus), "--gold", str(gold), "--report", str(report),
+        "--preset", "rules_only", "--out", str(out),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: report path {report} ends in .txt, the text report's own path\n"
+    )
+    assert not report.exists() and not out.exists()
 
 
 def test_cli_eval_creates_report_directory(tmp_path):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crashdeid.tags import (
@@ -18,6 +18,7 @@ from crashdeid.tags import (
     contains_delimiter_sequence,
     detag_equals,
     parse_tagged,
+    read_tagged,
     serialize_spans,
     strip_delimiters,
 )
@@ -213,6 +214,52 @@ DENSE_TOKENS = list("@&%$^ab ") + sorted(DELIMITERS.values())
 def test_parse_matches_oracle_property(tokens):
     raw = "".join(tokens)
     assert _outcome(parse_tagged, raw) == _outcome(tag_oracle.parse_tagged, raw)
+
+
+def test_read_tagged_refuses_a_tagging_whose_parse_differs():
+    # Deleting the delimiters gives the text back, but the parse pairs the
+    # "@@@"s around "&&Ann&" and keeps the stray "&"s in the text.
+    raw = "Driver &@@@&&Ann&@@@&& at home"
+    assert detag_equals(raw, "Driver Ann at home")
+    assert parse_tagged(raw)[0] == "Driver &&&Ann&&& at home"
+    with pytest.raises(AmbiguousTagging):
+        read_tagged(raw, "Driver Ann at home")
+    assert read_tagged("Driver @@@Ann@@@ at home", "Driver Ann at home") == [
+        PiiSpan(PiiCategory.NAME, 7, 10, "Ann")
+    ]
+
+
+@settings(max_examples=500)
+@given(
+    base=st.text(alphabet="@&$a", max_size=12),
+    inserts=st.lists(
+        st.tuples(st.integers(0, 30), st.sampled_from(sorted(DELIMITERS.values()))),
+        max_size=4,
+    ),
+    pick=st.integers(0, 2),
+)
+# "&@@@&&Ann&@@@&&": a "@@@" pair splits each "&&&", which deletion rejoins.
+@example(base="Ann", inserts=[(0, "&&&"), (1, "@@@"), (9, "&&&"), (10, "@@@")], pick=1)
+def test_read_tagged_accepts_exactly_what_parses_back(base, inserts, pick):
+    # Delimiters inserted among stray delimiter characters: the parse may
+    # pair them other than as inserted, give back another text, or fail.
+    raw = base
+    for position, delim in inserts:
+        position = min(position, len(raw))
+        raw = raw[:position] + delim + raw[position:]
+    try:
+        parsed_text = parse_tagged(raw)[0]
+    except TagError:
+        parsed_text = None
+    text = [base if parsed_text is None else parsed_text, base, strip_delimiters(raw)][pick]
+    try:
+        spans = read_tagged(raw, text)
+    except TagError:
+        spans = None
+    if spans is not None:
+        assert all(text[s.start : s.end] == s.surface for s in spans)
+    if not contains_delimiter_sequence(text):
+        assert (spans is not None) == (parsed_text == text)
 
 
 def _bulk_tagged_text(rng: random.Random, size: int) -> str:
