@@ -4,6 +4,8 @@ Progress and errors go to standard error only; narrative content is never
 printed to the terminal. All data artifacts are written to files. ``run``,
 its ``--replay`` and ``eval`` exit 0 when every narrative was emitted, 1
 when any is listed as unprocessed, and 2 on an ``error:`` that stops the run.
+An unexpected exception prints only its type name, since its message may
+quote narrative text.
 
     crashdeid run  --input corpus.jsonl --out outdir --preset hybrid_ev ...
     crashdeid run  --replay outdir/manifest.json --out newdir
@@ -126,6 +128,9 @@ def main(argv: list[str] | None = None) -> int:
             )
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # its message may quote a narrative
+        print(f"error: unexpected {type(exc).__name__}", file=sys.stderr)
         return 2
     counts = summary.counts
     target = "" if summary.output_dir is None else f" -> {summary.output_dir}"

@@ -3,7 +3,8 @@
 Per-type matching is exact-string multiset matching within each
 (narrative, category) pair: matched instances are TP, unmatched
 predictions FP, unmatched gold FN. Narrative-level scoring is binary
-(does the narrative contain any PII at all) and includes accuracy.
+(does the narrative contain any PII at all) and includes accuracy. Both
+score against the corpus's own gold, ``Corpus.gold``.
 
 Ratios with zero denominators are reported as ``None`` and rendered as
 ``-``; display values are rounded half-up to two decimals, internal
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -42,14 +43,14 @@ class TypeMetrics:
 
 @dataclass(frozen=True)
 class NarrativeMetrics:
-    precision: float | None
-    recall: float | None
-    f1: float | None
-    accuracy: float | None
     tp: int
     fp: int
     fn: int
     tn: int
+    precision: float | None
+    recall: float | None
+    f1: float | None
+    accuracy: float | None
 
 
 @dataclass(frozen=True)
@@ -111,65 +112,49 @@ def score_per_type(
     ]
 
 
+def precision_recall_f1(
+    tp: int, fp: int, fn: int
+) -> tuple[float | None, float | None, float | None]:
+    """Precision, recall and F1 of a TP/FP/FN tally."""
+    precision = safe_ratio(tp, tp + fp)
+    recall = safe_ratio(tp, tp + fn)
+    return precision, recall, f1_score(precision, recall)
+
+
 def metrics_from_counts(counts: TypeCounts) -> TypeMetrics:
-    precision = safe_ratio(counts.tp, counts.tp + counts.fp)
-    recall = safe_ratio(counts.tp, counts.tp + counts.fn)
-    return TypeMetrics(counts, precision, recall, f1_score(precision, recall))
+    return TypeMetrics(counts, *precision_recall_f1(counts.tp, counts.fp, counts.fn))
 
 
 def score_narrative_level(
-    gold: Iterable[GoldAnnotation],
-    predictions: Mapping[str, CandidateSet],
-    corpus: Corpus,
+    predictions: Mapping[str, CandidateSet], corpus: Corpus
 ) -> NarrativeMetrics:
-    """Binary contains-any-PII scoring over all narratives in the corpus."""
-    gold_positive = {annotation.narrative_id for annotation in gold}
-    predicted_positive = {
+    """Binary contains-any-PII scoring over all narratives in the corpus,
+    against the corpus's own gold."""
+    ids = {narrative.id for narrative in corpus.narratives}
+    gold = ids & {annotation.narrative_id for annotation in corpus.gold}
+    predicted = ids & {
         narrative_id
         for narrative_id, candidates in predictions.items()
         if candidates.total() > 0
     }
-    tp = fp = fn = tn = 0
-    for narrative in corpus.narratives:
-        is_gold = narrative.id in gold_positive
-        is_pred = narrative.id in predicted_positive
-        if is_gold and is_pred:
-            tp += 1
-        elif is_pred:
-            fp += 1
-        elif is_gold:
-            fn += 1
-        else:
-            tn += 1
-    precision = safe_ratio(tp, tp + fp)
-    recall = safe_ratio(tp, tp + fn)
-    total = tp + fp + fn + tn
+    tp = len(gold & predicted)
+    fp = len(predicted - gold)
+    fn = len(gold - predicted)
+    tn = len(ids - gold - predicted)
     return NarrativeMetrics(
-        precision=precision,
-        recall=recall,
-        f1=f1_score(precision, recall),
-        accuracy=safe_ratio(tp + tn, total),
-        tp=tp,
-        fp=fp,
-        fn=fn,
-        tn=tn,
+        tp, fp, fn, tn, *precision_recall_f1(tp, fp, fn), safe_ratio(tp + tn, len(ids))
     )
 
 
 def build_report(
-    gold: Iterable[GoldAnnotation],
-    predictions: Mapping[str, CandidateSet],
-    corpus: Corpus,
-    config_label: str,
+    predictions: Mapping[str, CandidateSet], corpus: Corpus, config_label: str
 ) -> MetricsReport:
-    gold = list(gold)
-    per_type = tuple(
-        metrics_from_counts(counts) for counts in score_per_type(gold, predictions)
-    )
+    """Score ``predictions`` against the corpus's gold."""
+    per_type = score_per_type(corpus.gold, predictions)
     return MetricsReport(
         config_label=config_label,
-        per_type=per_type,
-        narrative_level=score_narrative_level(gold, predictions, corpus),
+        per_type=tuple(metrics_from_counts(counts) for counts in per_type),
+        narrative_level=score_narrative_level(predictions, corpus),
     )
 
 
@@ -182,56 +167,32 @@ _CATEGORY_TITLES = {
 }
 
 
+def _table_row(title: str, cells: Iterable[str]) -> str:
+    return f"{title:<16} " + " ".join(f"{cell:>9}" for cell in cells)
+
+
 def render_report(report: MetricsReport) -> str:
     """Plain-text metric table: one row per category plus the overall row."""
-    header = f"{'PII Category':<16} {'Precision':>9} {'Recall':>9} {'F1-score':>9} {'Accuracy':>9}"
-    lines = [f"Model: {report.config_label}", header, "-" * len(header)]
-    for entry in report.per_type:
-        lines.append(
-            f"{_CATEGORY_TITLES[entry.counts.category]:<16} "
-            f"{format_ratio(entry.precision):>9} "
-            f"{format_ratio(entry.recall):>9} "
-            f"{format_ratio(entry.f1):>9} "
-            f"{'-':>9}"
-        )
     overall = report.narrative_level
-    lines.append(
-        f"{'Overall':<16} "
-        f"{format_ratio(overall.precision):>9} "
-        f"{format_ratio(overall.recall):>9} "
-        f"{format_ratio(overall.f1):>9} "
-        f"{format_ratio(overall.accuracy):>9}"
-    )
+    rows = [
+        (_CATEGORY_TITLES[entry.counts.category], entry.precision, entry.recall, entry.f1, None)
+        for entry in report.per_type
+    ]
+    rows.append(("Overall", overall.precision, overall.recall, overall.f1, overall.accuracy))
+    header = _table_row("PII Category", ("Precision", "Recall", "F1-score", "Accuracy"))
+    lines = [f"Model: {report.config_label}", header, "-" * len(header)]
+    lines += [_table_row(title, map(format_ratio, values)) for title, *values in rows]
     return "\n".join(lines)
 
 
 def report_to_dict(report: MetricsReport) -> dict:
-    """Machine-readable report; values are unrounded."""
-    return {
-        "config_label": report.config_label,
-        "per_type": [
-            {
-                "category": entry.counts.category.value,
-                "tp": entry.counts.tp,
-                "fp": entry.counts.fp,
-                "fn": entry.counts.fn,
-                "precision": entry.precision,
-                "recall": entry.recall,
-                "f1": entry.f1,
-            }
-            for entry in report.per_type
-        ],
-        "narrative_level": {
-            "tp": report.narrative_level.tp,
-            "fp": report.narrative_level.fp,
-            "fn": report.narrative_level.fn,
-            "tn": report.narrative_level.tn,
-            "precision": report.narrative_level.precision,
-            "recall": report.narrative_level.recall,
-            "f1": report.narrative_level.f1,
-            "accuracy": report.narrative_level.accuracy,
-        },
-    }
+    """Machine-readable report in dataclass field order, a per-type row
+    being its counts then its ratios; values are unrounded."""
+    payload = asdict(report)
+    payload["per_type"] = [{**row.pop("counts"), **row} for row in payload["per_type"]]
+    for row in payload["per_type"]:
+        row["category"] = row["category"].value
+    return payload
 
 
 def write_report(report: MetricsReport, json_path, text_path) -> None:

@@ -33,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import http.client
 import json
+import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -117,7 +118,7 @@ class BackendConfig:
 
     def __post_init__(self) -> None:
         if self.kind == "http_endpoint":
-            parts = urlsplit(self.endpoint_url or "")
+            parts = urlsplit(self.endpoint_url if isinstance(self.endpoint_url, str) else "")
             if parts.scheme not in _CONNECTIONS or not parts.hostname:
                 raise ValueError("http_endpoint backend requires an http(s) endpoint_url")
         elif self.kind == "scripted_mock":
@@ -127,8 +128,10 @@ class BackendConfig:
             raise ValueError(f"unknown backend kind: {self.kind!r}")
         if type(self.retries) is not int or self.retries < 0:
             raise ValueError("retries must be an integer >= 0")
-        if type(self.timeout) not in (int, float) or self.timeout <= 0:
-            raise ValueError("timeout must be a positive number")
+        if type(self.timeout) not in (int, float) or not 0 < self.timeout < math.inf:
+            raise ValueError("timeout must be a positive finite number")
+        if not isinstance(self.model_name, (str, type(None))):
+            raise ValueError("model_name must be a string or None")
 
     @cached_property
     def backend_id(self) -> str:

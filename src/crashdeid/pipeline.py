@@ -287,7 +287,7 @@ def run_pipeline(
     )
     if report_path is not None:
         predictions = {r.narrative.id: r.final for r in emitted}
-        summary.report = build_report(corpus.gold, predictions, corpus, config.preset)
+        summary.report = build_report(predictions, corpus, config.preset)
         report_path = Path(report_path)
         write_report(summary.report, report_path, report_path.with_suffix(".txt"))
     if summary.output_dir is not None:

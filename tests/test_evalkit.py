@@ -16,6 +16,7 @@ from crashdeid.evalkit import (
     round_half_up,
     score_narrative_level,
     score_per_type,
+    write_report,
 )
 from crashdeid.extract import Candidate, CandidateSet, SOURCE_LLM_SINGLE, SOURCE_RULE
 from crashdeid.tags import PiiCategory
@@ -180,7 +181,7 @@ def _corpus(n: int, gold: list[GoldAnnotation]) -> Corpus:
 
 def test_narrative_level_all_negative():
     corpus = _corpus(5, [])
-    metrics = score_narrative_level([], {}, corpus)
+    metrics = score_narrative_level({}, corpus)
     assert metrics.accuracy == 1.0
     assert metrics.precision is None
     assert metrics.recall is None
@@ -191,7 +192,7 @@ def test_narrative_level_perfect_predictor():
     gold = [GoldAnnotation(f"n{i}", NAME, f"TEXT {i}") for i in range(20)]
     corpus = _corpus(100, gold)
     predictions = {f"n{i}": _pred(f"n{i}", name=[f"TEXT {i}"]) for i in range(20)}
-    metrics = score_narrative_level(gold, predictions, corpus)
+    metrics = score_narrative_level(predictions, corpus)
     assert (
         metrics.precision,
         metrics.recall,
@@ -208,7 +209,7 @@ def test_narrative_level_counts_mixed():
         "n2": _pred("n2", name=["GHOST"]),    # false positive
         "n1": _pred("n1"),                    # empty prediction -> miss
     }
-    metrics = score_narrative_level(gold, predictions, corpus)
+    metrics = score_narrative_level(predictions, corpus)
     assert (metrics.tp, metrics.fp, metrics.fn, metrics.tn) == (1, 1, 1, 1)
     assert metrics.accuracy == 0.5
 
@@ -226,7 +227,7 @@ def _report_from_counts(label: str, home: tuple, alnum: tuple) -> MetricsReport:
             (ALNUM, alnum),
         )
     )
-    narrative = NarrativeMetrics(None, None, None, None, 0, 0, 0, 0)
+    narrative = NarrativeMetrics(0, 0, 0, 0, None, None, None, None)
     return MetricsReport(label, per_type, narrative)
 
 
@@ -259,7 +260,7 @@ def test_ablation_table_requires_two_configs():
 
 def test_render_report_uses_dash_for_undefined():
     corpus = _corpus(2, [])
-    report = build_report([], {}, corpus, "rules_only")
+    report = build_report({}, corpus, "rules_only")
     text = render_report(report)
     assert "Model: rules_only" in text
     assert "-" in text
@@ -291,7 +292,7 @@ def test_narrative_level_on_large_constructed_fixture():
     counts = {c.category: c for c in score_per_type(corpus.gold, predictions)}
     assert (counts[HOME].tp, counts[HOME].fp, counts[HOME].fn) == (7, 0, 4)
     assert (counts[ALNUM].tp, counts[ALNUM].fp, counts[ALNUM].fn) == (15, 13, 5)
-    metrics = score_narrative_level(corpus.gold, predictions, corpus)
+    metrics = score_narrative_level(predictions, corpus)
     assert (metrics.tp, metrics.fp, metrics.fn, metrics.tn) == (22, 13, 9, 456)
     assert metrics.precision == pytest.approx(22 / 35, abs=1e-12)
     assert metrics.recall == pytest.approx(22 / 31, abs=1e-12)
@@ -305,7 +306,7 @@ def test_report_json_has_unrounded_values():
     ]
     corpus = _corpus(11, gold)
     predictions = {f"n{i}": _pred(f"n{i}", home_address=[f"TEXT {i}"]) for i in range(7)}
-    report = build_report(gold, predictions, corpus, "hybrid_ev")
+    report = build_report(predictions, corpus, "hybrid_ev")
     payload = report_to_dict(report)
     row = next(r for r in payload["per_type"] if r["category"] == "home_address")
     assert row == {
@@ -317,3 +318,98 @@ def test_report_json_has_unrounded_values():
         "recall": pytest.approx(7 / 11),
         "f1": pytest.approx(14 / 18),
     }
+
+
+_REPORT_JSON = """\
+{
+  "config_label": "hybrid_ev",
+  "per_type": [
+    {
+      "category": "name",
+      "tp": 1,
+      "fp": 1,
+      "fn": 1,
+      "precision": 0.5,
+      "recall": 0.5,
+      "f1": 0.5
+    },
+    {
+      "category": "phone",
+      "tp": 0,
+      "fp": 0,
+      "fn": 0,
+      "precision": null,
+      "recall": null,
+      "f1": null
+    },
+    {
+      "category": "email",
+      "tp": 0,
+      "fp": 0,
+      "fn": 0,
+      "precision": null,
+      "recall": null,
+      "f1": null
+    },
+    {
+      "category": "home_address",
+      "tp": 1,
+      "fp": 0,
+      "fn": 0,
+      "precision": 1.0,
+      "recall": 1.0,
+      "f1": 1.0
+    },
+    {
+      "category": "alphanumeric",
+      "tp": 0,
+      "fp": 0,
+      "fn": 1,
+      "precision": null,
+      "recall": 0.0,
+      "f1": null
+    }
+  ],
+  "narrative_level": {
+    "tp": 2,
+    "fp": 1,
+    "fn": 1,
+    "tn": 1,
+    "precision": 0.6666666666666666,
+    "recall": 0.6666666666666666,
+    "f1": 0.6666666666666666,
+    "accuracy": 0.6
+  }
+}
+"""
+
+_REPORT_TEXT = """\
+Model: hybrid_ev
+PII Category     Precision    Recall  F1-score  Accuracy
+--------------------------------------------------------
+Name                  0.50      0.50      0.50         -
+Phone Number             -         -         -         -
+Email                    -         -         -         -
+Home address          1.00      1.00      1.00         -
+Alphanumeric             -      0.00         -         -
+Overall               0.67      0.67      0.67      0.60
+"""
+
+
+def test_written_report_files_match_their_expected_bytes(tmp_path):
+    # Pins key order, float spelling and the table layout of both files.
+    gold = [
+        GoldAnnotation("n0", NAME, "TEXT 0"),
+        GoldAnnotation("n1", HOME, "TEXT 1"),
+        GoldAnnotation("n1", NAME, "TEXT 1"),
+        GoldAnnotation("n3", ALNUM, "TEXT 3"),
+    ]
+    predictions = {
+        "n0": _pred("n0", name=["TEXT 0"]),
+        "n1": _pred("n1", home_address=["TEXT 1"]),
+        "n2": _pred("n2", name=["TEXT 2"]),
+    }
+    report = build_report(predictions, _corpus(5, gold), "hybrid_ev")
+    write_report(report, tmp_path / "r" / "report.json", tmp_path / "r" / "report.txt")
+    assert (tmp_path / "r" / "report.json").read_bytes() == _REPORT_JSON.encode()
+    assert (tmp_path / "r" / "report.txt").read_bytes() == _REPORT_TEXT.encode()

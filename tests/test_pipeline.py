@@ -635,6 +635,10 @@ _MOCK_SNAPSHOT = {
         ("hybrid_ev", lambda manifest: []),
         ("hybrid_ev", _verifier_with(retries=2.0)),
         ("hybrid_ev", _verifier_with(timeout="30")),
+        ("hybrid_ev", _verifier_with(kind="http_endpoint", endpoint_url=5)),
+        ("hybrid_ev", _verifier_with(model_name=5)),
+        ("hybrid_ev", _verifier_with(timeout=float("inf"))),
+        ("hybrid_ev", _verifier_with(timeout=float("nan"))),
         ("rules_only", _config_with(k_runs=5)),
         ("rules_only", _config_with(policy="recall_first")),
         ("rules_only", _config_with(extractor_backend=_MOCK_SNAPSHOT)),
@@ -652,6 +656,10 @@ _MOCK_SNAPSHOT = {
         "manifest_list",
         "backend_retries_float",
         "backend_timeout_string",
+        "backend_endpoint_url_int",
+        "backend_model_name_int",
+        "backend_timeout_infinite",
+        "backend_timeout_nan",
         "rules_only_k_runs",
         "rules_only_policy",
         "rules_only_extractor_backend",

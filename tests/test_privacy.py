@@ -16,7 +16,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crashdeid import gateway
+from crashdeid import extract, gateway
 from crashdeid.cli import main
 from crashdeid.corpus import Narrative
 from crashdeid.extract import AllRunsFailed, EnsembleConfig, hybrid_extract
@@ -305,7 +305,14 @@ def test_no_error_path_prints_narrative_or_gold_content(tmp_path, capsys, monkey
     run("out-http", "--preset", "hybrid", "--k-ensemble", "1",
         "--extractor-endpoint", "http://127.0.0.1:9/v1/chat/completions")
 
-    assert (codes.count(2), codes.count(1), codes.count(0)) == (19, 4, 2), codes
+    # A bug whose exception quotes the narrative stops the run; run last.
+    def bug(text):
+        raise KeyError(text)
+
+    monkeypatch.setattr(extract, "rule_candidates", bug)
+    run("out-bug", "--preset", "rules_only")
+
+    assert (codes.count(2), codes.count(1), codes.count(0)) == (20, 4, 2), codes
     # Refused at load, so no partial output is left behind.
     assert not (tmp_path / "out-lone-surrogate.jsonl").exists()
     leaks = [text for text in seen if CANARY in text]
