@@ -4,8 +4,9 @@ Progress and errors go to standard error only; narrative content is never
 printed to the terminal. All data artifacts are written to files. ``run``,
 its ``--replay`` and ``eval`` exit 0 when every narrative was emitted, 1
 when any is listed as unprocessed, and 2 on an ``error:`` that stops the run.
-An unexpected exception prints only its type name, since its message may
-quote narrative text.
+An ``error:`` line quotes only a ``ConfigError``, ``MalformedRecord`` or
+``OSError``, whose messages name files, lines, fields and config values,
+never a text; any other exception prints only its type name.
 
     crashdeid run  --input corpus.jsonl --out outdir --preset hybrid_ev ...
     crashdeid run  --replay outdir/manifest.json --out newdir
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .corpus import MalformedRecord
 from .extract import EnsembleConfig
 from .gateway import BackendConfig
 from .pipeline import (
@@ -71,21 +73,25 @@ def _backend(endpoint: str | None, model: str | None, fixtures: str | None):
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    return PipelineConfig(
-        preset=args.preset,
-        ensemble=EnsembleConfig(k_runs=args.k_ensemble),
-        policy=VerifierPolicy(args.policy.replace("-", "_")),
-        extractor_backend=_backend(
-            args.extractor_endpoint, args.extractor_model, args.mock_fixtures
-        ),
-        verifier_backend=_backend(
-            args.verifier_endpoint, args.verifier_model, args.mock_fixtures
-        ),
-        output_style=RedactionStyle(mode=args.redaction),
-        parallelism=args.parallelism,
-        seed=args.seed,
-        mask_timestamps=args.mask_timestamps,
-    )
+    """The run's config; a refused flag value raises ``ConfigError``."""
+    try:
+        return PipelineConfig(
+            preset=args.preset,
+            ensemble=EnsembleConfig(k_runs=args.k_ensemble),
+            policy=VerifierPolicy(args.policy.replace("-", "_")),
+            extractor_backend=_backend(
+                args.extractor_endpoint, args.extractor_model, args.mock_fixtures
+            ),
+            verifier_backend=_backend(
+                args.verifier_endpoint, args.verifier_model, args.mock_fixtures
+            ),
+            output_style=RedactionStyle(mode=args.redaction),
+            parallelism=args.parallelism,
+            seed=args.seed,
+            mask_timestamps=args.mask_timestamps,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -126,7 +132,7 @@ def main(argv: list[str] | None = None) -> int:
                 _config_from_args(args), args.input, args.out,
                 fmt=args.format, gold_path=args.gold, report_path=args.report,
             )
-    except (ConfigError, OSError, ValueError) as exc:
+    except (ConfigError, MalformedRecord, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # its message may quote a narrative

@@ -27,24 +27,11 @@ if TYPE_CHECKING:
     from .verify import AuditRecord
 
 
-class CorpusError(ValueError):
-    """Base error for corpus ingest problems."""
-
-
-class MalformedRecord(CorpusError):
-    """A record does not fit the input grammar; names the line and field."""
-
-
-class DuplicateNarrativeId(CorpusError):
-    """Two narratives share an id."""
-
-
-class DanglingGoldAnnotation(CorpusError):
-    """A gold annotation references an unknown narrative id."""
-
-
-class GoldSurfaceMissing(CorpusError):
-    """A gold surface does not occur in its narrative's text."""
+class MalformedRecord(ValueError):
+    """A corpus or gold file breaks the input grammar: a record that does
+    not parse, an empty or duplicate narrative id, or a gold record that
+    names no narrative or whose surface its narrative lacks. The message
+    names the file, line, field or narrative id, never a text or surface."""
 
 
 @dataclass(frozen=True)
@@ -184,12 +171,12 @@ def _read_gold(path: Path, by_id: dict[str, Narrative]) -> list[GoldAnnotation]:
             ) from None
         narrative = by_id.get(narrative_id)
         if narrative is None:
-            raise DanglingGoldAnnotation(
+            raise MalformedRecord(
                 f"{path}: line {line_no}: field 'narrative_id' names no "
                 f"narrative of the corpus"
             )
         if surface not in narrative.text:
-            raise GoldSurfaceMissing(
+            raise MalformedRecord(
                 f"{path}: line {line_no}: field 'surface' does not occur in "
                 f"narrative {narrative_id!r}"
             )
@@ -215,9 +202,7 @@ def load_corpus(
         if not narrative.id:
             raise MalformedRecord(f"{path}: narrative with empty id")
         if narrative.id in by_id:
-            raise DuplicateNarrativeId(
-                f"{path}: duplicate narrative id {narrative.id!r}"
-            )
+            raise MalformedRecord(f"{path}: duplicate narrative id {narrative.id!r}")
         by_id[narrative.id] = narrative
 
     gold = _read_gold(Path(gold_path), by_id) if gold_path is not None else []

@@ -57,10 +57,6 @@ class AllRunsFailed(RuntimeError):
     discarded as hallucinated."""
 
 
-class ResponsibilitySplitViolation(ValueError):
-    """A candidate was attributed to a channel that does not own its category."""
-
-
 @dataclass(frozen=True)
 class Candidate:
     """One candidate PII surface for a narrative."""
@@ -91,7 +87,7 @@ class CandidateSet:
                         f"empty {category.value} surface in narrative {self.narrative_id!r}"
                     )
                 if candidate.source not in owners:
-                    raise ResponsibilitySplitViolation(
+                    raise ValueError(
                         f"{category.value} candidate from non-owning source "
                         f"{candidate.source!r} in narrative {self.narrative_id!r}"
                     )

@@ -33,7 +33,6 @@ from __future__ import annotations
 import hashlib
 import http.client
 import json
-import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -128,8 +127,9 @@ class BackendConfig:
             raise ValueError(f"unknown backend kind: {self.kind!r}")
         if type(self.retries) is not int or self.retries < 0:
             raise ValueError("retries must be an integer >= 0")
-        if type(self.timeout) not in (int, float) or not 0 < self.timeout < math.inf:
-            raise ValueError("timeout must be a positive finite number")
+        # At most a day: a socket refuses a large enough timeout only at connect.
+        if type(self.timeout) not in (int, float) or not 0 < self.timeout <= 86400:
+            raise ValueError("timeout must be a positive number of seconds, at most 86400")
         if not isinstance(self.model_name, (str, type(None))):
             raise ValueError("model_name must be a string or None")
 

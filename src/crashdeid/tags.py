@@ -67,19 +67,9 @@ _DELIMITER_RE = re.compile("|".join(re.escape(d) for d in DELIMITERS.values()))
 
 
 class TagError(ValueError):
-    """Base error for tag-protocol violations."""
-
-
-class UnbalancedDelimiter(TagError):
-    """A category's delimiters do not pair up (odd count)."""
-
-
-class NestedOrOverlappingTags(TagError):
-    """A tag opened inside another category's open tag."""
-
-
-class EmptySpan(TagError):
-    """Two adjacent delimiters enclose nothing."""
+    """Tagged text breaks the tag protocol; the message names the broken
+    rule (an empty span, a delimiter inside another category's open span,
+    or an unclosed delimiter) and its category, never the text."""
 
 
 class AmbiguousTagging(TagError):
@@ -117,8 +107,7 @@ def parse_tagged(raw: str) -> tuple[str, list[PiiSpan]]:
     surface are sliced out of ``raw`` between delimiters. Returns spans in
     ascending start order with offsets into the returned untagged text.
 
-    Raises UnbalancedDelimiter, NestedOrOverlappingTags or EmptySpan on
-    malformed tagging.
+    Raises TagError on malformed tagging.
     """
     pieces: list[str] = []
     spans: list[PiiSpan] = []
@@ -136,21 +125,17 @@ def parse_tagged(raw: str) -> tuple[str, list[PiiSpan]]:
             open_at = clean_len
         elif category is open_category:
             if clean_len == open_at:
-                raise EmptySpan(
-                    f"empty {category.value} span at raw offset {i}"
-                )
+                raise TagError(f"empty {category.value} span at raw offset {i}")
             spans.append(PiiSpan(category, open_at, clean_len, raw[cursor:i]))
             open_category = None
         else:
-            raise NestedOrOverlappingTags(
+            raise TagError(
                 f"{category.value} delimiter inside open "
                 f"{open_category.value} span at raw offset {i}"
             )
         cursor = match.end()
     if open_category is not None:
-        raise UnbalancedDelimiter(
-            f"unclosed {open_category.value} delimiter"
-        )
+        raise TagError(f"unclosed {open_category.value} delimiter")
     pieces.append(raw[cursor:])
     return "".join(pieces), spans
 

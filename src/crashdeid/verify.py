@@ -59,19 +59,8 @@ _OUTPUT_KEYS = {f"{category.value}_reviews" for category in AMBIGUOUS_CATEGORIES
 
 
 class VerifierFormatError(ValueError):
-    """Base error for completions violating the output contract."""
-
-
-class NotJson(VerifierFormatError):
-    pass
-
-
-class SchemaMismatch(VerifierFormatError):
-    pass
-
-
-class AlignmentViolation(VerifierFormatError):
-    pass
+    """A completion breaks the output contract; the message names the
+    broken rule and is the text of the repair prompt."""
 
 
 @dataclass(frozen=True)
@@ -129,31 +118,33 @@ def rfc3339_now() -> str:
 
 def _parse_review(item: object, list_name: str, index: int) -> VerifierReview:
     if not isinstance(item, dict):
-        raise SchemaMismatch(f"{list_name}[{index}] is not an object")
+        raise VerifierFormatError(f"{list_name}[{index}] is not an object")
     if item.keys() != set(_REVIEW_FIELDS):
-        raise SchemaMismatch(
+        raise VerifierFormatError(
             f"{list_name}[{index}] must have exactly the fields "
             f"text, decision, reason, evidence"
         )
     for fieldname in _REVIEW_FIELDS:
         if not isinstance(item[fieldname], str):
-            raise SchemaMismatch(f"{list_name}[{index}].{fieldname} is not a string")
+            raise VerifierFormatError(f"{list_name}[{index}].{fieldname} is not a string")
         if not is_unicode(item[fieldname]):
-            raise SchemaMismatch(f"{list_name}[{index}].{fieldname} is not valid Unicode")
+            raise VerifierFormatError(
+                f"{list_name}[{index}].{fieldname} is not valid Unicode"
+            )
     if item["decision"] not in DECISIONS:
-        raise SchemaMismatch(
+        raise VerifierFormatError(
             f"{list_name}[{index}].decision is {item['decision']!r}, "
             f"expected KEEP, DROP or UNCERTAIN"
         )
     if item["text"] == "":
-        raise SchemaMismatch(f"{list_name}[{index}].text is an empty string")
+        raise VerifierFormatError(f"{list_name}[{index}].text is an empty string")
     if item["decision"] in (KEEP, DROP) and item["evidence"] == "":
-        raise SchemaMismatch(
+        raise VerifierFormatError(
             f"{list_name}[{index}] has decision {item['decision']} "
             f"without evidence"
         )
     if item["decision"] == UNCERTAIN and item["evidence"] != "":
-        raise SchemaMismatch(
+        raise VerifierFormatError(
             f"{list_name}[{index}] is UNCERTAIN but carries non-empty evidence"
         )
     return VerifierReview(**item)
@@ -163,13 +154,13 @@ def _check_alignment(
     reviews: tuple[VerifierReview, ...], candidates: list[str], list_name: str
 ) -> None:
     if len(reviews) != len(candidates):
-        raise AlignmentViolation(
+        raise VerifierFormatError(
             f"{list_name} has {len(reviews)} reviews for "
             f"{len(candidates)} candidates"
         )
     for index, (review, candidate) in enumerate(zip(reviews, candidates)):
         if review.text != candidate:
-            raise AlignmentViolation(
+            raise VerifierFormatError(
                 f"{list_name}[{index}].text {review.text!r} does not equal "
                 f"candidate {candidate!r}"
             )
@@ -182,17 +173,17 @@ def parse_verifier_output(
 ) -> VerifierOutput:
     """Validate a completion against the output contract.
 
-    Raises NotJson, SchemaMismatch or AlignmentViolation; the message is
-    suitable for feeding back to the backend in a repair prompt.
+    Raises VerifierFormatError; the message is suitable for feeding back
+    to the backend in a repair prompt.
     """
     try:
         obj = json.loads(completion_text)
     except json.JSONDecodeError:
-        raise NotJson("completion is not valid JSON") from None
+        raise VerifierFormatError("completion is not valid JSON") from None
     if not isinstance(obj, dict):
-        raise SchemaMismatch("completion is not a JSON object")
+        raise VerifierFormatError("completion is not a JSON object")
     if set(obj.keys()) != _OUTPUT_KEYS:
-        raise SchemaMismatch(
+        raise VerifierFormatError(
             "completion must have exactly the keys home_address_reviews "
             "and alphanumeric_reviews"
         )
@@ -201,7 +192,7 @@ def parse_verifier_output(
         list_name = f"{category.value}_reviews"
         raw = obj[list_name]
         if not isinstance(raw, list):
-            raise SchemaMismatch(f"{list_name} is not a list")
+            raise VerifierFormatError(f"{list_name} is not a list")
         output[category] = tuple(
             _parse_review(item, list_name, i) for i, item in enumerate(raw)
         )

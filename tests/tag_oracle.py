@@ -3,19 +3,12 @@
 The original character-at-a-time scan: at each position it either
 consumes a whole three-character delimiter or one character of text. It
 shares no regex machinery with ``crashdeid.tags.parse_tagged`` and serves
-as an oracle for it, down to exception classes and messages.
+as an oracle for it, down to exception type and message.
 """
 
 from __future__ import annotations
 
-from crashdeid.tags import (
-    DELIMITERS,
-    EmptySpan,
-    NestedOrOverlappingTags,
-    PiiCategory,
-    PiiSpan,
-    UnbalancedDelimiter,
-)
+from crashdeid.tags import DELIMITERS, PiiCategory, PiiSpan, TagError
 
 _DELIM_TO_CATEGORY = {d: c for c, d in DELIMITERS.items()}
 DELIMITER_LENGTH = 3
@@ -40,20 +33,16 @@ def parse_tagged(raw: str) -> tuple[str, list[PiiSpan]]:
             open_at = len(clean)
         elif category is open_category:
             if len(clean) == open_at:
-                raise EmptySpan(
-                    f"empty {category.value} span at raw offset {i}"
-                )
+                raise TagError(f"empty {category.value} span at raw offset {i}")
             surface = "".join(clean[open_at:])
             spans.append(PiiSpan(category, open_at, len(clean), surface))
             open_category = None
         else:
-            raise NestedOrOverlappingTags(
+            raise TagError(
                 f"{category.value} delimiter inside open "
                 f"{open_category.value} span at raw offset {i}"
             )
         i += DELIMITER_LENGTH
     if open_category is not None:
-        raise UnbalancedDelimiter(
-            f"unclosed {open_category.value} delimiter"
-        )
+        raise TagError(f"unclosed {open_category.value} delimiter")
     return "".join(clean), spans

@@ -8,10 +8,7 @@ from hypothesis import strategies as st
 
 from crashdeid.corpus import (
     Corpus,
-    DanglingGoldAnnotation,
-    DuplicateNarrativeId,
     GoldAnnotation,
-    GoldSurfaceMissing,
     MalformedRecord,
     Narrative,
     load_corpus,
@@ -46,7 +43,7 @@ def test_duplicate_id_is_an_error_naming_the_id(tmp_path):
         tmp_path / "c.jsonl",
         [{"id": "n1", "text": "A"}, {"id": "n1", "text": "B"}],
     )
-    with pytest.raises(DuplicateNarrativeId, match="n1"):
+    with pytest.raises(MalformedRecord, match="duplicate narrative id 'n1'"):
         load_corpus(path)
 
 
@@ -83,6 +80,17 @@ def test_csv_requires_id_and_text_columns(tmp_path):
     path.write_text("id,body\nn1,hello\n", encoding="utf-8")
     with pytest.raises(MalformedRecord, match="header"):
         load_corpus(path)
+    path.write_text("id,text\n1\n", encoding="utf-8")
+    with pytest.raises(MalformedRecord) as err:
+        load_corpus(path)
+    assert str(err.value) == f"{path}: line 2: field 'id' or 'text' missing"
+
+
+def test_empty_narrative_id_is_refused(tmp_path):
+    path = write_corpus_jsonl(tmp_path / "c.jsonl", [{"id": "", "text": "x"}])
+    with pytest.raises(MalformedRecord) as err:
+        load_corpus(path)
+    assert str(err.value) == f"{path}: narrative with empty id"
 
 
 BOM = "\ufeff".encode()
@@ -167,14 +175,18 @@ def test_gold_errors(tmp_path):
         json.dumps({"narrative_id": "nX", "category": "name", "surface": "A"}) + "\n",
         encoding="utf-8",
     )
-    with pytest.raises(DanglingGoldAnnotation, match="line 1: field 'narrative_id'") as err:
+    with pytest.raises(
+        MalformedRecord, match="line 1: field 'narrative_id' names no narrative"
+    ) as err:
         load_corpus(path, gold_path=gold)
     assert "nX" not in str(err.value)
     gold.write_text(
         json.dumps({"narrative_id": "n1", "category": "name", "surface": "ZZZ"}) + "\n",
         encoding="utf-8",
     )
-    with pytest.raises(GoldSurfaceMissing, match="line 1: field 'surface'.*'n1'") as err:
+    with pytest.raises(
+        MalformedRecord, match="line 1: field 'surface' does not occur in narrative 'n1'"
+    ) as err:
         load_corpus(path, gold_path=gold)
     assert "ZZZ" not in str(err.value)
     gold.write_text(

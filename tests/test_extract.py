@@ -13,7 +13,6 @@ from crashdeid.extract import (
     Candidate,
     CandidateSet,
     EnsembleConfig,
-    ResponsibilitySplitViolation,
     SOURCE_LLM_ENSEMBLE,
     SOURCE_LLM_SINGLE,
     SOURCE_RULE,
@@ -29,14 +28,18 @@ from conftest import extraction_entries, http_probe, mock_backend
 
 
 def test_candidate_set_enforces_responsibility_split():
-    with pytest.raises(ResponsibilitySplitViolation):
+    with pytest.raises(
+        ValueError, match="^phone candidate from non-owning source 'llm_single' in narrative 'n1'$"
+    ):
         CandidateSet(
             narrative_id="n1",
             by_category={
                 PiiCategory.PHONE: (Candidate("608-733-8366", SOURCE_LLM_SINGLE),)
             },
         )
-    with pytest.raises(ResponsibilitySplitViolation):
+    with pytest.raises(
+        ValueError, match="^name candidate from non-owning source 'rule' in narrative 'n1'$"
+    ):
         CandidateSet(
             narrative_id="n1",
             by_category={PiiCategory.NAME: (Candidate("JOHN", SOURCE_RULE),)},

@@ -50,6 +50,14 @@ def test_backend_config_validation():
     for url in ("localhost:8000/v1", "ftp://127.0.0.1/v1", "http:///v1"):
         with pytest.raises(ValueError, match="http\\(s\\) endpoint_url"):
             BackendConfig(kind="http_endpoint", endpoint_url=url)
+    # A socket takes 1e300 and fails only at connect; the config refuses it.
+    url = "http://127.0.0.1:9/v1"
+    assert BackendConfig(kind="http_endpoint", endpoint_url=url, timeout=86400).timeout == 86400
+    for timeout in (86400.5, 9.3e9, 1e300, 10**400):
+        with pytest.raises(
+            ValueError, match="^timeout must be a positive number of seconds, at most 86400$"
+        ):
+            BackendConfig(kind="http_endpoint", endpoint_url=url, timeout=timeout)
 
 
 def test_request_key_depends_on_content_and_seed():

@@ -87,6 +87,12 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         PipelineConfig(preset="nope")
     PipelineConfig(preset="rules_only")  # needs neither backend
+    backend = BackendConfig(kind="scripted_mock", fixture_path="fx.jsonl")
+    with pytest.raises(ConfigError) as err:
+        PipelineConfig(
+            preset="hybrid_ev", policy=None, extractor_backend=backend, verifier_backend=backend
+        )
+    assert str(err.value) == "preset hybrid_ev requires a verifier policy"
 
 
 @pytest.mark.parametrize("preset", list(PRESETS))
@@ -639,6 +645,7 @@ _MOCK_SNAPSHOT = {
         ("hybrid_ev", _verifier_with(model_name=5)),
         ("hybrid_ev", _verifier_with(timeout=float("inf"))),
         ("hybrid_ev", _verifier_with(timeout=float("nan"))),
+        ("hybrid_ev", _verifier_with(timeout=1e300)),
         ("rules_only", _config_with(k_runs=5)),
         ("rules_only", _config_with(policy="recall_first")),
         ("rules_only", _config_with(extractor_backend=_MOCK_SNAPSHOT)),
@@ -660,6 +667,7 @@ _MOCK_SNAPSHOT = {
         "backend_model_name_int",
         "backend_timeout_infinite",
         "backend_timeout_nan",
+        "backend_timeout_too_large",
         "rules_only_k_runs",
         "rules_only_policy",
         "rules_only_extractor_backend",
@@ -769,7 +777,26 @@ def test_a_bug_inside_the_pipeline_stops_the_run(tmp_path, capsys, monkeypatch):
         run_pipeline(PipelineConfig(preset="rules_only"), corpus, tmp_path / "out")
     code = main(["run", "--input", str(corpus), "--out", str(tmp_path / "o2"),
                  "--preset", "rules_only"])
-    assert (code, capsys.readouterr().err) == (2, "error: bug in a recognizer\n")
+    assert (code, capsys.readouterr().err) == (2, "error: unexpected ValueError\n")
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--k-ensemble", "0"], "k_runs must be an integer >= 1"),
+        (
+            ["--preset", "llm_single", "--extractor-endpoint", "ftp://127.0.0.1/v1"],
+            "http_endpoint backend requires an http(s) endpoint_url",
+        ),
+    ],
+    ids=["k_runs", "endpoint_url"],
+)
+def test_cli_names_a_refused_flag_value(tmp_path, capsys, flags, message):
+    corpus = write_corpus_jsonl(tmp_path / "c.jsonl", [{"id": "n1", "text": "CALL ME"}])
+    out = tmp_path / "out"
+    assert main(["run", "--input", str(corpus), "--out", str(out)] + flags) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_replay_in_another_process_reproduces_a_repaired_review(tmp_path):
@@ -1117,6 +1144,21 @@ def test_cli_replay_of_unreadable_manifest_names_it(tmp_path, capsys, content):
     replayed = tmp_path / "replayed"
     assert main(["run", "--replay", str(manifest), "--out", str(replayed)]) == 2
     assert capsys.readouterr().err == f"error: {manifest}: manifest is not UTF-8 JSON\n"
+    assert not replayed.exists()
+
+
+def test_cli_replay_refuses_an_unknown_corpus_format(tmp_path, capsys):
+    corpus = write_corpus_jsonl(tmp_path / "c.jsonl", [{"id": "n1", "text": "CALL 608-733-8366"}])
+    out = tmp_path / "out"
+    assert main(["run", "--input", str(corpus), "--out", str(out), "--preset", "rules_only"]) == 0
+    manifest_path = out / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["config"]["format"] = "xml"
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    replayed = tmp_path / "replayed"
+    assert main(["run", "--replay", str(manifest_path), "--out", str(replayed)]) == 2
+    assert capsys.readouterr().err == "error: unsupported corpus format: 'xml'\n"
     assert not replayed.exists()
 
 

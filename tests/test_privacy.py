@@ -8,6 +8,7 @@ not survive in clear, and checks both output modes against it.
 
 from __future__ import annotations
 
+import ast
 import json
 import re
 import tempfile
@@ -16,6 +17,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crashdeid
 from crashdeid import extract, gateway
 from crashdeid.cli import main
 from crashdeid.corpus import Narrative
@@ -305,14 +307,16 @@ def test_no_error_path_prints_narrative_or_gold_content(tmp_path, capsys, monkey
     run("out-http", "--preset", "hybrid", "--k-ensemble", "1",
         "--extractor-endpoint", "http://127.0.0.1:9/v1/chat/completions")
 
-    # A bug whose exception quotes the narrative stops the run; run last.
-    def bug(text):
-        raise KeyError(text)
+    # A bug whose exception quotes the narrative stops the run, whether it
+    # raises a KeyError or a ValueError like a refused config value; run last.
+    for error in (KeyError, ValueError):
+        def bug(text, error=error):
+            raise error(text)
 
-    monkeypatch.setattr(extract, "rule_candidates", bug)
-    run("out-bug", "--preset", "rules_only")
+        monkeypatch.setattr(extract, "rule_candidates", bug)
+        run(f"out-bug-{error.__name__}", "--preset", "rules_only")
 
-    assert (codes.count(2), codes.count(1), codes.count(0)) == (20, 4, 2), codes
+    assert (codes.count(2), codes.count(1), codes.count(0)) == (21, 4, 2), codes
     # Refused at load, so no partial output is left behind.
     assert not (tmp_path / "out-lone-surrogate.jsonl").exists()
     leaks = [text for text in seen if CANARY in text]
@@ -336,3 +340,39 @@ def test_a_failed_narrative_records_only_the_error_type(monkeypatch):
     )
     result = process_narrative(Narrative("n1", CANARY_TEXT), config)
     assert (result.final, result.error) == (None, "AllRunsFailed")
+
+
+def _terminal_writes(tree: ast.AST) -> list[str]:
+    """Each use of ``print``, ``sys.stdout`` or ``sys.stderr``, as ``line: name``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "print":
+            found.append(f"{node.lineno}: print")
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in ("stdout", "stderr")
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "sys"
+        ):
+            found.append(f"{node.lineno}: sys.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+            found += [f"{node.lineno}: sys.{a.name}" for a in node.names
+                      if a.name in ("stdout", "stderr")]
+    return found
+
+
+def test_only_the_cli_writes_to_the_terminal():
+    # The CLI's lines are content-free; no other module may reach the terminal.
+    package = Path(crashdeid.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert package / "cli.py" in modules
+    writes = {
+        path.name: found
+        for path in modules
+        if path.name != "cli.py"
+        and (found := _terminal_writes(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert not writes
+    assert _terminal_writes(ast.parse("print(1)\nimport sys\nsys.stderr.write('x')\n")) == [
+        "1: print", "3: sys.stderr"
+    ]

@@ -9,12 +9,9 @@ from hypothesis import strategies as st
 from crashdeid.tags import (
     AmbiguousTagging,
     DELIMITERS,
-    EmptySpan,
-    NestedOrOverlappingTags,
     PiiCategory,
     PiiSpan,
     TagError,
-    UnbalancedDelimiter,
     contains_delimiter_sequence,
     detag_equals,
     parse_tagged,
@@ -50,17 +47,17 @@ def test_parse_two_categories():
 
 
 @pytest.mark.parametrize(
-    "raw,error",
+    "raw,message",
     [
-        ("@@@@@@", EmptySpan),
-        ("&&&&&&", EmptySpan),
-        ("@@@John", UnbalancedDelimiter),
-        ("a@@@b$$$c$$$d@@@", NestedOrOverlappingTags),
-        ("@@@a$$$b@@@c$$$", NestedOrOverlappingTags),
+        ("@@@@@@", "empty name span at raw offset 3"),
+        ("&&&&&&", "empty phone span at raw offset 3"),
+        ("@@@John", "unclosed name delimiter"),
+        ("a@@@b$$$c$$$d@@@", "home_address delimiter inside open name span at raw offset 5"),
+        ("@@@a$$$b@@@c$$$", "home_address delimiter inside open name span at raw offset 4"),
     ],
 )
-def test_parse_rejects_malformed(raw, error):
-    with pytest.raises(error):
+def test_parse_rejects_malformed(raw, message):
+    with pytest.raises(TagError, match=f"^{message}$"):
         parse_tagged(raw)
 
 

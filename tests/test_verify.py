@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,11 +13,9 @@ from crashdeid.corpus import Narrative
 from crashdeid.extract import Candidate, CandidateSet, SOURCE_LLM_ENSEMBLE, SOURCE_RULE
 from crashdeid.tags import PiiCategory
 from crashdeid.verify import (
-    AlignmentViolation,
     AuditRecord,
     DEMOTION_NOTE,
-    NotJson,
-    SchemaMismatch,
+    VerifierFormatError,
     VerifierPolicy,
     VerifierReview,
     check_evidence,
@@ -61,28 +60,51 @@ def test_parse_empty_candidates_empty_reviews():
     assert output == {HOME: (), ALNUM: ()}
 
 
+_WRONG_KEYS = (
+    "completion must have exactly the keys home_address_reviews and alphanumeric_reviews"
+)
+
+
 @pytest.mark.parametrize(
-    "completion,error",
+    "completion,message",
     [
-        ("not json at all", NotJson),
-        ("[1, 2]", SchemaMismatch),
-        ('{"home_address_reviews": []}', SchemaMismatch),
+        ("not json at all", "completion is not valid JSON"),
+        ("[1, 2]", "completion is not a JSON object"),
+        ('{"home_address_reviews": []}', _WRONG_KEYS),
         (
             '{"home_address_reviews": [], "alphanumeric_reviews": [], "extra": 1}',
-            SchemaMismatch,
+            _WRONG_KEYS,
         ),
-        ('{"home_address_reviews": {}, "alphanumeric_reviews": []}', SchemaMismatch),
+        (
+            '{"home_address_reviews": {}, "alphanumeric_reviews": []}',
+            "home_address_reviews is not a list",
+        ),
     ],
 )
-def test_parse_rejects_top_level_shape(completion, error):
-    with pytest.raises(error):
+def test_parse_rejects_top_level_shape(completion, message):
+    with pytest.raises(VerifierFormatError, match=f"^{message}$"):
         parse_verifier_output(completion, [], [])
+
+
+def test_parse_rejects_a_review_that_is_not_an_object():
+    completion = '{"home_address_reviews": [1], "alphanumeric_reviews": []}'
+    with pytest.raises(VerifierFormatError) as err:
+        parse_verifier_output(completion, ["X"], [])
+    assert str(err.value) == "home_address_reviews[0] is not an object"
 
 
 def test_parse_rejects_wrong_decision_token():
     completion = verifier_json([review_obj("X", "MAYBE", evidence="X")], [])
-    with pytest.raises(SchemaMismatch, match="decision"):
+    with pytest.raises(
+        VerifierFormatError,
+        match=r"^home_address_reviews\[0\]\.decision is 'MAYBE', expected KEEP, DROP or UNCERTAIN$",
+    ):
         parse_verifier_output(completion, ["X"], [])
+
+
+_WRONG_FIELDS = re.escape(
+    "home_address_reviews[0] must have exactly the fields text, decision, reason, evidence"
+)
 
 
 def test_parse_rejects_missing_and_extra_review_fields():
@@ -90,13 +112,13 @@ def test_parse_rejects_missing_and_extra_review_fields():
     completion = json.dumps(
         {"home_address_reviews": [broken], "alphanumeric_reviews": []}
     )
-    with pytest.raises(SchemaMismatch, match="exactly the fields"):
+    with pytest.raises(VerifierFormatError, match=_WRONG_FIELDS):
         parse_verifier_output(completion, ["X"], [])
     extra = review_obj("X", "KEEP", evidence="X") | {"confidence": 0.9}
     completion = json.dumps(
         {"home_address_reviews": [extra], "alphanumeric_reviews": []}
     )
-    with pytest.raises(SchemaMismatch, match="exactly the fields"):
+    with pytest.raises(VerifierFormatError, match=_WRONG_FIELDS):
         parse_verifier_output(completion, ["X"], [])
 
 
@@ -105,13 +127,13 @@ def test_schema_error_names_the_same_field_under_every_hash_seed():
     # quote this message, so it must not depend on string hashing.
     script = (
         "import json\n"
-        "from crashdeid.verify import SchemaMismatch, parse_verifier_output\n"
+        "from crashdeid.verify import VerifierFormatError, parse_verifier_output\n"
         "review = dict(text=1, decision=2, reason=3, evidence=4)\n"
         "completion = json.dumps("
         "{'home_address_reviews': [review], 'alphanumeric_reviews': []})\n"
         "try:\n"
         "    parse_verifier_output(completion, ['X'], [])\n"
-        "except SchemaMismatch as exc:\n"
+        "except VerifierFormatError as exc:\n"
         "    print(exc)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -129,31 +151,43 @@ def test_schema_error_names_the_same_field_under_every_hash_seed():
 def test_parse_rejects_keep_drop_without_evidence():
     for decision in ("KEEP", "DROP"):
         completion = verifier_json([review_obj("X", decision, evidence="")], [])
-        with pytest.raises(SchemaMismatch, match="without evidence"):
+        with pytest.raises(
+            VerifierFormatError,
+            match=rf"^home_address_reviews\[0\] has decision {decision} without evidence$",
+        ):
             parse_verifier_output(completion, ["X"], [])
 
 
 def test_parse_rejects_uncertain_with_evidence():
     completion = verifier_json([review_obj("X", "UNCERTAIN", evidence="Y")], [])
-    with pytest.raises(SchemaMismatch, match="UNCERTAIN"):
+    with pytest.raises(
+        VerifierFormatError,
+        match=r"^home_address_reviews\[0\] is UNCERTAIN but carries non-empty evidence$",
+    ):
         parse_verifier_output(completion, ["X"], [])
 
 
 def test_parse_rejects_empty_review_text():
     completion = verifier_json([review_obj("", "KEEP", evidence="E")], [])
-    with pytest.raises(SchemaMismatch, match="empty string"):
+    with pytest.raises(
+        VerifierFormatError, match=r"^home_address_reviews\[0\]\.text is an empty string$"
+    ):
         parse_verifier_output(completion, ["X"], [])
 
 
 def test_parse_rejects_count_mismatch_both_directions():
     completion = verifier_json([], [])
-    with pytest.raises(AlignmentViolation, match="0 reviews for 1"):
+    with pytest.raises(
+        VerifierFormatError, match="^home_address_reviews has 0 reviews for 1 candidates$"
+    ):
         parse_verifier_output(completion, ["X"], [])
     completion = verifier_json(
         [review_obj("X", "KEEP", evidence="X"), review_obj("X", "KEEP", evidence="X")],
         [],
     )
-    with pytest.raises(AlignmentViolation, match="2 reviews for 1"):
+    with pytest.raises(
+        VerifierFormatError, match="^home_address_reviews has 2 reviews for 1 candidates$"
+    ):
         parse_verifier_output(completion, ["X"], [])
 
 
@@ -162,7 +196,10 @@ def test_parse_rejects_reordered_reviews():
         [review_obj("B", "KEEP", evidence="B"), review_obj("A", "KEEP", evidence="A")],
         [],
     )
-    with pytest.raises(AlignmentViolation, match="does not equal candidate"):
+    with pytest.raises(
+        VerifierFormatError,
+        match=r"^home_address_reviews\[0\]\.text 'B' does not equal candidate 'A'$",
+    ):
         parse_verifier_output(completion, ["A", "B"], [])
 
 
@@ -170,7 +207,10 @@ def test_parse_rejects_edited_candidate_text():
     completion = verifier_json(
         [review_obj("4647 HWY 47", "DROP", evidence=FIG_EVIDENCE)], []
     )
-    with pytest.raises(AlignmentViolation):
+    with pytest.raises(
+        VerifierFormatError,
+        match=r"^home_address_reviews\[0\]\.text '4647 HWY 47' does not equal candidate ",
+    ):
         parse_verifier_output(completion, [FIG_CANDIDATE], [])
 
 
@@ -179,7 +219,9 @@ def test_parse_rejects_invented_review():
         [review_obj(FIG_CANDIDATE, "DROP", evidence=FIG_EVIDENCE)],
         [review_obj("NOT A CANDIDATE", "KEEP", evidence="X")],
     )
-    with pytest.raises(AlignmentViolation):
+    with pytest.raises(
+        VerifierFormatError, match="^alphanumeric_reviews has 1 reviews for 0 candidates$"
+    ):
         parse_verifier_output(completion, [FIG_CANDIDATE], [])
 
 
@@ -342,7 +384,7 @@ def test_verify_candidates_repair_loop_recovers(tmp_path, fig_narrative):
         by_category={HOME: (Candidate(FIG_CANDIDATE, SOURCE_LLM_ENSEMBLE, 2),)},
     )
     responses = [
-        "garbage",  # NotJson
+        "garbage",  # not JSON
         verifier_json([], []),  # count mismatch
         fig_completion(),  # valid on the third parse
     ]
