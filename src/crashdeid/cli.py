@@ -21,7 +21,7 @@ import sys
 
 from .corpus import MalformedRecord
 from .extract import EnsembleConfig
-from .gateway import BackendConfig
+from .gateway import MAX_IN_FLIGHT, BackendConfig
 from .pipeline import (
     PRESETS,
     ConfigError,
@@ -51,7 +51,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> list[argparse.Action]:
             "--mock-fixtures",
             help="scripted-mock fixture JSONL; used for any backend without an endpoint",
         ),
-        add("--parallelism", type=int, default=1),
+        add("--parallelism", type=int, default=1,
+            help=f"recorded only; an HTTP run keeps {2 * MAX_IN_FLIGHT} narratives in progress"),
         add("--seed", type=int, default=None),
         add("--redaction", choices=["tagged", "placeholder"], default="tagged"),
         add(

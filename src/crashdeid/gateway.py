@@ -12,8 +12,9 @@ Two backend kinds sit behind one ``complete`` call:
     4xx reply raises ``TransportFailure`` at once, since resending the same
     request cannot change the answer. At most ``MAX_IN_FLIGHT`` (4)
     POSTs are in flight at once across the whole process, whatever the
-    endpoint or model; ``fan_out`` overlaps independent calls, such as a
-    narrative's K tagging runs, on one pool of as many worker threads.
+    endpoint, model or number of callers; ``fan_out`` overlaps independent
+    calls, such as a narrative's K tagging runs, on one pool of twice as
+    many workers, so a call sleeping out its backoff idles no slot.
 
 ``scripted_mock``
     A deterministic offline stand-in. The fixture file is JSONL of
@@ -177,7 +178,7 @@ def write_fixture_file(path: str | Path, entries: Iterable[dict[str, str]]) -> N
             handle.write(json.dumps(entry, ensure_ascii=False) + "\n")
 
 
-_pool = ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT, thread_name_prefix="crashdeid-backend")
+_pool = ThreadPoolExecutor(max_workers=2 * MAX_IN_FLIGHT, thread_name_prefix="crashdeid-backend")
 
 
 def fan_out(fn: Callable, items: Iterable, config: BackendConfig) -> list:
@@ -185,7 +186,7 @@ def fan_out(fn: Callable, items: Iterable, config: BackendConfig) -> list:
 
     Results come back in input order whatever order the calls finish in.
     For ``http_endpoint`` the items run on the shared pool of
-    ``MAX_IN_FLIGHT`` workers; a scripted mock or a single item runs inline.
+    ``2 * MAX_IN_FLIGHT`` workers; a scripted mock or a single item runs inline.
     ``fn`` must not call ``fan_out`` itself: it would wait on the pool it
     occupies.
     """

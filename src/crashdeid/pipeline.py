@@ -31,7 +31,7 @@ from . import __version__
 from .corpus import Corpus, Narrative, load_corpus, write_audit_log, write_redacted
 from .evalkit import MetricsReport, build_report, write_report
 from .extract import AllRunsFailed, CandidateSet, EnsembleConfig, hybrid_extract
-from .gateway import BackendConfig, GatewayError
+from .gateway import MAX_IN_FLIGHT, BackendConfig, GatewayError
 from .redact import PLACEHOLDERS, RedactionStyle, render
 from .tags import AMBIGUOUS_CATEGORIES, AmbiguousTagging, PiiCategory
 from .verify import AuditRecord, VerifierPolicy, rfc3339_now, verify_candidates
@@ -144,10 +144,14 @@ def process_narrative(narrative: Narrative, config: PipelineConfig) -> Narrative
 
 
 def execute(corpus: Corpus, config: PipelineConfig) -> list[NarrativeResult]:
-    """Process every narrative, preserving input order in the results."""
-    if config.parallelism == 1:
+    """Process every narrative, preserving input order in the results: over
+    HTTP ``2 * MAX_IN_FLIGHT`` at a time on a pool of the run's own, whatever
+    ``parallelism`` says (the gateway still caps POSTs at ``MAX_IN_FLIGHT``),
+    and otherwise one at a time on this thread."""
+    kinds = {b.kind for b in (config.extractor_backend, config.verifier_backend) if b}
+    if "http_endpoint" not in kinds:
         return [process_narrative(n, config) for n in corpus.narratives]
-    with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
+    with ThreadPoolExecutor(2 * MAX_IN_FLIGHT, thread_name_prefix="crashdeid-narrative") as pool:
         return list(pool.map(lambda n: process_narrative(n, config), corpus.narratives))
 
 
@@ -262,10 +266,12 @@ def run_pipeline(
     report_path: str | Path | None = None,
 ) -> RunSummary:
     """Process the corpus, score it when ``report_path`` is set (JSON there,
-    text beside it as ``.txt``, so a ``.txt`` path is refused before any file
-    is read) and write the outputs when ``output_dir`` is. The report covers
-    emitted narratives only: a failed one has no predictions."""
+    text beside it as ``.txt``, so a ``.txt`` path or one with no file name is
+    refused before any file is read) and write the outputs when ``output_dir``
+    is. The report covers emitted narratives only: a failed one has none."""
     started = time.monotonic()
+    if report_path is not None and not Path(report_path).name:
+        raise ConfigError(f"report path {str(report_path)!r} has no file name")
     if report_path is not None and Path(report_path).suffix == ".txt":
         raise ConfigError(f"report path {report_path} ends in .txt, the text report's own path")
     corpus = load_corpus(input_path, fmt=fmt, gold_path=gold_path)

@@ -899,6 +899,20 @@ def test_cli_eval_refuses_a_txt_report_path(tmp_path, capsys):
     assert not report.exists() and not out.exists()
 
 
+@pytest.mark.parametrize("report", ["/", ".", ""])
+def test_cli_eval_refuses_a_report_path_with_no_file_name(tmp_path, capsys, monkeypatch, report):
+    # No text report path can be derived from it; that is known before any
+    # file is read, so the missing input is not what the error names.
+    monkeypatch.chdir(tmp_path)
+    code = main([
+        "eval", "--input", "missing.jsonl", "--gold", "missing.gold.jsonl",
+        "--report", report, "--preset", "rules_only", "--out", "out",
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: report path {report!r} has no file name\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_eval_creates_report_directory(tmp_path):
     corpus = write_corpus_jsonl(
         tmp_path / "c.jsonl", [{"id": "n1", "text": "EMAILED jsmith@gmail.com"}]
