@@ -38,7 +38,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Callable, Iterable
 from urllib.parse import urlsplit
@@ -155,14 +155,20 @@ class BackendConfig:
             return f"fixture file {exc}"
 
 
+@lru_cache(maxsize=16, typed=True)
+def _key_head(system_prompt: str, seed: int | None):
+    head = json.dumps({"seed": seed, "system": system_prompt}, ensure_ascii=False, sort_keys=True)
+    return hashlib.sha256(head[:-1].encode("utf-8") + b', "user": ')
+
+
 def request_key(system_prompt: str, user_content: str, seed: int | None = None) -> str:
-    """Content hash identifying a request in mock fixture files."""
-    payload = json.dumps(
-        {"seed": seed, "system": system_prompt, "user": user_content},
-        ensure_ascii=False,
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    """Content hash identifying a request in mock fixture files: SHA-256 of
+    ``json.dumps({"seed", "system", "user"}, ensure_ascii=False, sort_keys=True)``
+    in UTF-8. The head up to ``"user": `` is hashed once per prompt and seed
+    into a cached state that is only ever copied; the digest is the same."""
+    digest = _key_head(system_prompt, seed).copy()
+    digest.update(json.dumps(user_content, ensure_ascii=False).encode("utf-8") + b"}")
+    return digest.hexdigest()
 
 
 def fixture_entry(request: ChatRequest, response: str) -> dict[str, str]:

@@ -266,14 +266,22 @@ def run_pipeline(
     report_path: str | Path | None = None,
 ) -> RunSummary:
     """Process the corpus, score it when ``report_path`` is set (JSON there,
-    text beside it as ``.txt``, so a ``.txt`` path or one with no file name is
-    refused before any file is read) and write the outputs when ``output_dir``
-    is. The report covers emitted narratives only: a failed one has none."""
+    text beside it as ``.txt``) and write the outputs when ``output_dir`` is.
+    The report covers emitted narratives only: a failed one has none. A
+    ``.txt`` report path, one with no file name, and any output path the run
+    could not write are refused before any file is read."""
     started = time.monotonic()
     if report_path is not None and not Path(report_path).name:
         raise ConfigError(f"report path {str(report_path)!r} has no file name")
     if report_path is not None and Path(report_path).suffix == ".txt":
         raise ConfigError(f"report path {report_path} ends in .txt, the text report's own path")
+    text_path = report_path and Path(report_path).with_suffix(".txt")
+    for path, is_dir in ((output_dir, True), (report_path, False), (text_path, False)):
+        # The nearest path that exists must be of the kind written there.
+        found = path and next((p for p in (Path(path), *Path(path).parents) if p.exists()), None)
+        if found and found.is_dir() != (is_dir or found != Path(path)):
+            raise ConfigError(f"{path} cannot be written: {found} is "
+                              + ("a directory" if found.is_dir() else "not a directory"))
     corpus = load_corpus(input_path, fmt=fmt, gold_path=gold_path)
     results = execute(corpus, config)
     # Settle on this thread, in input order: a text the writer refuses
@@ -294,8 +302,7 @@ def run_pipeline(
     if report_path is not None:
         predictions = {r.narrative.id: r.final for r in emitted}
         summary.report = build_report(predictions, corpus, config.preset)
-        report_path = Path(report_path)
-        write_report(summary.report, report_path, report_path.with_suffix(".txt"))
+        write_report(summary.report, report_path, text_path)
     if summary.output_dir is not None:
         snapshot = config_snapshot(config, input_path, fmt, gold_path)
         _write_outputs(config, emitted, summary, snapshot, started)

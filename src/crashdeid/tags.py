@@ -35,6 +35,8 @@ class PiiCategory(enum.Enum):
     HOME_ADDRESS = "home_address"
     ALPHANUMERIC = "alphanumeric"
 
+    __hash__ = object.__hash__  # members are singletons compared by identity; C-level hash
+
 
 #: Categories recognized by deterministic rules; the rest belong to the LLM channel.
 RULE_CATEGORIES = frozenset({PiiCategory.PHONE, PiiCategory.EMAIL})

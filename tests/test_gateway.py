@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import hashlib
 import json
 import threading
 import time
@@ -9,10 +10,14 @@ import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crashdeid import gateway
 from crashdeid.corpus import read_jsonl_records
 from crashdeid.gateway import (
+    EXTRACTION_SYSTEM_PROMPT,
+    VERIFIER_SYSTEM_PROMPT,
     BackendConfig,
     ChatRequest,
     EmptyCandidateString,
@@ -67,6 +72,78 @@ def test_request_key_depends_on_content_and_seed():
     assert base != request_key("sys2", "user")
     assert base != request_key("sys", "user", seed=1)
     assert request_key("sys", "user", seed=1) != request_key("sys", "user", seed=2)
+    # Equal seeds of other types are other payloads: 1 is not true.
+    assert request_key("sys", "user", seed=1) != request_key("sys", "user", seed=True)
+
+
+def reference_key(system_prompt, user_content, seed):
+    """The fixture key as README states it, written out in full."""
+    payload = {"seed": seed, "system": system_prompt, "user": user_content}
+    encoded = json.dumps(payload, ensure_ascii=False, sort_keys=True).encode("utf-8")
+    return hashlib.sha256(encoded).hexdigest()
+
+
+FIG_USER = "UNIT 1 HIT THE DRIVEWAY OF 4647 HIGHWAY 47."
+NON_ASCII_USER = "CONDUCTOR JOSÉ NÚÑEZ — “AUSFAHRT” 東京 😀"
+
+
+@pytest.mark.parametrize(
+    "system,user,seed,digest",
+    [
+        (EXTRACTION_SYSTEM_PROMPT, FIG_USER, None,
+         "0ecedc8a5c0b11d6636489f134fce3ff90886b2d73aa83e6300709bd428f9392"),
+        (EXTRACTION_SYSTEM_PROMPT, FIG_USER, 0,
+         "af16ecb1d54accf0a5f00606d5a58d0318816a9efef64b4ebfb904e667509625"),
+        (EXTRACTION_SYSTEM_PROMPT, FIG_USER, 7,
+         "4e1dd9d241ca1d451d5958fd7ed355de519c84cd1728ed3fbff379e695898bf1"),
+        (VERIFIER_SYSTEM_PROMPT, FIG_USER, None,
+         "aa39aac33d6710c19333ed0b638d925c33c71bc8d7fade10721ea911029bc21b"),
+        (VERIFIER_SYSTEM_PROMPT, FIG_USER, 0,
+         "2ce500528bdc8ac3d1945e1875a2e83dae246ff3648e0c96f117cf7021d38b6e"),
+        (VERIFIER_SYSTEM_PROMPT, FIG_USER, 7,
+         "4e197ec1e1bbc15e438fa5fdb94395a465cb2829b16ef9ac347ead8804cdd6ce"),
+        (EXTRACTION_SYSTEM_PROMPT, NON_ASCII_USER, None,
+         "e41f53ff04de568b5c6005866bd4e9b7457f8f2c2a9af1548b51bcabd0cf8a53"),
+        (EXTRACTION_SYSTEM_PROMPT, NON_ASCII_USER, 7,
+         "c735511fefe6893f569e1cd89e492ca5fdd2e5820528f963238aba31fcc8cc54"),
+    ],
+    ids=["extract-none", "extract-0", "extract-7", "verify-none", "verify-0", "verify-7",
+         "non-ascii-none", "non-ascii-7"],
+)
+def test_request_key_digests_are_pinned(system, user, seed, digest):
+    # Fixture files written by earlier versions hold these keys.
+    assert reference_key(system, user, seed) == digest
+    assert request_key(system, user, seed) == digest
+
+
+_KEY_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('"\\/\x00\x1f\x7f\u2028\u2029\ud800\udfff\U0001f600 é'),
+        st.characters(),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    system=st.one_of(
+        st.sampled_from([EXTRACTION_SYSTEM_PROMPT, VERIFIER_SYSTEM_PROMPT]), _KEY_TEXT
+    ),
+    user=_KEY_TEXT,
+    seed=st.one_of(st.none(), st.integers(), st.integers(min_value=2**63 - 2, max_value=2**65),
+                   st.integers(max_value=-1)),
+)
+def test_request_key_matches_the_reference_formula(system, user, seed):
+    # Lone surrogates cannot be encoded; both forms then raise alike.
+    try:
+        expected = reference_key(system, user, seed)
+    except Exception as exc:
+        with pytest.raises(Exception) as raised:
+            request_key(system, user, seed)
+        assert type(raised.value) is type(exc)
+    else:
+        assert request_key(system, user, seed) == expected
 
 
 def test_mock_lookup_returns_scripted_text(tmp_path):

@@ -913,6 +913,106 @@ def test_cli_eval_refuses_a_report_path_with_no_file_name(tmp_path, capsys, monk
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "setup,argv,path,blocker,kind",
+    [
+        (["adir/"], ["eval", "--report", "adir", "--out", "out"], "adir", "adir", "a directory"),
+        ([], ["eval", "--report", ".."], "..", "..", "a directory"),
+        (["r.txt/"], ["eval", "--report", "r.json"], "r.txt", "r.txt", "a directory"),
+        (["afile"], ["eval", "--report", "afile/r.json"], "afile/r.json", "afile",
+         "not a directory"),
+        (["afile"], ["run", "--out", "afile"], "afile", "afile", "not a directory"),
+        (["afile"], ["run", "--out", "afile/sub"], "afile/sub", "afile", "not a directory"),
+    ],
+    ids=["report-dir", "report-dotdot", "text-report-dir", "report-under-file", "out-file",
+         "out-under-file"],
+)
+def test_cli_refuses_an_unwritable_output_path_before_any_call(
+    tmp_path, capsys, monkeypatch, setup, argv, path, blocker, kind
+):
+    # Over HTTP the whole run would be wasted; the path is refused first.
+    monkeypatch.chdir(tmp_path)
+    write_corpus_jsonl(Path("c.jsonl"), [{"id": "n1", "text": FIG_TEXT}])
+    Path("g.jsonl").write_text("", encoding="utf-8")
+    write_fixture(Path("fx.jsonl"), fig_fixture_entries(0, 2))
+    for name in setup:
+        Path(name).mkdir() if name.endswith("/") else Path(name).write_text("")
+    before = sorted(tmp_path.rglob("*"))
+    calls = []
+    real_complete = gateway.complete
+    monkeypatch.setattr(gateway, "complete", lambda *a: calls.append(1) or real_complete(*a))
+    flags = ["--input", "c.jsonl", "--preset", "hybrid_ev", "--k-ensemble", "2",
+             "--seed", "0", "--mock-fixtures", "fx.jsonl"]
+    gold = ["--gold", "g.jsonl"]
+    assert main(argv + flags + (gold if argv[0] == "eval" else [])) == 2
+    assert capsys.readouterr().err == f"error: {path} cannot be written: {blocker} is {kind}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+    assert calls == []
+    # The same run with writable paths makes its three calls.
+    assert main(["eval", "--report", "ok.json", "--out", "ok"] + flags + gold) == 0
+    assert len(calls) == 3
+
+
+PROCESS_TEXT = (
+    "DRIVER JOHN SMITH OF 123 ELM STREET, PLATE ABC1234, CALLED 608-555-1234 "
+    "AND EMAILED jsmith@gmail.com."
+)
+
+
+def test_run_outputs_do_not_depend_on_the_process(tmp_path):
+    # Categories hash by identity, which follows object addresses, and
+    # strings by PYTHONHASHSEED: three processes must write the same bytes.
+    tagged = {
+        0: PROCESS_TEXT.replace("JOHN SMITH", "@@@JOHN SMITH@@@")
+        .replace("123 ELM STREET", "$$$123 ELM STREET$$$").replace("ABC1234", "^^^ABC1234^^^"),
+        1: PROCESS_TEXT.replace("123 ELM STREET", "$$$123 ELM STREET$$$"),
+        2: PROCESS_TEXT.replace("SMITH", "@@@SMITH@@@").replace("ABC1234", "^^^ABC1234^^^"),
+    }
+    corpus = write_corpus_jsonl(
+        tmp_path / "c.jsonl",
+        [{"id": "n1", "text": PROCESS_TEXT}, {"id": "n2", "text": FIG_TEXT}],
+    )
+    home = review_obj("123 ELM STREET", "KEEP", "residence", "OF 123 ELM STREET")
+    # Evidence that is not in the narrative demotes the review to UNCERTAIN.
+    plate = review_obj("ABC1234", "KEEP", "plate", "PLATE ZZZ9999")
+    fixtures = write_fixture(
+        tmp_path / "fx.jsonl",
+        extraction_entries(PROCESS_TEXT, tagged)
+        + verifier_entries(
+            PROCESS_TEXT, ["123 ELM STREET"], ["ABC1234"],
+            # The first answer reviews nothing, so the repair prompt is sent.
+            [verifier_json([], []), verifier_json([home], [plate])],
+        )
+        + fig_fixture_entries(0, 3),
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for hash_seed in (0, 1, 2):
+        out = tmp_path / f"out-{hash_seed}"
+        subprocess.run(
+            [sys.executable, "-m", "crashdeid.cli", "run", "--input", str(corpus),
+             "--out", str(out), "--preset", "hybrid_ev", "--k-ensemble", "3", "--seed", "0",
+             "--mock-fixtures", str(fixtures), "--mask-timestamps"],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(hash_seed)),
+            capture_output=True, timeout=60, check=True,
+        )
+        outputs.append(
+            [(out / name).read_bytes() for name in ("redacted.jsonl", "audit.jsonl",
+                                                    "manifest.json")]
+        )
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    manifest = json.loads(outputs[0][2])
+    assert manifest["failed_narratives"] == [] and manifest["counts"]["degraded"] == 0
+    assert all(manifest["counts"]["candidates_by_category"].values())
+    reviews = [(r.narrative_id, r.review.text, r.review.decision, r.final_action)
+               for r in read_audit_log(tmp_path / "out-0" / "audit.jsonl")]
+    assert reviews == [
+        ("n1", "123 ELM STREET", "KEEP", "retained"),
+        ("n1", "ABC1234", "UNCERTAIN", "retained"),
+        ("n2", FIG_CANDIDATE, "DROP", "removed"),
+    ]
+
+
 def test_cli_eval_creates_report_directory(tmp_path):
     corpus = write_corpus_jsonl(
         tmp_path / "c.jsonl", [{"id": "n1", "text": "EMAILED jsmith@gmail.com"}]
