@@ -14,14 +14,16 @@ Two backend kinds sit behind one ``complete`` call:
     POSTs are in flight at once across the whole process, whatever the
     endpoint, model or number of callers; ``fan_out`` overlaps independent
     calls, such as a narrative's K tagging runs, on one pool of twice as
-    many workers, so a call sleeping out its backoff idles no slot.
+    many workers, so a call sleeping out its backoff idles no slot. The HTTP
+    stack loads at the first POST and the pool at the first HTTP ``fan_out``.
 
 ``scripted_mock``
     A deterministic offline stand-in. The fixture file is JSONL of
     ``{"key", "response"}`` where ``key`` is ``request_key(system_prompt,
     user_content, seed)``; a completion depends only on request content,
     so repeated calls are byte-identical. Including the optional seed in
-    the key lets fixtures script distinct sampled runs of one prompt. A
+    the key lets fixtures script distinct sampled runs of one prompt;
+    ``hashlib`` loads at the first key. A
     malformed fixture line raises ``MalformedFixture``, which fails every
     narrative that calls the mock, as any other backend error does. The
     file is read once per ``BackendConfig``, at its first call, and its
@@ -31,12 +33,9 @@ Two backend kinds sit behind one ``complete`` call:
 
 from __future__ import annotations
 
-import hashlib
-import http.client
 import json
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -55,8 +54,6 @@ _BACKOFF_BASE_SECONDS = 0.25
 #: Most POSTs in flight at once, to all HTTP backends together.
 MAX_IN_FLIGHT = 4
 _inflight = threading.BoundedSemaphore(MAX_IN_FLIGHT)
-
-_CONNECTIONS = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
 
 
 class GatewayError(RuntimeError):
@@ -119,7 +116,7 @@ class BackendConfig:
     def __post_init__(self) -> None:
         if self.kind == "http_endpoint":
             parts = urlsplit(self.endpoint_url if isinstance(self.endpoint_url, str) else "")
-            if parts.scheme not in _CONNECTIONS or not parts.hostname:
+            if parts.scheme not in ("http", "https") or not parts.hostname:
                 raise ValueError("http_endpoint backend requires an http(s) endpoint_url")
         elif self.kind == "scripted_mock":
             if not self.fixture_path:
@@ -157,6 +154,7 @@ class BackendConfig:
 
 @lru_cache(maxsize=16, typed=True)
 def _key_head(system_prompt: str, seed: int | None):
+    import hashlib
     head = json.dumps({"seed": seed, "system": system_prompt}, ensure_ascii=False, sort_keys=True)
     return hashlib.sha256(head[:-1].encode("utf-8") + b', "user": ')
 
@@ -184,7 +182,18 @@ def write_fixture_file(path: str | Path, entries: Iterable[dict[str, str]]) -> N
             handle.write(json.dumps(entry, ensure_ascii=False) + "\n")
 
 
-_pool = ThreadPoolExecutor(max_workers=2 * MAX_IN_FLIGHT, thread_name_prefix="crashdeid-backend")
+_pool = None  # fan_out's ThreadPoolExecutor, built at its first use
+_pool_lock = threading.Lock()
+
+
+def _backend_pool():
+    """The shared pool, built under the lock so that racing first calls build one."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(2 * MAX_IN_FLIGHT, thread_name_prefix="crashdeid-backend")
+        return _pool
 
 
 def fan_out(fn: Callable, items: Iterable, config: BackendConfig) -> list:
@@ -199,14 +208,17 @@ def fan_out(fn: Callable, items: Iterable, config: BackendConfig) -> list:
     items = list(items)
     if config.kind != "http_endpoint" or len(items) < 2:
         return [fn(item) for item in items]
-    return list(_pool.map(fn, items))
+    return list(_backend_pool().map(fn, items))
 
 
 def _http_post(url: str, payload: dict, timeout: float) -> dict:
     """POST ``payload`` as JSON on a fresh connection; return the decoded
     body of a 2xx reply."""
+    import http.client
     parts = urlsplit(url)
-    connection = _CONNECTIONS[parts.scheme](parts.hostname, parts.port, timeout=timeout)
+    secure = parts.scheme == "https"
+    connect = http.client.HTTPSConnection if secure else http.client.HTTPConnection
+    connection = connect(parts.hostname, parts.port, timeout=timeout)
     try:
         # A bytes body goes out in the same segment as the headers.
         connection.request(
@@ -229,6 +241,7 @@ def _http_post(url: str, payload: dict, timeout: float) -> dict:
 
 
 def _complete_http(request: ChatRequest, config: BackendConfig) -> str:
+    import http.client
     payload = {
         "model": config.model_name or "default",
         "messages": [

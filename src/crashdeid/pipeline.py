@@ -22,19 +22,20 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
 from .corpus import Corpus, Narrative, load_corpus, write_audit_log, write_redacted
-from .evalkit import MetricsReport, build_report, write_report
 from .extract import AllRunsFailed, CandidateSet, EnsembleConfig, hybrid_extract
 from .gateway import MAX_IN_FLIGHT, BackendConfig, GatewayError
 from .redact import PLACEHOLDERS, RedactionStyle, render
 from .tags import AMBIGUOUS_CATEGORIES, AmbiguousTagging, PiiCategory
 from .verify import AuditRecord, VerifierPolicy, rfc3339_now, verify_candidates
+
+if TYPE_CHECKING:
+    from .evalkit import MetricsReport
 
 
 class Preset(NamedTuple):
@@ -151,6 +152,7 @@ def execute(corpus: Corpus, config: PipelineConfig) -> list[NarrativeResult]:
     kinds = {b.kind for b in (config.extractor_backend, config.verifier_backend) if b}
     if "http_endpoint" not in kinds:
         return [process_narrative(n, config) for n in corpus.narratives]
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(2 * MAX_IN_FLIGHT, thread_name_prefix="crashdeid-narrative") as pool:
         return list(pool.map(lambda n: process_narrative(n, config), corpus.narratives))
 
@@ -268,8 +270,9 @@ def run_pipeline(
     """Process the corpus, score it when ``report_path`` is set (JSON there,
     text beside it as ``.txt``) and write the outputs when ``output_dir`` is.
     The report covers emitted narratives only: a failed one has none. A
-    ``.txt`` report path, one with no file name, and any output path the run
-    could not write are refused before any file is read."""
+    ``.txt`` report path, one with no file name, any output path the run
+    could not write, and any two paths (input, gold, report and its ``.txt``,
+    the three outputs) that are one file are refused before any is read."""
     started = time.monotonic()
     if report_path is not None and not Path(report_path).name:
         raise ConfigError(f"report path {str(report_path)!r} has no file name")
@@ -282,6 +285,14 @@ def run_pipeline(
         if found and found.is_dir() != (is_dir or found != Path(path)):
             raise ConfigError(f"{path} cannot be written: {found} is "
                               + ("a directory" if found.is_dir() else "not a directory"))
+    outputs = () if output_dir is None else ("redacted.jsonl", "audit.jsonl", "manifest.json")
+    paths = [Path(p) for p in (input_path, gold_path, report_path, text_path) if p is not None]
+    paths += [Path(output_dir, name) for name in outputs]
+    for n, path in enumerate(paths):
+        for other in paths[:n]:  # samefile: no link, hard or soft, hides a clash
+            if path.resolve() == other.resolve() or (
+                    path.exists() and other.exists() and path.samefile(other)):
+                raise ConfigError(f"{path} is the same file as {other}")
     corpus = load_corpus(input_path, fmt=fmt, gold_path=gold_path)
     results = execute(corpus, config)
     # Settle on this thread, in input order: a text the writer refuses
@@ -300,6 +311,7 @@ def run_pipeline(
         output_dir=None if output_dir is None else Path(output_dir),
     )
     if report_path is not None:
+        from .evalkit import build_report, write_report
         predictions = {r.narrative.id: r.final for r in emitted}
         summary.report = build_report(predictions, corpus, config.preset)
         write_report(summary.report, report_path, text_path)

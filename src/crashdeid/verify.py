@@ -14,13 +14,13 @@ narrative-dependent rule that KEEP/DROP evidence is a verbatim substring,
 demoting violators to UNCERTAIN rather than failing.
 
 Malformed completions are re-prompted with the validation error appended,
-up to ``MAX_REPAIR_ATTEMPTS`` times; after that every candidate is treated
-as UNCERTAIN (fail-safe: never a silent DROP). ``verify_candidates`` then
-settles each candidate in one pass: KEEP retains, DROP removes, and
-UNCERTAIN follows the ``VerifierPolicy``; every decision is written as one
-``AuditRecord``. Alignment of reviews with candidates is checked once, where
-a completion enters the program, in ``parse_verifier_output``. The whole
-stage touches only the two ambiguous categories; name, phone and email
+up to ``MAX_REPAIR_ATTEMPTS`` times; after that, or on a backend failure,
+every candidate is UNCERTAIN and retained under either policy (fail-safe:
+never a silent DROP). Otherwise ``verify_candidates`` settles each one:
+KEEP retains, DROP removes, UNCERTAIN follows the ``VerifierPolicy``, and
+each decision is one ``AuditRecord``. Reviews are aligned with candidates
+once, where a completion enters the program, in ``parse_verifier_output``.
+The stage touches only the two ambiguous categories; name, phone and email
 candidates pass through untouched.
 """
 
@@ -245,11 +245,11 @@ def verify_candidates(
     """Run the full verification stage for one narrative.
 
     Short-circuits without a backend call when both ambiguous categories
-    are empty. Unrecoverable output or transport failure falls back to
-    treating every reviewed candidate as UNCERTAIN, flagged degraded in the
-    result and in ``policy_applied``. Each reviewed candidate is retained
-    on KEEP, or on UNCERTAIN under ``RECALL_FIRST``, and removed otherwise,
-    with one audit record each; other categories pass through untouched.
+    are empty. Unrecoverable output or transport failure reviews every
+    candidate UNCERTAIN and retains it, flagged degraded in the result and
+    in ``policy_applied``; otherwise each is retained on KEEP, or on
+    UNCERTAIN under ``RECALL_FIRST``, and removed otherwise, with one audit
+    record each; other categories pass through untouched.
     """
     surfaces = [candidates.surfaces(category) for category in AMBIGUOUS_CATEGORIES]
     if not any(surfaces):
@@ -294,7 +294,7 @@ def verify_candidates(
         for candidate, review in zip(
             candidates.candidates(category), reviews[category], strict=True
         ):
-            retained = review.decision == KEEP or (
+            retained = degraded or review.decision == KEEP or (
                 review.decision == UNCERTAIN and policy is VerifierPolicy.RECALL_FIRST
             )
             if retained:

@@ -542,6 +542,60 @@ def test_fan_out_keeps_input_order_when_later_items_finish_first():
     assert finished != sorted(finished)
 
 
+def test_racing_first_http_fan_outs_share_one_pool(monkeypatch):
+    import concurrent.futures
+    import sys
+
+    built = []
+
+    class CountingExecutor(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            time.sleep(0.02)  # a slow build widens the window for a second one
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingExecutor)
+    monkeypatch.setattr(gateway, "_pool", None)
+
+    def backend_threads():
+        return {t for t in threading.enumerate() if t.name.startswith("crashdeid-backend")}
+
+    existing = backend_threads()
+    config = BackendConfig(kind="http_endpoint", endpoint_url="http://127.0.0.1:9/race")
+    callers = 16
+    barrier = threading.Barrier(callers)
+    ran_on, results = set(), [None] * callers
+
+    def work(i):
+        time.sleep(0.005)
+        ran_on.add(threading.current_thread())
+        return i
+
+    def caller(n):
+        barrier.wait(timeout=10)
+        results[n] = gateway.fan_out(work, range(3), config)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    threads = [threading.Thread(target=caller, args=(n,)) for n in range(callers)]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    try:
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [[0, 1, 2]] * callers
+        assert len(built) == 1 and gateway._pool is built[0]
+        new = backend_threads() - existing
+        assert ran_on <= new and len(new) <= 2 * gateway.MAX_IN_FLIGHT
+    finally:
+        for pool in built:
+            pool.shutdown()
+
+
 def test_fan_out_runs_inline_for_the_mock_and_for_one_item(tmp_path):
     caller = threading.get_ident()
     mock = BackendConfig(kind="scripted_mock", fixture_path=tmp_path / "fx.jsonl")

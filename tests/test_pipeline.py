@@ -953,6 +953,56 @@ def test_cli_refuses_an_unwritable_output_path_before_any_call(
     assert len(calls) == 3
 
 
+@pytest.mark.parametrize(
+    "setup,argv,path,other",
+    [
+        ([], ["eval", "--input", "c.jsonl", "--report", "c.jsonl"], "c.jsonl", "c.jsonl"),
+        ([], ["eval", "--input", "c.jsonl", "--report", "out/manifest.json", "--out", "out"],
+         "out/manifest.json", "out/manifest.json"),
+        (["out/redacted.jsonl"], ["run", "--input", "out/redacted.jsonl", "--out", "out"],
+         "out/redacted.jsonl", "out/redacted.jsonl"),
+        (["alias.jsonl -> c.jsonl"], ["eval", "--input", "c.jsonl", "--report", "alias.jsonl"],
+         "alias.jsonl", "c.jsonl"),
+        (["alias -> out"], ["eval", "--input", "c.jsonl", "--report", "alias/audit.jsonl",
+                            "--out", "out"], "out/audit.jsonl", "alias/audit.jsonl"),
+        (["g.json == c.jsonl"], ["eval", "--input", "c.jsonl", "--report", "g.json"],
+         "g.json", "c.jsonl"),
+    ],
+    ids=["report-is-input", "report-is-manifest", "input-is-redacted", "symlink-to-input",
+         "symlinked-out-dir", "hard-link-to-input"],
+)
+def test_cli_refuses_an_output_path_that_is_an_input_or_another_output(
+    tmp_path, capsys, monkeypatch, setup, argv, path, other
+):
+    monkeypatch.chdir(tmp_path)
+    write_corpus_jsonl(Path("c.jsonl"), [{"id": "n1", "text": FIG_TEXT}])
+    Path("g.jsonl").write_text("", encoding="utf-8")
+    write_fixture(Path("fx.jsonl"), fig_fixture_entries(0, 2))
+    Path("out").mkdir()
+    for spec in setup:
+        if " -> " in spec:
+            link, target = spec.split(" -> ")
+            Path(link).symlink_to(target)
+        elif " == " in spec:
+            os.link(*reversed(spec.split(" == ")))
+        else:
+            write_corpus_jsonl(Path(spec), [{"id": "n1", "text": FIG_TEXT}])
+    def files():
+        return {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
+
+    before = files()
+    calls = []
+    real_complete = gateway.complete
+    monkeypatch.setattr(gateway, "complete", lambda *a: calls.append(1) or real_complete(*a))
+    flags = ["--preset", "hybrid_ev", "--k-ensemble", "2", "--seed", "0",
+             "--mock-fixtures", "fx.jsonl"]
+    gold = ["--gold", "g.jsonl"]
+    assert main(argv + flags + (gold if argv[0] == "eval" else [])) == 2
+    assert capsys.readouterr().err == f"error: {path} is the same file as {other}\n"
+    assert files() == before
+    assert calls == []
+
+
 PROCESS_TEXT = (
     "DRIVER JOHN SMITH OF 123 ELM STREET, PLATE ABC1234, CALLED 608-555-1234 "
     "AND EMAILED jsmith@gmail.com."

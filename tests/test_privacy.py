@@ -14,6 +14,7 @@ import re
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -82,9 +83,11 @@ def _tagged(tokens: list[str], tags: list) -> str:
 
 def _retained(surface: str, review: dict, answer: str, policy: VerifierPolicy) -> bool:
     """The oracle's final action for one reviewed surface."""
+    if answer != "valid":
+        return True  # a degraded review retains under either policy
     decision, verbatim = review[surface]
-    if answer != "valid" or (decision != "UNCERTAIN" and not verbatim):
-        decision = "UNCERTAIN"  # degraded, or evidence demoted
+    if decision != "UNCERTAIN" and not verbatim:
+        decision = "UNCERTAIN"  # evidence demoted
     return decision == "KEEP" or (
         decision == "UNCERTAIN" and policy is VerifierPolicy.RECALL_FIRST
     )
@@ -209,6 +212,37 @@ def test_no_emitted_narrative_shows_a_protected_surface(
                 clear = _clear_text(rows[nid], mode, text)
                 leaked = sorted(s for s in protected if s in clear)
                 assert not leaked, (mode, text, rows[nid])
+
+
+# -- verifier outage -----------------------------------------------------------
+
+OUTAGE_TEXT = "DRIVER LIVES AT 12 ELM ST MADISON. PLATE ABC1234."
+OUTAGE_TAGGED = "DRIVER LIVES AT $$$12 ELM ST MADISON$$$. PLATE ^^^ABC1234^^^."
+
+
+@pytest.mark.parametrize("answer", ["missing", "garbage"])
+@pytest.mark.parametrize("policy", ["recall-first", "precision-first"])
+def test_a_degraded_review_keeps_its_redactions_under_either_policy(tmp_path, policy, answer):
+    # With no verifier answer, or none that can be recovered, nothing grounds
+    # a removal: the tagged address and plate stay redacted.
+    corpus = write_corpus_jsonl(tmp_path / "c.jsonl", [{"id": "n1", "text": OUTAGE_TEXT}])
+    entries = extraction_entries(OUTAGE_TEXT, {0: OUTAGE_TAGGED})
+    if answer == "garbage":
+        surfaces = (["12 ELM ST MADISON"], ["ABC1234"])
+        entries += verifier_entries(OUTAGE_TEXT, *surfaces, ["not json", "no", "none"])
+    fixtures = tmp_path / "fixtures.jsonl"
+    write_fixture_file(fixtures, entries)
+    code = main(["run", "--input", str(corpus), "--out", str(tmp_path / "out"),
+                 "--preset", "hybrid_ev", "--k-ensemble", "1", "--seed", "0",
+                 "--policy", policy, "--mock-fixtures", str(fixtures)])
+    assert code == 0
+    (row,) = map(json.loads, (tmp_path / "out" / "redacted.jsonl").read_text().splitlines())
+    assert (row["redacted_text"], row["pii_found"]) == (OUTAGE_TAGGED, True)
+    audit = [json.loads(line) for line in (tmp_path / "out" / "audit.jsonl").read_text().splitlines()]
+    label = policy.replace("-", "_") + "+uncertain_fallback"
+    assert [(r["policy_applied"], r["final_action"]) for r in audit] == [(label, "retained")] * 2
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["counts"]["degraded"] == 1
 
 
 # -- stderr canary -------------------------------------------------------------

@@ -437,9 +437,12 @@ def test_verify_candidates_transport_failure_falls_back(tmp_path, fig_narrative)
         narrative, candidates, backend, VerifierPolicy.PRECISION_FIRST
     )
     assert result.degraded
-    assert result.final.surfaces(HOME) == []  # precision-first removes UNCERTAIN
+    # Nothing grounds a removal: even precision-first retains a degraded review.
+    assert result.final.surfaces(HOME) == [FIG_CANDIDATE]
     (record,) = result.audit
-    assert record.final_action == "removed"
+    assert (record.policy_applied, record.final_action) == (
+        "precision_first+uncertain_fallback", "retained"
+    )
 
 
 def test_verifier_never_touches_rule_categories(tmp_path, fig_narrative):
