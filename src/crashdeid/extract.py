@@ -182,8 +182,8 @@ def extract_ensemble(
     ``llm_single``). With ``base_seed`` set, run i uses seed
     ``base_seed + i`` so scripted mocks can represent distinct sampled
     runs. The runs are independent, so ``gateway.fan_out`` overlaps them on
-    an HTTP backend; they are merged in seed order whatever order they
-    finish in.
+    an HTTP backend, unless this narrative is already overlapped with
+    others; they are merged in seed order whatever order they finish in.
     """
 
     def attempt(i: int) -> SingleRun | None:

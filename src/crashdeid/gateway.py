@@ -13,9 +13,9 @@ Two backend kinds sit behind one ``complete`` call:
     request cannot change the answer. At most ``MAX_IN_FLIGHT`` (4)
     POSTs are in flight at once across the whole process, whatever the
     endpoint, model or number of callers; ``fan_out`` overlaps independent
-    calls, such as a narrative's K tagging runs, on one pool of twice as
-    many workers, so a call sleeping out its backoff idles no slot. The HTTP
-    stack loads at the first POST and the pool at the first HTTP ``fan_out``.
+    calls, such as a run's narratives or a lone narrative's K tagging runs,
+    on up to twice as many threads, so a call sleeping out its backoff idles
+    no slot. The HTTP stack loads at the first POST.
 
 ``scripted_mock``
     A deterministic offline stand-in. The fixture file is JSONL of
@@ -182,33 +182,25 @@ def write_fixture_file(path: str | Path, entries: Iterable[dict[str, str]]) -> N
             handle.write(json.dumps(entry, ensure_ascii=False) + "\n")
 
 
-_pool = None  # fan_out's ThreadPoolExecutor, built at its first use
-_pool_lock = threading.Lock()
+_fan_out_thread = threading.local()  # ``active`` is set on fan_out's own threads
 
 
-def _backend_pool():
-    """The shared pool, built under the lock so that racing first calls build one."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-            _pool = ThreadPoolExecutor(2 * MAX_IN_FLIGHT, thread_name_prefix="crashdeid-backend")
-        return _pool
-
-
-def fan_out(fn: Callable, items: Iterable, config: BackendConfig) -> list:
-    """``[fn(item) for item in items]``, overlapped when ``config`` is HTTP.
-
-    Results come back in input order whatever order the calls finish in.
-    For ``http_endpoint`` the items run on the shared pool of
-    ``2 * MAX_IN_FLIGHT`` workers; a scripted mock or a single item runs inline.
-    ``fn`` must not call ``fan_out`` itself: it would wait on the pool it
-    occupies.
+def fan_out(fn: Callable, items: Iterable, *backends: BackendConfig | None) -> list:
+    """``[fn(item) for item in items]`` in input order, overlapped when any of
+    ``backends`` is HTTP on a pool of this call's own, of
+    ``min(len(items), 2 * MAX_IN_FLIGHT)`` threads that end with the call.
+    A single item, and a ``fan_out`` made on one of those threads, run inline.
     """
     items = list(items)
-    if config.kind != "http_endpoint" or len(items) < 2:
+    if (len(items) < 2 or getattr(_fan_out_thread, "active", False)
+            or not any(b is not None and b.kind == "http_endpoint" for b in backends)):
         return [fn(item) for item in items]
-    return list(_backend_pool().map(fn, items))
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(
+        min(len(items), 2 * MAX_IN_FLIGHT), "crashdeid-fan-out",
+        initializer=setattr, initargs=(_fan_out_thread, "active", True),
+    ) as pool:
+        return list(pool.map(fn, items))
 
 
 def _http_post(url: str, payload: dict, timeout: float) -> dict:

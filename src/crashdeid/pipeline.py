@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from . import __version__
 from .corpus import Corpus, Narrative, load_corpus, write_audit_log, write_redacted
 from .extract import AllRunsFailed, CandidateSet, EnsembleConfig, hybrid_extract
-from .gateway import MAX_IN_FLIGHT, BackendConfig, GatewayError
+from .gateway import BackendConfig, GatewayError, fan_out
 from .redact import PLACEHOLDERS, RedactionStyle, render
 from .tags import AMBIGUOUS_CATEGORIES, AmbiguousTagging, PiiCategory
 from .verify import AuditRecord, VerifierPolicy, rfc3339_now, verify_candidates
@@ -145,16 +145,12 @@ def process_narrative(narrative: Narrative, config: PipelineConfig) -> Narrative
 
 
 def execute(corpus: Corpus, config: PipelineConfig) -> list[NarrativeResult]:
-    """Process every narrative, preserving input order in the results: over
-    HTTP ``2 * MAX_IN_FLIGHT`` at a time on a pool of the run's own, whatever
-    ``parallelism`` says (the gateway still caps POSTs at ``MAX_IN_FLIGHT``),
-    and otherwise one at a time on this thread."""
-    kinds = {b.kind for b in (config.extractor_backend, config.verifier_backend) if b}
-    if "http_endpoint" not in kinds:
-        return [process_narrative(n, config) for n in corpus.narratives]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(2 * MAX_IN_FLIGHT, thread_name_prefix="crashdeid-narrative") as pool:
-        return list(pool.map(lambda n: process_narrative(n, config), corpus.narratives))
+    """Process every narrative through ``gateway.fan_out``, preserving input
+    order. Over HTTP, ``2 * MAX_IN_FLIGHT`` are in progress at once whatever
+    ``parallelism`` says, each running its K runs inline, and a lone one
+    overlaps its K runs instead; otherwise they run one at a time here."""
+    return fan_out(lambda n: process_narrative(n, config), corpus.narratives,
+                   config.extractor_backend, config.verifier_backend)
 
 
 _BACKEND_FIELDS = tuple(f.name for f in dataclasses.fields(BackendConfig))
@@ -266,13 +262,15 @@ def run_pipeline(
     fmt: str | None = None,
     gold_path: str | Path | None = None,
     report_path: str | Path | None = None,
+    replayed: str | Path | None = None,
 ) -> RunSummary:
     """Process the corpus, score it when ``report_path`` is set (JSON there,
     text beside it as ``.txt``) and write the outputs when ``output_dir`` is.
     The report covers emitted narratives only: a failed one has none. A
     ``.txt`` report path, one with no file name, any output path the run
-    could not write, and any two paths (input, gold, report and its ``.txt``,
-    the three outputs) that are one file are refused before any is read."""
+    could not write, and any two paths (input, gold, the ``replayed``
+    manifest, report and its ``.txt``, the three outputs) that are one file
+    are refused before any is read."""
     started = time.monotonic()
     if report_path is not None and not Path(report_path).name:
         raise ConfigError(f"report path {str(report_path)!r} has no file name")
@@ -286,7 +284,8 @@ def run_pipeline(
             raise ConfigError(f"{path} cannot be written: {found} is "
                               + ("a directory" if found.is_dir() else "not a directory"))
     outputs = () if output_dir is None else ("redacted.jsonl", "audit.jsonl", "manifest.json")
-    paths = [Path(p) for p in (input_path, gold_path, report_path, text_path) if p is not None]
+    paths = [Path(p) for p in (input_path, gold_path, replayed, report_path, text_path)
+             if p is not None]
     paths += [Path(output_dir, name) for name in outputs]
     for n, path in enumerate(paths):
         for other in paths[:n]:  # samefile: no link, hard or soft, hides a clash
@@ -390,6 +389,5 @@ def replay_manifest(manifest_path: str | Path, output_dir: str | Path) -> RunSum
         raise ConfigError(f"{path}: {exc}") from None
     except ValueError:
         raise ConfigError(f"{path}: manifest is not UTF-8 JSON") from None
-    return run_pipeline(
-        config, snapshot["input"], output_dir, fmt=snapshot["format"], gold_path=snapshot["gold"]
-    )
+    return run_pipeline(config, snapshot["input"], output_dir, fmt=snapshot["format"],
+                        gold_path=snapshot["gold"], replayed=path)

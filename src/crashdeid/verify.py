@@ -10,8 +10,9 @@ with one review per candidate, in candidate order, text matching
 character-for-character. ``parse_verifier_output`` enforces every
 narrative-independent rule (shape, decision tokens, KEEP/DROP carry
 non-empty evidence, UNCERTAIN carries ""); ``check_evidence`` enforces the
-narrative-dependent rule that KEEP/DROP evidence is a verbatim substring,
-demoting violators to UNCERTAIN rather than failing.
+narrative-dependent rules that KEEP/DROP evidence is a verbatim substring
+and that DROP evidence contains the candidate, demoting violators to
+UNCERTAIN rather than failing.
 
 Malformed completions are re-prompted with the validation error appended,
 up to ``MAX_REPAIR_ATTEMPTS`` times; after that, or on a backend failure,
@@ -204,20 +205,21 @@ def parse_verifier_output(
 
 
 DEMOTION_NOTE = "[demoted: evidence not found verbatim in narrative]"
+UNGROUNDED_DROP_NOTE = "[demoted: DROP evidence does not contain the candidate]"
 
 
 def check_evidence(review: VerifierReview, narrative_text: str) -> VerifierReview:
-    """Enforce verbatim evidence; violations demote to UNCERTAIN, never fail."""
-    if review.decision not in (KEEP, DROP) or (
-        review.evidence and review.evidence in narrative_text
-    ):
+    """Enforce verbatim evidence, and DROP evidence that contains the candidate
+    (a removal needs grounds); violations demote to UNCERTAIN, never fail."""
+    if review.decision not in (KEEP, DROP):
         return review
-    return VerifierReview(
-        text=review.text,
-        decision=UNCERTAIN,
-        reason=f"{review.reason} {DEMOTION_NOTE}".strip(),
-        evidence="",
-    )
+    if not (review.evidence and review.evidence in narrative_text):
+        note = DEMOTION_NOTE
+    elif review.decision == DROP and review.text not in review.evidence:
+        note = UNGROUNDED_DROP_NOTE
+    else:
+        return review
+    return VerifierReview(review.text, UNCERTAIN, f"{review.reason} {note}".strip(), "")
 
 
 def repair_user_content(base_user_content: str, error_text: str) -> str:

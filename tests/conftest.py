@@ -22,6 +22,14 @@ from crashdeid.verify import AuditRecord, VerifierReview, repair_user_content
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
 
+@pytest.fixture(autouse=True)
+def no_crashdeid_thread_outlives_the_test():
+    """Fail a test that leaves a thread of the program's own running."""
+    yield
+    left = sorted(t.name for t in threading.enumerate() if t.name.startswith("crashdeid-"))
+    assert not left, f"threads still alive after the test: {left}"
+
+
 #: Fixture lines that are not ``{"key", "response"}`` objects of strings,
 #: each holding a canary that must not reach the error message.
 MALFORMED_FIXTURE_LINES = {

@@ -542,58 +542,42 @@ def test_fan_out_keeps_input_order_when_later_items_finish_first():
     assert finished != sorted(finished)
 
 
-def test_racing_first_http_fan_outs_share_one_pool(monkeypatch):
-    import concurrent.futures
-    import sys
+def test_a_fan_out_inside_an_http_fan_out_runs_on_its_pool_thread():
+    config = BackendConfig(kind="http_endpoint", endpoint_url="http://127.0.0.1:9/nested")
 
-    built = []
+    def outer(i):
+        time.sleep(0.005)
+        here = threading.current_thread()
+        return here, gateway.fan_out(lambda j: threading.current_thread(), range(3), config)
 
-    class CountingExecutor(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            time.sleep(0.02)  # a slow build widens the window for a second one
-            super().__init__(*args, **kwargs)
-            built.append(self)
+    # More outer items than pool threads, so a pool thread nests more than once.
+    results = gateway.fan_out(outer, range(3 * gateway.MAX_IN_FLIGHT), config)
+    pool = {here for here, _ in results}
+    assert threading.current_thread() not in pool
+    assert 1 < len(pool) <= 2 * gateway.MAX_IN_FLIGHT
+    assert all(inner == [here] * 3 for here, inner in results)
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingExecutor)
-    monkeypatch.setattr(gateway, "_pool", None)
 
-    def backend_threads():
-        return {t for t in threading.enumerate() if t.name.startswith("crashdeid-backend")}
-
-    existing = backend_threads()
-    config = BackendConfig(kind="http_endpoint", endpoint_url="http://127.0.0.1:9/race")
-    callers = 16
-    barrier = threading.Barrier(callers)
-    ran_on, results = set(), [None] * callers
+@pytest.mark.parametrize("raises", [False, True], ids=["returns", "fn-raises"])
+def test_no_fan_out_thread_outlives_its_call(raises):
+    config = BackendConfig(kind="http_endpoint", endpoint_url="http://127.0.0.1:9/threads")
+    ran_on = set()
 
     def work(i):
-        time.sleep(0.005)
         ran_on.add(threading.current_thread())
+        time.sleep(0.01)
+        if raises and i == 2:
+            raise ValueError("bug in fn")
         return i
 
-    def caller(n):
-        barrier.wait(timeout=10)
-        results[n] = gateway.fan_out(work, range(3), config)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    threads = [threading.Thread(target=caller, args=(n,)) for n in range(callers)]
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    try:
-        assert not any(thread.is_alive() for thread in threads)
-        assert results == [[0, 1, 2]] * callers
-        assert len(built) == 1 and gateway._pool is built[0]
-        new = backend_threads() - existing
-        assert ran_on <= new and len(new) <= 2 * gateway.MAX_IN_FLIGHT
-    finally:
-        for pool in built:
-            pool.shutdown()
+    if raises:
+        with pytest.raises(ValueError, match="bug in fn"):
+            gateway.fan_out(work, range(6), config)
+    else:
+        assert gateway.fan_out(work, range(6), config) == list(range(6))
+    assert 1 < len(ran_on) <= 6
+    assert all(t.name.startswith("crashdeid-") and not t.is_alive() for t in ran_on)
+    assert not [t for t in threading.enumerate() if t.name.startswith("crashdeid-")]
 
 
 def test_fan_out_runs_inline_for_the_mock_and_for_one_item(tmp_path):
@@ -603,6 +587,10 @@ def test_fan_out_runs_inline_for_the_mock_and_for_one_item(tmp_path):
     assert gateway.fan_out(lambda i: threading.get_ident(), range(3), mock) == [caller] * 3
     assert gateway.fan_out(lambda i: threading.get_ident(), [0], http) == [caller]
     assert gateway.fan_out(lambda i: i, [], http) == []
+    # Given several backends, fan_out overlaps when any of them is HTTP.
+    assert gateway.fan_out(lambda i: threading.get_ident(), range(3)) == [caller] * 3
+    assert gateway.fan_out(lambda i: threading.get_ident(), range(3), None, mock) == [caller] * 3
+    assert caller not in gateway.fan_out(lambda i: threading.get_ident(), range(3), mock, http)
 
 
 def test_extraction_prompt_contents():

@@ -2,9 +2,10 @@
 
 A run with an ``http_endpoint`` backend keeps ``2 * MAX_IN_FLIGHT``
 narratives in progress, whatever ``parallelism`` says, and its outputs do
-not depend on that window. These tests serve one generated block of the
-benchmark corpus from the benchmark's localhost stub, with a few injected
-500s, and only import ``perfbench/``.
+not depend on that window; a lone narrative overlaps its K tagging runs.
+These tests serve one generated block of the benchmark corpus from the
+benchmark's localhost stub, with a few injected 500s, and only import
+``perfbench/``.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def _run_http(block, parallelism: int, out: Path):
 
 
 def _narrative_threads() -> list[threading.Thread]:
-    return [t for t in threading.enumerate() if t.name.startswith("crashdeid-narrative")]
+    return [t for t in threading.enumerate() if t.name.startswith("crashdeid-")]
 
 
 def test_http_outputs_do_not_depend_on_parallelism(block, tmp_path):
@@ -147,3 +148,19 @@ def test_a_bug_in_one_narrative_leaves_no_pool_thread_behind(block, tmp_path, mo
         _run_http(block, 2, out)
     assert _narrative_threads() == []
     assert not out.exists()
+
+
+def test_a_lone_narrative_still_overlaps_its_tagging_runs(block, tmp_path):
+    # A one-narrative corpus, like the benchmark's warm-up, has no other
+    # narrative to overlap with: its K runs must overlap instead.
+    data, url, counters = block
+    first = (data / "corpus.jsonl").read_text(encoding="utf-8").splitlines()[0]
+    corpus = tmp_path / "one.jsonl"
+    corpus.write_text(first + "\n", encoding="utf-8")
+    counters.reset()
+    backend = BackendConfig(kind="http_endpoint", endpoint_url=url)
+    summary = run_pipeline(_config(backend, 1), corpus, tmp_path / "out")
+    stats = counters.snapshot()
+    assert summary.counts["narratives"] == 1 and stats["unknown"] == 0
+    assert 2 <= stats["inflight_max"] <= gateway.MAX_IN_FLIGHT
+    assert _narrative_threads() == []

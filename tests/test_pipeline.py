@@ -1003,6 +1003,30 @@ def test_cli_refuses_an_output_path_that_is_an_input_or_another_output(
     assert calls == []
 
 
+@pytest.mark.parametrize("alias", [False, True], ids=["out-dir", "symlinked-out-dir"])
+def test_cli_replay_refuses_to_overwrite_the_manifest_it_replays(
+    tmp_path, capsys, monkeypatch, alias
+):
+    monkeypatch.chdir(tmp_path)
+    write_corpus_jsonl(Path("c.jsonl"), [{"id": "n1", "text": FIG_TEXT}])
+    write_fixture(Path("fx.jsonl"), fig_fixture_entries(0, 2))
+    assert main(["run", "--input", "c.jsonl", "--out", "out", "--preset", "hybrid_ev",
+                 "--k-ensemble", "2", "--seed", "0", "--mock-fixtures", "fx.jsonl"]) == 0
+    replayed = "out/manifest.json"
+    if alias:
+        Path("alias").symlink_to("out")
+        replayed = "alias/manifest.json"
+    recorded = {path: path.read_bytes() for path in Path("out").iterdir()}
+    capsys.readouterr()
+    calls = []
+    real_complete = gateway.complete
+    monkeypatch.setattr(gateway, "complete", lambda *a: calls.append(1) or real_complete(*a))
+    assert main(["run", "--replay", replayed, "--out", "out"]) == 2
+    assert capsys.readouterr().err == f"error: out/manifest.json is the same file as {replayed}\n"
+    assert {path: path.read_bytes() for path in Path("out").iterdir()} == recorded
+    assert calls == []
+
+
 PROCESS_TEXT = (
     "DRIVER JOHN SMITH OF 123 ELM STREET, PLATE ABC1234, CALLED 608-555-1234 "
     "AND EMAILED jsmith@gmail.com."

@@ -27,7 +27,7 @@ from crashdeid.gateway import BackendConfig, write_fixture_file
 from crashdeid.pipeline import PipelineConfig, process_narrative, run_pipeline
 from crashdeid.redact import PLACEHOLDERS, RedactionStyle
 from crashdeid.tags import DELIMITERS, PiiCategory, parse_tagged
-from crashdeid.verify import VerifierPolicy
+from crashdeid.verify import UNGROUNDED_DROP_NOTE, VerifierPolicy
 
 from conftest import (
     extraction_entries,
@@ -67,9 +67,11 @@ runs = st.tuples(
     st.sampled_from(["tagged", "tagged", "rewritten", "missing"]),
     st.lists(st.sampled_from([None, None, *PiiCategory]), min_size=10, max_size=10),
 )
-# Per surface: the verifier's decision and whether its evidence is verbatim.
+# Per surface: the verifier's decision and what its evidence quotes: the
+# surface, another token of the narrative, or text that is not in it.
 reviews = st.fixed_dictionaries(
-    {token: st.tuples(st.sampled_from(["KEEP", "DROP", "UNCERTAIN"]), st.booleans())
+    {token: st.tuples(st.sampled_from(["KEEP", "DROP", "UNCERTAIN"]),
+                      st.sampled_from(["surface", "elsewhere", "absent"]))
      for token in TOKENS}
 )
 
@@ -81,13 +83,25 @@ def _tagged(tokens: list[str], tags: list) -> str:
     )
 
 
-def _retained(surface: str, review: dict, answer: str, policy: VerifierPolicy) -> bool:
+def _evidence(surface: str, quotes: str, tokens: list[str]) -> str:
+    """The evidence a KEEP or DROP review of ``surface`` carries: the surface,
+    the first token of the narrative that does not contain it, or, when
+    there is none or ``quotes`` is "absent", text not in the narrative."""
+    if quotes == "surface":
+        return surface
+    elsewhere = [t for t in tokens if surface not in t]
+    return elsewhere[0] if quotes == "elsewhere" and elsewhere else _NOT_IN_TEXT
+
+
+def _retained(surface: str, tokens, review: dict, answer: str, policy: VerifierPolicy) -> bool:
     """The oracle's final action for one reviewed surface."""
     if answer != "valid":
         return True  # a degraded review retains under either policy
-    decision, verbatim = review[surface]
-    if decision != "UNCERTAIN" and not verbatim:
+    decision, quotes = review[surface]
+    if decision != "UNCERTAIN" and _evidence(surface, quotes, tokens) == _NOT_IN_TEXT:
         decision = "UNCERTAIN"  # evidence demoted
+    if decision == "DROP" and quotes != "surface":
+        decision = "UNCERTAIN"  # a removal without grounds is demoted
     return decision == "KEEP" or (
         decision == "UNCERTAIN" and policy is VerifierPolicy.RECALL_FIRST
     )
@@ -102,7 +116,7 @@ def _protected(tokens, scripted, verify, review, answer, policy) -> set[str] | N
     protected |= {t for t, tag in zip(tokens, usable[0]) if tag is NAME}
     pooled = {t for tags in usable for t, tag in zip(tokens, tags) if tag in (HOME, ALNUM)}
     if verify:
-        pooled = {s for s in pooled if _retained(s, review, answer, policy)}
+        pooled = {s for s in pooled if _retained(s, tokens, review, answer, policy)}
     return protected | pooled
 
 
@@ -139,6 +153,7 @@ def _fixtures(directory: Path, texts, scripted_runs, k, verify, review, answer) 
     # does not read them.
     backend = BackendConfig(kind="scripted_mock", fixture_path=path)
     for i, text in enumerate(texts):
+        tokens = text.split(" ")
         try:
             found = hybrid_extract(Narrative(f"n{i}", text), backend, EnsembleConfig(k), base_seed=0)
         except AllRunsFailed:
@@ -150,8 +165,8 @@ def _fixtures(directory: Path, texts, scripted_runs, k, verify, review, answer) 
             response = "not json"
         else:
             def obj(surface):
-                decision, verbatim = review[surface]
-                evidence = "" if decision == "UNCERTAIN" else surface if verbatim else _NOT_IN_TEXT
+                decision, quotes = review[surface]
+                evidence = "" if decision == "UNCERTAIN" else _evidence(surface, quotes, tokens)
                 return review_obj(surface, decision, "r", evidence)
 
             response = verifier_json([obj(s) for s in home], [obj(s) for s in alnum])
@@ -243,6 +258,31 @@ def test_a_degraded_review_keeps_its_redactions_under_either_policy(tmp_path, po
     assert [(r["policy_applied"], r["final_action"]) for r in audit] == [(label, "retained")] * 2
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["counts"]["degraded"] == 1
+
+
+@pytest.mark.parametrize("policy", ["recall-first", "precision-first"])
+def test_a_drop_whose_evidence_omits_its_candidate_is_uncertain(tmp_path, policy):
+    # DROP evidence that quotes the narrative but not the candidate grounds
+    # no removal: both reviews are UNCERTAIN, which each policy then settles.
+    corpus = write_corpus_jsonl(tmp_path / "c.jsonl", [{"id": "n1", "text": OUTAGE_TEXT}])
+    answer = verifier_json([review_obj("12 ELM ST MADISON", "DROP", "crash site", "DRIVER")],
+                           [review_obj("ABC1234", "DROP", "case number", ".")])
+    entries = extraction_entries(OUTAGE_TEXT, {0: OUTAGE_TAGGED})
+    entries += verifier_entries(OUTAGE_TEXT, ["12 ELM ST MADISON"], ["ABC1234"], [answer])
+    fixtures = tmp_path / "fixtures.jsonl"
+    write_fixture_file(fixtures, entries)
+    code = main(["run", "--input", str(corpus), "--out", str(tmp_path / "out"),
+                 "--preset", "hybrid_ev", "--k-ensemble", "1", "--seed", "0",
+                 "--policy", policy, "--mock-fixtures", str(fixtures)])
+    assert code == 0
+    (row,) = map(json.loads, (tmp_path / "out" / "redacted.jsonl").read_text().splitlines())
+    recall = policy == "recall-first"
+    expected = (OUTAGE_TAGGED, True) if recall else (OUTAGE_TEXT, False)
+    assert (row["redacted_text"], row["pii_found"]) == expected
+    audit = [json.loads(line) for line in (tmp_path / "out" / "audit.jsonl").read_text().splitlines()]
+    assert [(r["decision"], r["evidence"], r["final_action"]) for r in audit] == [
+        ("UNCERTAIN", "", "retained" if recall else "removed")] * 2
+    assert all(r["reason"].endswith(UNGROUNDED_DROP_NOTE) for r in audit)
 
 
 # -- stderr canary -------------------------------------------------------------

@@ -15,6 +15,7 @@ from crashdeid.tags import PiiCategory
 from crashdeid.verify import (
     AuditRecord,
     DEMOTION_NOTE,
+    UNGROUNDED_DROP_NOTE,
     VerifierFormatError,
     VerifierPolicy,
     VerifierReview,
@@ -238,6 +239,15 @@ def test_check_evidence_demotes_paraphrase(fig_narrative):
     assert demoted.decision == "UNCERTAIN"
     assert demoted.evidence == ""
     assert DEMOTION_NOTE in demoted.reason
+
+
+def test_check_evidence_demotes_a_drop_whose_evidence_omits_the_candidate(fig_narrative):
+    drop = VerifierReview(FIG_CANDIDATE, "DROP", FIG_REASON, "UNIT 1 HIT THE DRIVEWAY")
+    demoted = check_evidence(drop, fig_narrative)
+    assert (demoted.decision, demoted.evidence) == ("UNCERTAIN", "")
+    assert demoted.reason == f"{FIG_REASON} {UNGROUNDED_DROP_NOTE}"
+    keep = VerifierReview(FIG_CANDIDATE, "KEEP", FIG_REASON, "UNIT 1 HIT THE DRIVEWAY")
+    assert check_evidence(keep, fig_narrative) == keep
 
 
 def test_check_evidence_leaves_conformant_uncertain(fig_narrative):
