@@ -209,29 +209,29 @@ def load_corpus(
     return Corpus(narratives=tuple(narratives), gold=tuple(gold))
 
 
+def write_jsonl(path: str | Path, lines: Iterable[str]) -> None:
+    """Write one JSON text per line, replacing any earlier file: the one
+    JSONL writer, as ``read_jsonl_records`` is the one reader."""
+    with Path(path).open("w", encoding="utf-8") as handle:
+        for line in lines:
+            handle.write(line + "\n")
+
+
 def write_audit_log(path: str | Path, records: Iterable["AuditRecord"]) -> None:
     """Write audit records as JSONL, replacing any earlier file; the
     serialization is deterministic, so the same records always give the
     same bytes."""
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(record.to_json_line() + "\n")
+    write_jsonl(path, (record.to_json_line() for record in records))
 
 
 def write_redacted(
     path: str | Path, rows: Iterable[tuple[str, str, bool]]
 ) -> None:
     """Write redacted output JSONL: {"id", "redacted_text", "pii_found"}."""
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for narrative_id, redacted_text, pii_found in rows:
-            handle.write(
-                json.dumps(
-                    {
-                        "id": narrative_id,
-                        "redacted_text": redacted_text,
-                        "pii_found": pii_found,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    write_jsonl(path, (
+        json.dumps(
+            {"id": narrative_id, "redacted_text": redacted_text, "pii_found": pii_found},
+            ensure_ascii=False,
+        )
+        for narrative_id, redacted_text, pii_found in rows
+    ))

@@ -86,29 +86,20 @@ def score_per_type(
     predictions: Mapping[str, CandidateSet],
 ) -> list[TypeCounts]:
     """TP/FP/FN per category via multiset matching per (narrative, category)."""
-    gold_by_key: dict[tuple[str, PiiCategory], Counter[str]] = {}
-    for annotation in gold:
-        key = (annotation.narrative_id, annotation.category)
-        gold_by_key.setdefault(key, Counter())[annotation.surface] += 1
-
-    pred_by_key: dict[tuple[str, PiiCategory], Counter[str]] = {}
-    for narrative_id, candidates in predictions.items():
-        for category in CATEGORY_ORDER:
-            surfaces = candidates.surfaces(category)
-            if surfaces:
-                pred_by_key[(narrative_id, category)] = Counter(surfaces)
-
-    totals = {category: [0, 0, 0] for category in CATEGORY_ORDER}
-    for key in gold_by_key.keys() | pred_by_key.keys():
-        gold_counts = gold_by_key.get(key, Counter())
-        pred_counts = pred_by_key.get(key, Counter())
-        matched = sum((gold_counts & pred_counts).values())
-        tally = totals[key[1]]
-        tally[0] += matched
-        tally[1] += sum(pred_counts.values()) - matched
-        tally[2] += sum(gold_counts.values()) - matched
+    gold_counts = Counter((a.narrative_id, a.category, a.surface) for a in gold)
+    pred_counts = Counter(
+        (narrative_id, category, surface)
+        for narrative_id, candidates in predictions.items()
+        for category in CATEGORY_ORDER
+        for surface in candidates.surfaces(category)
+    )
+    gold_n, pred_n, matched = (
+        Counter(category for _, category, _ in counts.elements())
+        for counts in (gold_counts, pred_counts, gold_counts & pred_counts)
+    )
     return [
-        TypeCounts(category, *totals[category]) for category in CATEGORY_ORDER
+        TypeCounts(c, matched[c], pred_n[c] - matched[c], gold_n[c] - matched[c])
+        for c in CATEGORY_ORDER
     ]
 
 

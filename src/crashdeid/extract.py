@@ -26,7 +26,7 @@ in clear.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from . import gateway, rules
 from .corpus import Narrative
@@ -41,6 +41,7 @@ from .tags import (
     PiiSpan,
     TagError,
     contains_delimiter_sequence,
+    occurrences,
     read_tagged,
 )
 
@@ -274,11 +275,11 @@ def hybrid_extract(
             (hit, hit + len(rule_surface))
             for rule_surface in rule_surfaces
             if surface in rule_surface
-            for hit in _occurrences(text, rule_surface)
+            for hit in occurrences(text, rule_surface)
         ]
         return bool(regions) and all(
             any(start <= hit and hit + len(surface) <= end for start, end in regions)
-            for hit in _occurrences(text, surface)
+            for hit in occurrences(text, surface)
         )
 
     for category, candidates in ensemble.by_category.items():
@@ -286,11 +287,3 @@ def hybrid_extract(
             c for c in candidates if not inside_rule_matches(c.surface)
         )
     return CandidateSet(narrative_id=narrative.id, by_category=merged)
-
-
-def _occurrences(text: str, surface: str) -> Iterator[int]:
-    """Start offset of every occurrence of ``surface``, overlapping ones too."""
-    hit = text.find(surface)
-    while hit != -1:
-        yield hit
-        hit = text.find(surface, hit + 1)

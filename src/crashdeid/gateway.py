@@ -42,7 +42,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 from urllib.parse import urlsplit
 
-from .corpus import MalformedRecord, read_jsonl_records, require_str
+from .corpus import MalformedRecord, read_jsonl_records, require_str, write_jsonl
 
 DEFAULT_EXTRACTION_TEMPERATURE = 0.7
 DEFAULT_VERIFIER_TEMPERATURE = 0.0
@@ -177,9 +177,7 @@ def fixture_entry(request: ChatRequest, response: str) -> dict[str, str]:
 
 
 def write_fixture_file(path: str | Path, entries: Iterable[dict[str, str]]) -> None:
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for entry in entries:
-            handle.write(json.dumps(entry, ensure_ascii=False) + "\n")
+    write_jsonl(path, (json.dumps(entry, ensure_ascii=False) for entry in entries))
 
 
 _fan_out_thread = threading.local()  # ``active`` is set on fan_out's own threads
@@ -190,17 +188,24 @@ def fan_out(fn: Callable, items: Iterable, *backends: BackendConfig | None) -> l
     ``backends`` is HTTP on a pool of this call's own, of
     ``min(len(items), 2 * MAX_IN_FLIGHT)`` threads that end with the call.
     A single item, and a ``fan_out`` made on one of those threads, run inline.
+    The first exception cancels the items not yet started; once the running
+    ones finish, the earliest failed item's exception is raised. Items start
+    in input order, so none before it is cancelled.
     """
     items = list(items)
     if (len(items) < 2 or getattr(_fan_out_thread, "active", False)
             or not any(b is not None and b.kind == "http_endpoint" for b in backends)):
         return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
     with ThreadPoolExecutor(
         min(len(items), 2 * MAX_IN_FLIGHT), "crashdeid-fan-out",
         initializer=setattr, initargs=(_fan_out_thread, "active", True),
     ) as pool:
-        return list(pool.map(fn, items))
+        futures = [pool.submit(fn, item) for item in items]
+        wait(futures, return_when=FIRST_EXCEPTION)
+        for future in futures:
+            future.cancel()
+        return [future.result() for future in futures]
 
 
 def _http_post(url: str, payload: dict, timeout: float) -> dict:

@@ -277,16 +277,17 @@ def run_pipeline(
     if report_path is not None and Path(report_path).suffix == ".txt":
         raise ConfigError(f"report path {report_path} ends in .txt, the text report's own path")
     text_path = report_path and Path(report_path).with_suffix(".txt")
-    for path, is_dir in ((output_dir, True), (report_path, False), (text_path, False)):
+    outputs = [] if output_dir is None else [
+        Path(output_dir, name) for name in ("redacted.jsonl", "audit.jsonl", "manifest.json")]
+    for path, is_dir in ((output_dir, True), *((p, False) for p in outputs),
+                         (report_path, False), (text_path, False)):
         # The nearest path that exists must be of the kind written there.
         found = path and next((p for p in (Path(path), *Path(path).parents) if p.exists()), None)
         if found and found.is_dir() != (is_dir or found != Path(path)):
             raise ConfigError(f"{path} cannot be written: {found} is "
                               + ("a directory" if found.is_dir() else "not a directory"))
-    outputs = () if output_dir is None else ("redacted.jsonl", "audit.jsonl", "manifest.json")
     paths = [Path(p) for p in (input_path, gold_path, replayed, report_path, text_path)
-             if p is not None]
-    paths += [Path(output_dir, name) for name in outputs]
+             if p is not None] + outputs
     for n, path in enumerate(paths):
         for other in paths[:n]:  # samefile: no link, hard or soft, hides a clash
             if path.resolve() == other.resolve() or (

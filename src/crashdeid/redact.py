@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .corpus import Narrative
 from .extract import CandidateSet
-from .tags import CATEGORY_ORDER, PiiCategory, PiiSpan, serialize_spans
+from .tags import CATEGORY_ORDER, PiiCategory, PiiSpan, occurrences, serialize_spans, splice
 
 #: Placeholder-mode replacement per category; none holds a tag delimiter.
 PLACEHOLDERS: dict[PiiCategory, str] = {
@@ -54,14 +54,10 @@ def _claim_occurrences(text: str, final: CandidateSet) -> list[PiiSpan]:
         return any(start < c.end and c.start < end for c in claimed)
 
     for surface, category in surfaces:
-        idx = 0
-        while (hit := text.find(surface, idx)) != -1:
+        for hit in occurrences(text, surface):
             end = hit + len(surface)
-            if overlaps(hit, end):
-                idx = hit + 1
-            else:
+            if not overlaps(hit, end):
                 claimed.append(PiiSpan(category, hit, end, surface))
-                idx = end
     claimed.sort(key=lambda span: span.start)
     return claimed
 
@@ -71,16 +67,10 @@ def render(narrative: Narrative, final: CandidateSet, style: RedactionStyle) -> 
 
     Tagged output is written by ``tags.serialize_spans``, whose round-trip
     check raises AmbiguousTagging rather than emit text that would not
-    parse back to the claimed spans.
+    parse back to the claimed spans; placeholder output goes through the
+    same ``tags.splice`` walk, with each span's category placeholder.
     """
     spans = _claim_occurrences(narrative.text, final)
     if style.mode == "tagged":
         return serialize_spans(narrative.text, spans)
-    parts: list[str] = []
-    cursor = 0
-    for span in spans:
-        parts.append(narrative.text[cursor : span.start])
-        parts.append(PLACEHOLDERS[span.category])
-        cursor = span.end
-    parts.append(narrative.text[cursor:])
-    return "".join(parts)
+    return splice(narrative.text, spans, lambda span: PLACEHOLDERS[span.category])

@@ -12,7 +12,10 @@ categories and their delimiters are fixed:
 
 Tags are flat: no nesting, no overlap. ``read_tagged`` is the one reader
 of tagged text: it accepts a tagging only when deleting its delimiters and
-parsing it both give back the untagged text exactly.
+parsing it both give back the untagged text exactly. This module also owns
+the text surgery on surfaces: ``occurrences`` is the one scan for a surface
+and ``splice`` the one walk that replaces spans, shared by the tag writer
+and placeholder output.
 
 Texts that already contain a delimiter sequence cannot be tagged
 unambiguously. ``contains_delimiter_sequence`` flags them so callers can
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import enum
 import re
-from typing import NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 
 class PiiCategory(enum.Enum):
@@ -152,23 +155,37 @@ def serialize_spans(clean_text: str, spans: list[PiiSpan]) -> str:
     inserted tags.
     """
     ordered = sorted(spans, key=lambda s: (s.start, s.end))
-    parts: list[str] = []
-    cursor = 0
-    for span in ordered:
-        delim = DELIMITERS[span.category]
-        parts.append(clean_text[cursor : span.start])
-        parts.append(delim)
-        parts.append(span.surface)
-        parts.append(delim)
-        cursor = span.end
-    parts.append(clean_text[cursor:])
-    result = "".join(parts)
+    result = splice(
+        clean_text, ordered,
+        lambda s: DELIMITERS[s.category] + s.surface + DELIMITERS[s.category],
+    )
     try:
         if read_tagged(result, clean_text) == ordered:
             return result
     except TagError as exc:
         raise AmbiguousTagging(f"tagged text does not read back: {exc}") from exc
     raise AmbiguousTagging("tagged text parses to different spans")
+
+
+def splice(text: str, spans: Iterable[PiiSpan], insert: Callable[[PiiSpan], str]) -> str:
+    """``text`` with each span, given in ascending order, replaced by
+    ``insert(span)``; what lies between the spans is copied unchanged."""
+    parts: list[str] = []
+    cursor = 0
+    for span in spans:
+        parts.append(text[cursor : span.start])
+        parts.append(insert(span))
+        cursor = span.end
+    parts.append(text[cursor:])
+    return "".join(parts)
+
+
+def occurrences(text: str, surface: str) -> Iterator[int]:
+    """Start offset of every occurrence of ``surface``, overlapping ones too."""
+    hit = text.find(surface)
+    while hit != -1:
+        yield hit
+        hit = text.find(surface, hit + 1)
 
 
 def read_tagged(raw: str, text: str) -> list[PiiSpan]:

@@ -142,12 +142,16 @@ def test_a_mock_run_processes_one_narrative_at_a_time(block, tmp_path, monkeypat
 
 def test_a_bug_in_one_narrative_leaves_no_pool_thread_behind(block, tmp_path, monkeypatch):
     data = block[0]
-    _watch(monkeypatch, fail_id=pipeline.load_corpus(data / "corpus.jsonl").narratives[10].id)
+    narratives = pipeline.load_corpus(data / "corpus.jsonl").narratives
+    seen, _ = _watch(monkeypatch, fail_id=narratives[10].id)
     out = tmp_path / "http"
     with pytest.raises(ValueError, match="bug inside process_narrative"):
         _run_http(block, 2, out)
     assert _narrative_threads() == []
     assert not out.exists()
+    # The bug stops the run: only narratives already started when it was
+    # raised still run, at most one window beyond it.
+    assert len(seen) <= 11 + 2 * gateway.MAX_IN_FLIGHT < len(narratives)
 
 
 def test_a_lone_narrative_still_overlaps_its_tagging_runs(block, tmp_path):

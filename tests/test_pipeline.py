@@ -923,9 +923,11 @@ def test_cli_eval_refuses_a_report_path_with_no_file_name(tmp_path, capsys, monk
          "not a directory"),
         (["afile"], ["run", "--out", "afile"], "afile", "afile", "not a directory"),
         (["afile"], ["run", "--out", "afile/sub"], "afile/sub", "afile", "not a directory"),
+        *(([f"out/{name}/"], ["run", "--out", "out"], f"out/{name}", f"out/{name}", "a directory")
+          for name in ("redacted.jsonl", "audit.jsonl", "manifest.json")),
     ],
     ids=["report-dir", "report-dotdot", "text-report-dir", "report-under-file", "out-file",
-         "out-under-file"],
+         "out-under-file", "redacted-dir", "audit-dir", "manifest-dir"],
 )
 def test_cli_refuses_an_unwritable_output_path_before_any_call(
     tmp_path, capsys, monkeypatch, setup, argv, path, blocker, kind
@@ -936,7 +938,7 @@ def test_cli_refuses_an_unwritable_output_path_before_any_call(
     Path("g.jsonl").write_text("", encoding="utf-8")
     write_fixture(Path("fx.jsonl"), fig_fixture_entries(0, 2))
     for name in setup:
-        Path(name).mkdir() if name.endswith("/") else Path(name).write_text("")
+        Path(name).mkdir(parents=True) if name.endswith("/") else Path(name).write_text("")
     before = sorted(tmp_path.rglob("*"))
     calls = []
     real_complete = gateway.complete

@@ -189,6 +189,27 @@ def _fixtures(directory: Path, texts, scripted_runs, k, verify, review, answer) 
 def test_no_emitted_narrative_shows_a_protected_surface(
     data, token_lists, k, verify, review, answer, policy
 ):
+    _assert_no_leak(data, token_lists, k, verify, review, answer, policy)
+
+
+# The verifier's rules act only on a valid answer with the verifier on,
+# which the property above draws one time in four (one in eight with
+# recall-first, where a wrongly removed redaction shows). With the
+# ungrounded-DROP demotion deleted, this property failed 8 of 10 fresh runs
+# at 150 examples and 10 of 10 at 400.
+@settings(max_examples=400, deadline=None)
+@given(
+    data=st.data(),
+    token_lists=narratives,
+    k=st.integers(min_value=1, max_value=3),
+    review=reviews,
+    policy=st.sampled_from(list(VerifierPolicy)),
+)
+def test_no_surface_a_valid_review_retains_is_shown(data, token_lists, k, review, policy):
+    _assert_no_leak(data, token_lists, k, True, review, "valid", policy)
+
+
+def _assert_no_leak(data, token_lists, k, verify, review, answer, policy) -> None:
     texts = [" ".join(tokens) for tokens in token_lists]
     scripted_runs = [data.draw(st.lists(runs, min_size=k, max_size=k)) for _ in texts]
     with tempfile.TemporaryDirectory() as tmp:
