@@ -12,7 +12,8 @@ surface; names come from the first useful run in seed order. A run is
 hallucinated, and discarded wholesale, unless deleting its delimiters and
 parsing it both give back the narrative (``tags.read_tagged``): once the
 model rewrote the text, its spans cannot be trusted. A narrative with no
-useful run at all raises ``AllRunsFailed``.
+useful run at all raises ``AllRunsFailed``. A narrative's runs read each
+distinct completion once, and a repeat still counts as a run of its own.
 
 ``hybrid_extract`` is the one extraction path of every preset: without a
 backend it yields rule candidates only, with ``rules=False`` LLM
@@ -128,6 +129,7 @@ def extract_single_run(
     backend: BackendConfig,
     *,
     seed: int | None = None,
+    readings: dict[str, SingleRun] | None = None,
 ) -> SingleRun:
     """One tagging run: prompt, complete, read.
 
@@ -135,15 +137,21 @@ def extract_single_run(
     in the completion are discarded. The run is hallucinated, and
     contributes no spans, unless deleting its delimiters and parsing it
     both give back the narrative (``read_tagged``); so every span it
-    returns is a slice of the narrative. Gateway errors propagate.
+    returns is a slice of the narrative. Gateway errors propagate. A
+    completion already in ``readings`` (this narrative's table, fresh when
+    omitted) is not read again; the shared run and its spans are read-only.
     """
     request = gateway.build_extraction_prompt(narrative.text, seed=seed)
     response = gateway.complete(request, backend)
-    try:
-        spans = read_tagged(response.text, narrative.text)
-    except TagError:
-        return SingleRun([], True)
-    return SingleRun([s for s in spans if s.category in LLM_CATEGORIES], False)
+    readings = {} if readings is None else readings
+    if response.text not in readings:
+        try:
+            spans = read_tagged(response.text, narrative.text)
+            run = SingleRun([s for s in spans if s.category in LLM_CATEGORIES], False)
+        except TagError:
+            run = SingleRun([], True)
+        readings[response.text] = run
+    return readings[response.text]
 
 
 @dataclass(frozen=True)
@@ -185,12 +193,15 @@ def extract_ensemble(
     runs. The runs are independent, so ``gateway.fan_out`` overlaps them on
     an HTTP backend, unless this narrative is already overlapped with
     others; they are merged in seed order whatever order they finish in.
+    They share one table of readings: a repeated completion is read once
+    (or twice, when overlapped runs both miss) and counts once per run.
     """
+    readings: dict[str, SingleRun] = {}
 
     def attempt(i: int) -> SingleRun | None:
         seed = base_seed + i if base_seed is not None else None
         try:
-            return extract_single_run(narrative, backend, seed=seed)
+            return extract_single_run(narrative, backend, seed=seed, readings=readings)
         except GatewayError:
             return None
 

@@ -23,7 +23,8 @@ Two backend kinds sit behind one ``complete`` call:
     user_content, seed)``; a completion depends only on request content,
     so repeated calls are byte-identical. Including the optional seed in
     the key lets fixtures script distinct sampled runs of one prompt;
-    ``hashlib`` loads at the first key. A
+    ``hashlib`` loads at the first key, and the K tagging keys of one
+    narrative encode its text once. A
     malformed fixture line raises ``MalformedFixture``, which fails every
     narrative that calls the mock, as any other backend error does. The
     file is read once per ``BackendConfig``, at its first call, and its
@@ -159,13 +160,20 @@ def _key_head(system_prompt: str, seed: int | None):
     return hashlib.sha256(head[:-1].encode("utf-8") + b', "user": ')
 
 
+@lru_cache(maxsize=8)
+def _key_tail(user_content: str) -> bytes:
+    return json.dumps(user_content, ensure_ascii=False).encode("utf-8") + b"}"
+
+
 def request_key(system_prompt: str, user_content: str, seed: int | None = None) -> str:
     """Content hash identifying a request in mock fixture files: SHA-256 of
     ``json.dumps({"seed", "system", "user"}, ensure_ascii=False, sort_keys=True)``
     in UTF-8. The head up to ``"user": `` is hashed once per prompt and seed
-    into a cached state that is only ever copied; the digest is the same."""
+    into a cached state that is only ever copied, and the encoded tail is
+    cached per user text; the digest is the same. Only the scripted mock
+    computes keys, so an HTTP run caches nothing here."""
     digest = _key_head(system_prompt, seed).copy()
-    digest.update(json.dumps(user_content, ensure_ascii=False).encode("utf-8") + b"}")
+    digest.update(_key_tail(user_content))
     return digest.hexdigest()
 
 

@@ -89,7 +89,8 @@ _PHONE = re.compile(
     rf"|(?<=\(){_PAREN_TAIL}"
     rf"|(?<=[2-9])\d\d"
     rf"(?:({_SEP}){_EXCH}\2\d{{4}}|(?<![A-Za-z]\d{{3}}){_EXCH}\d{{4}}(?![A-Za-z]))"
-    rf")(?!\d)"
+    rf")(?!\d)",
+    re.ASCII,  # \d is the grammar's [0-9], not every Unicode decimal digit
 )
 
 _LOCAL_CHARS = frozenset(

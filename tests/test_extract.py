@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import itertools
+import sys
 import threading
 import time
 
 import pytest
 
-from crashdeid import gateway
+from crashdeid import extract, gateway
 from crashdeid.corpus import Narrative
 from crashdeid.extract import (
     AllRunsFailed,
@@ -266,6 +267,63 @@ def test_ensemble_names_come_from_run_one_only(tmp_path):
     assert names[0].source == SOURCE_LLM_SINGLE
 
 
+def _count_reads(monkeypatch) -> list[str]:
+    """Record every completion read at the binding extract_single_run uses."""
+    reads: list[str] = []
+    real = extract.read_tagged
+
+    def counted(tagged, text):
+        reads.append(tagged)
+        return real(tagged, text)
+
+    monkeypatch.setattr(extract, "read_tagged", counted)
+    return reads
+
+
+def test_ensemble_reads_each_distinct_completion_once(tmp_path, monkeypatch):
+    text = "JOHN LIVES AT 123 ELM ST NEAR 77 OAK AVE, PLATE ABC1234"
+    narrative = Narrative("n1", text)
+    repeated = "@@@JOHN@@@ LIVES AT $$$123 ELM ST$$$ NEAR 77 OAK AVE, PLATE ^^^ABC1234^^^"
+    runs = [
+        repeated,
+        "JOHN LIVES AT 123 ELM ST NEAR $$$77 OAK AVE$$$, PLATE ABC1234",
+        repeated,
+        "@@@JOHN@@@ LIVES AT $$$123 ELM ST$$$ NEAR 77 OAK AVE, PLATE ABC1234",
+        repeated,
+    ]
+    backend = _ensemble_fixture(tmp_path, narrative, runs)
+    reads = _count_reads(monkeypatch)
+    # Without a shared table every call reads its completion: five reads.
+    singles = [extract_single_run(narrative, backend, seed=i) for i in range(5)]
+    assert reads == runs
+    reads.clear()
+    result = extract_ensemble(narrative, backend, EnsembleConfig(k_runs=5), base_seed=0)
+    assert reads == runs[:2] + runs[3:4]
+    for category in (HOME, ALNUM):
+        produced = [{s.surface for s in run.spans if s.category is category} for run in singles]
+        got = {c.surface: c.run_votes for c in result.by_category[category]}
+        assert got == brute_force_union(produced)
+    assert {c.surface: c.run_votes for c in result.by_category[HOME]} == {
+        "123 ELM ST": 4,
+        "77 OAK AVE": 1,
+    }
+    assert [(c.surface, c.run_votes) for c in result.by_category[ALNUM]] == [("ABC1234", 3)]
+    assert [c.surface for c in result.by_category[PiiCategory.NAME]] == ["JOHN"]
+    assert (result.runs_failed, result.runs_discarded) == (0, 0)
+
+
+def test_ensemble_counts_every_repeat_of_a_hallucinated_completion(tmp_path, monkeypatch):
+    narrative = Narrative("n1", "AT 123 ELM ST")
+    rewritten = "AT $$$123 ELM STREET$$$"
+    runs = ["AT $$$123 ELM ST$$$", rewritten, rewritten, "AT 123 ELM ST", rewritten]
+    backend = _ensemble_fixture(tmp_path, narrative, runs)
+    reads = _count_reads(monkeypatch)
+    result = extract_ensemble(narrative, backend, EnsembleConfig(k_runs=5), base_seed=0)
+    assert reads == runs[:2] + runs[3:4]
+    assert (result.runs_failed, result.runs_discarded) == (0, 3)
+    assert {c.surface: c.run_votes for c in result.by_category[HOME]} == {"123 ELM ST": 1}
+
+
 HTTP_RUNS = [
     "HE LIVES AT $$$123 ELM ST$$$ NEAR 77 OAK AVE, PLATE ^^^ABC1234^^^",
     "HE LIVES AT 123 ELM ST NEAR $$$77 OAK AVE$$$, PLATE ABC1234",
@@ -360,6 +418,44 @@ def test_http_ensemble_all_runs_failed(monkeypatch):
         extract_ensemble(
             Narrative("n1", HTTP_TEXT), backend, EnsembleConfig(k_runs=5), base_seed=0
         )
+
+
+def test_overlapped_runs_share_readings_without_changing_the_result(tmp_path, monkeypatch):
+    # A lone narrative's K runs overlap on fan_out's threads and share one
+    # table of readings; however they interleave, the result is the
+    # one-after-another result, and no completion is read more than once
+    # per run that returned it.
+    narrative = Narrative("n1", HTTP_TEXT)
+    runs = [HTTP_RUNS[0], HTTP_RUNS[1], HTTP_RUNS[0], HTTP_RUNS[4], HTTP_RUNS[0]]
+
+    def respond(payload):
+        time.sleep(0.005)
+        return runs[payload["seed"]]
+
+    post, peak = http_probe(respond)
+    monkeypatch.setattr(gateway, "_http_post", post)
+    backend = gateway.BackendConfig(
+        kind="http_endpoint", endpoint_url="http://127.0.0.1:9/v1/chat/completions", retries=0
+    )
+    in_order = mock_backend(tmp_path, extraction_entries(HTTP_TEXT, dict(enumerate(runs))))
+    expected = extract_ensemble(narrative, in_order, EnsembleConfig(k_runs=5), base_seed=0)
+    reads = _count_reads(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(30):
+            reads.clear()
+            result = extract_ensemble(narrative, backend, EnsembleConfig(k_runs=5), base_seed=0)
+            assert result == expected
+            assert set(reads) == set(runs) and len(reads) <= len(runs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert 2 <= peak[0] <= gateway.MAX_IN_FLIGHT
+    assert (expected.runs_failed, expected.runs_discarded) == (0, 1)
+    assert {c.surface: c.run_votes for c in expected.by_category[HOME]} == {
+        "123 ELM ST": 3,
+        "77 OAK AVE": 1,
+    }
 
 
 def brute_force_union(run_outputs: list[set[str]]) -> dict[str, int]:

@@ -146,6 +146,23 @@ def test_request_key_matches_the_reference_formula(system, user, seed):
         assert request_key(system, user, seed) == expected
 
 
+def test_request_key_is_the_formula_when_calls_repeat_and_interleave():
+    # The cached head and tail are only ever copied or reused, so no order
+    # of calls changes a key: K runs of one narrative, its verifier request,
+    # and more users than the tail cache holds, in turn.
+    users = [FIG_USER, NON_ASCII_USER] + [f"NARRATIVE {i}" for i in range(12)]
+    calls = [
+        (system, user, seed)
+        for _ in range(2)
+        for user in users
+        for system, seed in [(EXTRACTION_SYSTEM_PROMPT, s) for s in range(5)]
+        + [(VERIFIER_SYSTEM_PROMPT, None), (EXTRACTION_SYSTEM_PROMPT, 0)]
+    ]
+    calls += list(reversed(calls))
+    for system, user, seed in calls:
+        assert request_key(system, user, seed) == reference_key(system, user, seed)
+
+
 def test_mock_lookup_returns_scripted_text(tmp_path):
     request = build_extraction_prompt("DRIVER JOHN SMITH FLED")
     path = tmp_path / "fx.jsonl"

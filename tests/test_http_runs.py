@@ -168,3 +168,21 @@ def test_a_lone_narrative_still_overlaps_its_tagging_runs(block, tmp_path):
     assert summary.counts["narratives"] == 1 and stats["unknown"] == 0
     assert 2 <= stats["inflight_max"] <= gateway.MAX_IN_FLIGHT
     assert _narrative_threads() == []
+
+
+def test_an_http_run_computes_no_request_key(block, tmp_path, monkeypatch):
+    # Only the scripted mock keys its requests, so the key caches stay empty
+    # of an HTTP run's text. The stub keys its own table through its own
+    # binding, which this does not count.
+    keyed = []
+    real = gateway.request_key
+
+    def counted(*args):
+        keyed.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(gateway, "request_key", counted)
+    summary, stats = _run_http(block, 1, tmp_path / "http")
+    assert summary.counts["narratives"] > 0 and stats["requests"] > 0
+    assert stats["unknown"] == 0
+    assert keyed == []

@@ -103,6 +103,23 @@ def test_overlapping_and_nested_phone_forms(text, expected):
 @pytest.mark.parametrize(
     "text, expected",
     [
+        ("call ٣608-733-8366 now", ["608-733-8366"]),
+        ("x 608-733-8366٣ y", ["608-733-8366"]),
+        ("call 6٠8-733-8366 now", []),
+        ("tel ６08-733-8366", []),
+    ],
+    ids=["arabic-indic-before", "arabic-indic-after", "arabic-indic-inside", "fullwidth"],
+)
+def test_only_ascii_digits_are_phone_digits(text, expected):
+    # The grammar's digits are [0-9]: another script's digit next to a phone
+    # is no digit boundary, and inside one it is no part of the number.
+    assert [m.span.surface for m in find_phones(text)] == expected
+    assert [text[i:j] for i, j in find_phone_surfaces(text)] == expected
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
         ("a@b.co1x@d.ee", ["a@b.co", "1x@d.ee"]),
         ("a@b.cc.d@e.ff", ["a@b.cc", "d@e.ff"]),
         ("a@b.co@x.cc", ["a@b.co"]),
