@@ -26,6 +26,10 @@ from .tags import PiiCategory
 if TYPE_CHECKING:
     from .verify import AuditRecord
 
+#: What ``json.loads`` raises on text it cannot decode: ``JSONDecodeError``, a plain
+#: ValueError past the integer digit limit, RecursionError past the nesting limit.
+JSON_DECODE_ERRORS = (ValueError, RecursionError)
+
 
 class MalformedRecord(ValueError):
     """A corpus or gold file breaks the input grammar: a record that does
@@ -111,9 +115,10 @@ def read_jsonl_records(path: Path) -> Iterator[tuple[int, dict]]:
                     continue
                 try:
                     obj = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except JSON_DECODE_ERRORS as exc:
+                    reason = getattr(exc, "msg", "beyond the decoder's limits")
                     raise MalformedRecord(
-                        f"{path}: line {line_no}: invalid JSON ({exc.msg})"
+                        f"{path}: line {line_no}: invalid JSON ({reason})"
                     ) from exc
                 if not isinstance(obj, dict):
                     raise MalformedRecord(

@@ -70,9 +70,8 @@ def f1_score(precision: float | None, recall: float | None) -> float | None:
     return 2 * precision * recall / (precision + recall)
 
 
-def round_half_up(value: float, places: int = 2) -> float:
-    quantum = Decimal(1).scaleb(-places)
-    return float(Decimal(str(value)).quantize(quantum, rounding=ROUND_HALF_UP))
+def round_half_up(value: float) -> float:
+    return float(Decimal(str(value)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
 def format_ratio(value: float | None) -> str:

@@ -2,8 +2,9 @@
 
 Phone and email candidates come from the rule recognizers only; name,
 home-address and alphanumeric candidates come from the LLM channel only.
-The split is enforced structurally when a CandidateSet is built, not left
-to caller discipline.
+The split is decided once, where the runs are pooled: a tagging run keeps
+every tag of its completion, ``extract_ensemble`` pools only the LLM-owned
+categories, and a CandidateSet refuses a candidate from a non-owning source.
 
 The LLM tagger runs K times. For the ambiguous categories
 (``tags.AMBIGUOUS_CATEGORIES``) the union of candidate surfaces across
@@ -18,10 +19,9 @@ distinct completion once, and a repeat still counts as a run of its own.
 ``hybrid_extract`` is the one extraction path of every preset: without a
 backend it yields rule candidates only, with ``rules=False`` LLM
 candidates only, and a single-run baseline is ``EnsembleConfig(k_runs=1)``.
-Text that already holds a tag delimiter
-cannot go through the LLM channel and raises ``AmbiguousTagging`` there,
-so the narrative fails instead of being emitted with its contextual PII
-in clear.
+Text that already holds a tag delimiter cannot go through the LLM channel
+and raises ``TagError`` there, so the narrative fails instead of being
+emitted with its contextual PII in clear.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .tags import (
     LLM_CATEGORIES,
     RULE_CATEGORIES,
     CATEGORY_ORDER,
-    AmbiguousTagging,
     PiiCategory,
     PiiSpan,
     TagError,
@@ -133,21 +132,20 @@ def extract_single_run(
 ) -> SingleRun:
     """One tagging run: prompt, complete, read.
 
-    Returns spans restricted to the LLM-owned categories; rule-owned tags
-    in the completion are discarded. The run is hallucinated, and
-    contributes no spans, unless deleting its delimiters and parsing it
-    both give back the narrative (``read_tagged``); so every span it
-    returns is a slice of the narrative. Gateway errors propagate. A
-    completion already in ``readings`` (this narrative's table, fresh when
-    omitted) is not read again; the shared run and its spans are read-only.
+    Returns every span of the completion; ``extract_ensemble`` pools the
+    LLM-owned ones. The run is hallucinated, and contributes no spans,
+    unless deleting its delimiters and parsing it both give back the
+    narrative (``read_tagged``); so every span it returns is a slice of the
+    narrative. Gateway errors propagate. A completion already in
+    ``readings`` (this narrative's table, fresh when omitted) is not read
+    again; the shared run and its spans are read-only.
     """
     request = gateway.build_extraction_prompt(narrative.text, seed=seed)
     response = gateway.complete(request, backend)
     readings = {} if readings is None else readings
     if response.text not in readings:
         try:
-            spans = read_tagged(response.text, narrative.text)
-            run = SingleRun([s for s in spans if s.category in LLM_CATEGORIES], False)
+            run = SingleRun(read_tagged(response.text, narrative.text), False)
         except TagError:
             run = SingleRun([], True)
         readings[response.text] = run
@@ -215,7 +213,7 @@ def extract_ensemble(
     failed = runs.count(None)
 
     by_category: dict[PiiCategory, tuple[Candidate, ...]] = {}
-    for category in sorted(LLM_CATEGORIES, key=CATEGORY_ORDER.index):
+    for category in (c for c in CATEGORY_ORDER if c in LLM_CATEGORIES):
         pooled = category in AMBIGUOUS_CATEGORIES
         votes: dict[str, int] = {}
         for run in useful if pooled else useful[:1]:
@@ -266,16 +264,14 @@ def hybrid_extract(
     redacts those regions longest-first. A surface with any occurrence
     outside them is kept, so that occurrence is redacted too.
     With a backend set, text that already contains a tag delimiter raises
-    AmbiguousTagging: the tag protocol cannot represent it, and emitting it
+    TagError: the tag protocol cannot represent it, and emitting it
     with rule candidates only would leave its contextual PII in clear.
     """
     merged = rule_candidates(narrative.text) if rules else {}
     if backend is None or not narrative.text:
         return CandidateSet(narrative_id=narrative.id, by_category=merged)
     if contains_delimiter_sequence(narrative.text):
-        raise AmbiguousTagging(
-            f"narrative {narrative.id!r} already holds a tag delimiter"
-        )
+        raise TagError(f"narrative {narrative.id!r} already holds a tag delimiter")
 
     ensemble = extract_ensemble(narrative, backend, cfg, base_seed=base_seed)
     text = narrative.text

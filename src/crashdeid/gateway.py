@@ -43,7 +43,9 @@ from pathlib import Path
 from typing import Callable, Iterable
 from urllib.parse import urlsplit
 
-from .corpus import MalformedRecord, read_jsonl_records, require_str, write_jsonl
+from .corpus import (
+    JSON_DECODE_ERRORS, MalformedRecord, read_jsonl_records, require_str, write_jsonl,
+)
 
 DEFAULT_EXTRACTION_TEMPERATURE = 0.7
 DEFAULT_VERIFIER_TEMPERATURE = 0.0
@@ -269,7 +271,7 @@ def _complete_http(request: ChatRequest, config: BackendConfig) -> str:
                 raise TypeError(f"completion content is {type(text).__name__}")
             return text
         except (
-            OSError, http.client.HTTPException, ValueError, KeyError, IndexError, TypeError
+            OSError, http.client.HTTPException, *JSON_DECODE_ERRORS, LookupError, TypeError
         ) as exc:
             last_error = exc
     if isinstance(last_error, TimeoutError):

@@ -27,11 +27,13 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
-from .corpus import Corpus, Narrative, load_corpus, write_audit_log, write_redacted
+from .corpus import (
+    JSON_DECODE_ERRORS, Corpus, Narrative, load_corpus, write_audit_log, write_redacted,
+)
 from .extract import AllRunsFailed, CandidateSet, EnsembleConfig, hybrid_extract
 from .gateway import BackendConfig, GatewayError, fan_out
 from .redact import PLACEHOLDERS, RedactionStyle, render
-from .tags import AMBIGUOUS_CATEGORIES, AmbiguousTagging, PiiCategory
+from .tags import AMBIGUOUS_CATEGORIES, PiiCategory, TagError
 from .verify import AuditRecord, VerifierPolicy, rfc3339_now, verify_candidates
 
 if TYPE_CHECKING:
@@ -139,7 +141,7 @@ def process_narrative(narrative: Narrative, config: PipelineConfig) -> Narrative
                 narrative, final, config.verifier_backend, config.policy, timestamp_fn=stamp
             )
         result.final = final
-    except (GatewayError, AllRunsFailed, AmbiguousTagging) as exc:
+    except (GatewayError, AllRunsFailed, TagError) as exc:
         result.error = type(exc).__name__
     return result
 
@@ -153,14 +155,11 @@ def execute(corpus: Corpus, config: PipelineConfig) -> list[NarrativeResult]:
                    config.extractor_backend, config.verifier_backend)
 
 
-_BACKEND_FIELDS = tuple(f.name for f in dataclasses.fields(BackendConfig))
-
-
 def _backend_snapshot(backend: BackendConfig | None) -> dict | None:
     """Every ``BackendConfig`` field, in declaration order; paths as strings."""
     if backend is None:
         return None
-    values = {name: getattr(backend, name) for name in _BACKEND_FIELDS}
+    values = dataclasses.asdict(backend)
     if values["fixture_path"] is not None:
         values["fixture_path"] = str(values["fixture_path"])
     return values
@@ -302,7 +301,7 @@ def run_pipeline(
         if result.error is None:
             try:
                 result.redacted = render(result.narrative, result.final, config.output_style)
-            except AmbiguousTagging as exc:
+            except TagError as exc:
                 result.error = type(exc).__name__
     emitted = [result for result in results if result.error is None]
     summary = RunSummary(
@@ -388,7 +387,7 @@ def replay_manifest(manifest_path: str | Path, output_dir: str | Path) -> RunSum
         config = config_from_snapshot(snapshot)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    except ValueError:
+    except JSON_DECODE_ERRORS:  # UnicodeDecodeError is a ValueError
         raise ConfigError(f"{path}: manifest is not UTF-8 JSON") from None
     return run_pipeline(config, snapshot["input"], output_dir, fmt=snapshot["format"],
                         gold_path=snapshot["gold"], replayed=path)

@@ -66,7 +66,7 @@ def render(narrative: Narrative, final: CandidateSet, style: RedactionStyle) -> 
     """Redact all occurrences of the final candidates in the narrative.
 
     Tagged output is written by ``tags.serialize_spans``, whose round-trip
-    check raises AmbiguousTagging rather than emit text that would not
+    check raises TagError rather than emit text that would not
     parse back to the claimed spans; placeholder output goes through the
     same ``tags.splice`` walk, with each span's category placeholder.
     """

@@ -12,7 +12,8 @@ categories and their delimiters are fixed:
 
 Tags are flat: no nesting, no overlap. ``read_tagged`` is the one reader
 of tagged text: it accepts a tagging only when deleting its delimiters and
-parsing it both give back the untagged text exactly. This module also owns
+parsing it both give back the untagged text exactly. Tagged text that
+cannot be used, read or written, raises ``TagError``. This module also owns
 the text surgery on surfaces: ``occurrences`` is the one scan for a surface
 and ``splice`` the one walk that replaces spans, shared by the tag writer
 and placeholder output.
@@ -50,14 +51,8 @@ LLM_CATEGORIES = frozenset(
 #: runs and the only ones the verifier reviews.
 AMBIGUOUS_CATEGORIES = (PiiCategory.HOME_ADDRESS, PiiCategory.ALPHANUMERIC)
 
-#: Canonical display/report order.
-CATEGORY_ORDER = (
-    PiiCategory.NAME,
-    PiiCategory.PHONE,
-    PiiCategory.EMAIL,
-    PiiCategory.HOME_ADDRESS,
-    PiiCategory.ALPHANUMERIC,
-)
+#: Canonical display/report order: the enum's declaration order.
+CATEGORY_ORDER = tuple(PiiCategory)
 
 DELIMITERS: dict[PiiCategory, str] = {
     PiiCategory.NAME: "@@@",
@@ -72,15 +67,13 @@ _DELIMITER_RE = re.compile("|".join(re.escape(d) for d in DELIMITERS.values()))
 
 
 class TagError(ValueError):
-    """Tagged text breaks the tag protocol; the message names the broken
-    rule (an empty span, a delimiter inside another category's open span,
-    or an unclosed delimiter) and its category, never the text."""
-
-
-class AmbiguousTagging(TagError):
-    """Tagged text would not parse back to its input: the spans are bad
-    (out of range, empty, overlapping, disagreeing with the text) or their
-    delimiters collide with delimiter characters already in the text."""
+    """Tagged text the program cannot use: a malformed tag (an empty span,
+    a delimiter inside another category's open span, an unclosed
+    delimiter), a tagging that does not read back to its text, spans the
+    writer cannot tag (out of range, empty, overlapping, disagreeing with
+    the text, or colliding with delimiter characters already in it), or a
+    text that already holds a delimiter. The message names the broken rule
+    and its category, never the text."""
 
 
 class PiiSpan(NamedTuple):
@@ -149,7 +142,7 @@ def serialize_spans(clean_text: str, spans: list[PiiSpan]) -> str:
     """Render spans as tagged text; the exact inverse of ``parse_tagged``.
 
     ``read_tagged`` must accept the result and give back exactly the given
-    spans; any other result raises AmbiguousTagging. That one round-trip
+    spans; any other result raises TagError. That one round-trip
     check refuses out-of-range, empty, overlapping and mismatched spans as
     well as delimiter characters in the text that would merge with the
     inserted tags.
@@ -159,12 +152,9 @@ def serialize_spans(clean_text: str, spans: list[PiiSpan]) -> str:
         clean_text, ordered,
         lambda s: DELIMITERS[s.category] + s.surface + DELIMITERS[s.category],
     )
-    try:
-        if read_tagged(result, clean_text) == ordered:
-            return result
-    except TagError as exc:
-        raise AmbiguousTagging(f"tagged text does not read back: {exc}") from exc
-    raise AmbiguousTagging("tagged text parses to different spans")
+    if read_tagged(result, clean_text) != ordered:
+        raise TagError("tagged text parses to different spans")
+    return result
 
 
 def splice(text: str, spans: Iterable[PiiSpan], insert: Callable[[PiiSpan], str]) -> str:
@@ -190,13 +180,13 @@ def occurrences(text: str, surface: str) -> Iterator[int]:
 
 def read_tagged(raw: str, text: str) -> list[PiiSpan]:
     """The spans of ``raw`` in ascending order, each a slice of ``text``;
-    AmbiguousTagging unless deleting the delimiters of ``raw`` and parsing
-    it both give back exactly ``text``. A malformed tag raises its TagError."""
+    TagError unless deleting the delimiters of ``raw`` and parsing it both
+    give back exactly ``text``, or when a tag is malformed."""
     if not detag_equals(raw, text):
-        raise AmbiguousTagging("tagged text does not detag to its input")
+        raise TagError("tagged text does not detag to its input")
     parsed_text, spans = parse_tagged(raw)
     if parsed_text != text:
-        raise AmbiguousTagging("tagged text parses to a different text")
+        raise TagError("tagged text parses to a different text")
     return spans
 
 

@@ -34,7 +34,7 @@ from datetime import datetime, timezone
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import gateway
-from .corpus import is_unicode
+from .corpus import JSON_DECODE_ERRORS, is_unicode
 from .extract import Candidate, CandidateSet
 from .gateway import BackendConfig, GatewayError
 from .tags import AMBIGUOUS_CATEGORIES, PiiCategory
@@ -179,7 +179,7 @@ def parse_verifier_output(
     """
     try:
         obj = json.loads(completion_text)
-    except json.JSONDecodeError:
+    except JSON_DECODE_ERRORS:
         raise VerifierFormatError("completion is not valid JSON") from None
     if not isinstance(obj, dict):
         raise VerifierFormatError("completion is not a JSON object")

@@ -41,6 +41,8 @@ MALFORMED_FIXTURE_LINES = {
     "response-not-a-string": b'{"key": "k", "response": ["CANARY-7Q"]}',
     "not-utf8": '{"key": "k", "response": "CANARY-7Q CAFÉ"}'.encode("latin-1"),
     "lone-surrogate": b'{"key": "k", "response": "CANARY-7Q \\ud800"}',
+    "too-deep": b'{"key": "k", "response": "CANARY-7Q", "x": ' + b"[" * 2000 + b"]" * 2000 + b"}",
+    "long-number": b'{"key": "k", "response": "CANARY-7Q", "n": ' + b"9" * 5000 + b"}",
 }
 
 

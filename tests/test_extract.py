@@ -23,7 +23,7 @@ from crashdeid.extract import (
     hybrid_extract,
     rule_candidates,
 )
-from crashdeid.tags import AmbiguousTagging, PiiCategory
+from crashdeid.tags import PiiCategory, TagError
 
 from conftest import extraction_entries, http_probe, mock_backend
 
@@ -116,18 +116,25 @@ def test_single_run_discards_rewritten_text(tmp_path):
     assert run == ([], True)
 
 
-def test_single_run_drops_rule_owned_tags(tmp_path):
+def test_ensemble_drops_rule_owned_tags(tmp_path):
     narrative = Narrative("n1", "CALL 608-733-8366 FOR JOHN")
-    backend = mock_backend(
-        tmp_path,
-        extraction_entries(
-            narrative.text, {None: "CALL &&&608-733-8366&&& FOR @@@JOHN@@@"}
-        ),
-    )
-    run = extract_single_run(narrative, backend)
+    tagged = "CALL &&&608-733-8366&&& FOR @@@JOHN@@@"
+    backend = mock_backend(tmp_path, extraction_entries(narrative.text, {0: tagged, 1: tagged}))
+    # A run reads every tag of its completion; only the LLM-owned ones are pooled.
+    run = extract_single_run(narrative, backend, seed=0)
     assert [(s.category, s.surface) for s in run.spans] == [
-        (PiiCategory.NAME, "JOHN")
+        (PiiCategory.PHONE, "608-733-8366"), (PiiCategory.NAME, "JOHN")
     ]
+    for k in (1, 2):
+        result = extract_ensemble(narrative, backend, EnsembleConfig(k_runs=k), base_seed=0)
+        assert list(result.by_category) == [
+            PiiCategory.NAME, PiiCategory.HOME_ADDRESS, PiiCategory.ALPHANUMERIC
+        ]
+        assert [c.surface for c in result.by_category[PiiCategory.NAME]] == ["JOHN"]
+    llm_only = hybrid_extract(narrative, backend, EnsembleConfig(k_runs=2), base_seed=0,
+                              rules=False)
+    assert llm_only.surfaces(PiiCategory.PHONE) == []
+    assert llm_only.surfaces(PiiCategory.NAME) == ["JOHN"]
 
 
 def test_single_run_unparseable_tagging_counts_as_hallucinated(tmp_path):
@@ -547,7 +554,7 @@ def test_hybrid_extract_skips_llm_for_delimiter_flagged_text(tmp_path):
     backend = mock_backend(tmp_path, [])  # any LLM call would fail loudly
     # The tag protocol cannot carry this text, and rule candidates alone
     # would leave its contextual PII in clear: the narrative must fail.
-    with pytest.raises(AmbiguousTagging):
+    with pytest.raises(TagError):
         hybrid_extract(narrative, backend, EnsembleConfig(), base_seed=0)
     # Without an LLM channel nothing is tagged, so the rules still run.
     candidates = hybrid_extract(narrative, None, EnsembleConfig())

@@ -372,9 +372,10 @@ def test_http_connects_directly_whatever_the_proxy_environment(chat_server, monk
 _REQUEST = ChatRequest(system_prompt="s", user_content="u")
 
 
-def _http_config(url, **fields):
+def _http_config(url, timeout=5.0, **fields):
+    # Long enough that no scripted reply times out on a slow host.
     return BackendConfig(
-        kind="http_endpoint", endpoint_url=url, timeout=0.2, retries=1, **fields
+        kind="http_endpoint", endpoint_url=url, timeout=timeout, retries=1, **fields
     )
 
 
@@ -413,7 +414,7 @@ def test_http_reply_slower_than_the_timeout_raises_timeout(monkeypatch):
     with _no_unclosed_sockets(), _scripted_server(never) as (url, received):
         try:
             with pytest.raises(gateway.Timeout, match="2 attempts"):
-                complete(_REQUEST, _http_config(url))
+                complete(_REQUEST, _http_config(url, timeout=0.2))
         finally:
             release.set()
     assert len(received) == 2
@@ -427,6 +428,7 @@ def test_http_reply_slower_than_the_timeout_raises_timeout(monkeypatch):
         (200, b'{"id": "no choices"}', None),
         (200, b'{"choices": null}', None),
         (200, b'{"choices": [{"message": {"content": null}}]}', None),
+        pytest.param(200, b"[" * 2000 + b"]" * 2000, None, id="200-too-deep-None"),
         (503, _completion("UNAVAILABLE"), None),
     ],
 )

@@ -1323,10 +1323,32 @@ def test_cli_input_not_utf8_exits_2_naming_file_and_line(tmp_path, capsys, comma
     assert not out.exists() and not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("broken", ["corpus", "gold"])
+@pytest.mark.parametrize(
+    "value", [b"[" * 2000 + b"]" * 2000, b"9" * 5000], ids=["too-deep", "long-number"]
+)
+def test_cli_input_json_past_the_decoders_limits_exits_2_naming_file_and_line(
+    tmp_path, capsys, broken, value
+):
+    corpus = write_corpus_jsonl(tmp_path / "c.jsonl", [{"id": "n1", "text": "CAFE"}])
+    gold = tmp_path / "g.jsonl"
+    gold.write_text("", encoding="utf-8")
+    bad = corpus if broken == "corpus" else gold
+    bad.write_bytes(bad.read_bytes() + b'{"id": "CANARY-7Q", "x": ' + value + b"}\n")
+    out = tmp_path / "out"
+    flags = ["--input", str(corpus), "--gold", str(gold), "--out", str(out)]
+    assert main(["run", *flags, "--preset", "rules_only"]) == 2
+    line = 2 if broken == "corpus" else 1
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: line {line}: invalid JSON (beyond the decoder's limits)\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "content",
-    [b"{'config': {}}\n", b"", b'{"config": "CAF\xc9"}\n'],
-    ids=["not-json", "empty", "not-utf8"],
+    [b"{'config': {}}\n", b"", b'{"config": "CAF\xc9"}\n',
+     b'{"config": ' + b"[" * 2000 + b"]" * 2000 + b"}"],
+    ids=["not-json", "empty", "not-utf8", "too-deep"],
 )
 def test_cli_replay_of_unreadable_manifest_names_it(tmp_path, capsys, content):
     manifest = tmp_path / "manifest.json"

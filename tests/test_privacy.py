@@ -256,16 +256,24 @@ OUTAGE_TEXT = "DRIVER LIVES AT 12 ELM ST MADISON. PLATE ABC1234."
 OUTAGE_TAGGED = "DRIVER LIVES AT $$$12 ELM ST MADISON$$$. PLATE ^^^ABC1234^^^."
 
 
-@pytest.mark.parametrize("answer", ["missing", "garbage"])
+UNUSABLE_ANSWERS = {
+    "garbage": "not json",
+    # JSON the decoder refuses past its nesting and integer-digit limits.
+    "too-deep": "[" * 2000 + "]" * 2000,
+    "long-number": '{"n": ' + "9" * 5000 + "}",
+}
+
+
+@pytest.mark.parametrize("answer", ["missing", *UNUSABLE_ANSWERS])
 @pytest.mark.parametrize("policy", ["recall-first", "precision-first"])
 def test_a_degraded_review_keeps_its_redactions_under_either_policy(tmp_path, policy, answer):
     # With no verifier answer, or none that can be recovered, nothing grounds
     # a removal: the tagged address and plate stay redacted.
     corpus = write_corpus_jsonl(tmp_path / "c.jsonl", [{"id": "n1", "text": OUTAGE_TEXT}])
     entries = extraction_entries(OUTAGE_TEXT, {0: OUTAGE_TAGGED})
-    if answer == "garbage":
+    if answer in UNUSABLE_ANSWERS:
         surfaces = (["12 ELM ST MADISON"], ["ABC1234"])
-        entries += verifier_entries(OUTAGE_TEXT, *surfaces, ["not json", "no", "none"])
+        entries += verifier_entries(OUTAGE_TEXT, *surfaces, [UNUSABLE_ANSWERS[answer], "no", "none"])
     fixtures = tmp_path / "fixtures.jsonl"
     write_fixture_file(fixtures, entries)
     code = main(["run", "--input", str(corpus), "--out", str(tmp_path / "out"),

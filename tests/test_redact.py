@@ -11,8 +11,8 @@ from crashdeid.redact import (
     render,
 )
 from crashdeid.tags import (
-    AmbiguousTagging,
     PiiCategory,
+    TagError,
     contains_delimiter_sequence,
     detag_equals,
     parse_tagged,
@@ -115,7 +115,7 @@ def test_placeholder_mode_is_idempotent():
 def test_tagged_mode_refuses_delimiter_collision():
     # "@@" next to a span boundary would merge with the inserted tag.
     narrative = Narrative("n1", "ODD @@TEXT HERE")
-    with pytest.raises(AmbiguousTagging):
+    with pytest.raises(TagError):
         render(narrative, _set("n1", name=["TEXT"]), TAGGED)
 
 

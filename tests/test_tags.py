@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crashdeid.tags import (
-    AmbiguousTagging,
     DELIMITERS,
     PiiCategory,
     PiiSpan,
@@ -90,17 +89,17 @@ def test_serialize_empty_spans_is_identity():
 )
 def test_serialize_rejects_bad_spans(spans):
     # The round-trip check alone refuses each of these.
-    with pytest.raises(AmbiguousTagging):
+    with pytest.raises(TagError):
         serialize_spans("ABCDEFGHIJ", spans)
 
 
 def test_serialize_detects_delimiter_collision():
     # Text legally contains "@@" (not a full sequence); wrapping the
     # adjacent span would form one and shift parse offsets.
-    with pytest.raises(AmbiguousTagging):
+    with pytest.raises(TagError):
         serialize_spans("a@@bc", [PiiSpan(PiiCategory.NAME, 3, 5, "bc")])
     # A span whose surface is itself a delimiter sequence.
-    with pytest.raises(AmbiguousTagging):
+    with pytest.raises(TagError):
         serialize_spans("a@@@b", [PiiSpan(PiiCategory.HOME_ADDRESS, 1, 4, "@@@")])
 
 
@@ -219,7 +218,7 @@ def test_read_tagged_refuses_a_tagging_whose_parse_differs():
     raw = "Driver &@@@&&Ann&@@@&& at home"
     assert detag_equals(raw, "Driver Ann at home")
     assert parse_tagged(raw)[0] == "Driver &&&Ann&&& at home"
-    with pytest.raises(AmbiguousTagging):
+    with pytest.raises(TagError):
         read_tagged(raw, "Driver Ann at home")
     assert read_tagged("Driver @@@Ann@@@ at home", "Driver Ann at home") == [
         PiiSpan(PiiCategory.NAME, 7, 10, "Ann")
