@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -223,9 +224,11 @@ def write_jsonl(path: str | Path, lines: Iterable[str]) -> None:
 
 
 def write_audit_log(path: str | Path, records: Iterable["AuditRecord"]) -> None:
-    """Write audit records as JSONL, replacing any earlier file; the
-    serialization is deterministic, so the same records always give the
-    same bytes."""
+    """Write audit records as JSONL, owner-only (0600) since each quotes PII:
+    an earlier file is removed, as truncating it would keep its mode. The
+    serialization is deterministic: the same records give the same bytes."""
+    Path(path).unlink(missing_ok=True)
+    os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600))
     write_jsonl(path, (record.to_json_line() for record in records))
 
 

@@ -19,9 +19,9 @@ distinct completion once, and a repeat still counts as a run of its own.
 ``hybrid_extract`` is the one extraction path of every preset: without a
 backend it yields rule candidates only, with ``rules=False`` LLM
 candidates only, and a single-run baseline is ``EnsembleConfig(k_runs=1)``.
-Text that already holds a tag delimiter cannot go through the LLM channel
-and raises ``TagError`` there, so the narrative fails instead of being
-emitted with its contextual PII in clear.
+Text that already holds a tag delimiter, or is too long to tag, cannot go
+through the LLM channel and raises ``TagError`` there, so the narrative
+fails instead of being emitted with its contextual PII in clear.
 """
 
 from __future__ import annotations
@@ -69,15 +69,15 @@ class Candidate:
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Per-narrative candidates, one deduplicated list of non-empty
-    surfaces per category."""
+    """Per-narrative candidates: the set's own mapping of every category, in
+    ``CATEGORY_ORDER``, to one deduplicated list of non-empty surfaces."""
 
     narrative_id: str
     by_category: dict[PiiCategory, tuple[Candidate, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for category in CATEGORY_ORDER:
-            self.by_category.setdefault(category, ())
+        given = self.by_category
+        object.__setattr__(self, "by_category", {c: given.get(c, ()) for c in CATEGORY_ORDER})
         for category, candidates in self.by_category.items():
             owners = _RULE_SOURCES if category in RULE_CATEGORIES else _LLM_SOURCES
             seen: set[str] = set()
@@ -100,7 +100,7 @@ class CandidateSet:
                 seen.add(candidate.surface)
 
     def candidates(self, category: PiiCategory) -> tuple[Candidate, ...]:
-        return self.by_category.get(category, ())
+        return self.by_category[category]
 
     def surfaces(self, category: PiiCategory) -> list[str]:
         return [c.surface for c in self.candidates(category)]
@@ -263,15 +263,18 @@ def hybrid_extract(
     surface: rules are the authority for their own span text, and render
     redacts those regions longest-first. A surface with any occurrence
     outside them is kept, so that occurrence is redacted too.
-    With a backend set, text that already contains a tag delimiter raises
-    TagError: the tag protocol cannot represent it, and emitting it
-    with rule candidates only would leave its contextual PII in clear.
+    With a backend set, text that already contains a tag delimiter, or is
+    too long for any accepted completion to tag, raises TagError before any
+    call: emitting it with rule candidates only would leave its contextual
+    PII in clear.
     """
     merged = rule_candidates(narrative.text) if rules else {}
     if backend is None or not narrative.text:
         return CandidateSet(narrative_id=narrative.id, by_category=merged)
     if contains_delimiter_sequence(narrative.text):
         raise TagError(f"narrative {narrative.id!r} already holds a tag delimiter")
+    if len(narrative.text) > gateway.MAX_OUTPUT_CHARS:  # a tagging is at least as long
+        raise TagError(f"narrative {narrative.id!r} is too long to tag")
 
     ensemble = extract_ensemble(narrative, backend, cfg, base_seed=base_seed)
     text = narrative.text

@@ -15,7 +15,8 @@ Two backend kinds sit behind one ``complete`` call:
     endpoint, model or number of callers; ``fan_out`` overlaps independent
     calls, such as a run's narratives or a lone narrative's K tagging runs,
     on up to twice as many threads, so a call sleeping out its backoff idles
-    no slot. The HTTP stack loads at the first POST.
+    no slot. The HTTP stack loads at the first POST. An endpoint URL with
+    credentials (``user:pass@``) is refused: they are never sent, only recorded.
 
 ``scripted_mock``
     A deterministic offline stand-in. The fixture file is JSONL of
@@ -28,7 +29,8 @@ Two backend kinds sit behind one ``complete`` call:
     malformed fixture line raises ``MalformedFixture``, which fails every
     narrative that calls the mock, as any other backend error does. The
     file is read once per ``BackendConfig``, at its first call, and its
-    table or error is kept: an edited file needs a new config.
+    table or error is kept: an edited file needs a new config. A ``Path``
+    and a ``str`` fixture path for one file make one config.
     ``fan_out`` runs inline for it: a lookup gains nothing from threads.
 """
 
@@ -112,15 +114,19 @@ class BackendConfig:
     kind: str  # "http_endpoint" | "scripted_mock"
     endpoint_url: str | None = None
     model_name: str | None = None
-    fixture_path: str | Path | None = None
+    fixture_path: str | Path | None = None  # kept as its str
     timeout: float = 30.0
     retries: int = 2
 
     def __post_init__(self) -> None:
+        if isinstance(self.fixture_path, Path):
+            object.__setattr__(self, "fixture_path", str(self.fixture_path))
         if self.kind == "http_endpoint":
             parts = urlsplit(self.endpoint_url if isinstance(self.endpoint_url, str) else "")
             if parts.scheme not in ("http", "https") or not parts.hostname:
                 raise ValueError("http_endpoint backend requires an http(s) endpoint_url")
+            if "@" in parts.netloc:
+                raise ValueError("http_endpoint endpoint_url must not carry credentials")
         elif self.kind == "scripted_mock":
             if not self.fixture_path:
                 raise ValueError("scripted_mock backend requires fixture_path")

@@ -19,10 +19,9 @@ are listed as unprocessed; they are never emitted unredacted.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -155,16 +154,6 @@ def execute(corpus: Corpus, config: PipelineConfig) -> list[NarrativeResult]:
                    config.extractor_backend, config.verifier_backend)
 
 
-def _backend_snapshot(backend: BackendConfig | None) -> dict | None:
-    """Every ``BackendConfig`` field, in declaration order; paths as strings."""
-    if backend is None:
-        return None
-    values = dataclasses.asdict(backend)
-    if values["fixture_path"] is not None:
-        values["fixture_path"] = str(values["fixture_path"])
-    return values
-
-
 def config_snapshot(
     config: PipelineConfig,
     input_path: str | Path,
@@ -186,8 +175,8 @@ def config_snapshot(
         "parallelism": config.parallelism,
         "seed": config.seed,
         "mask_timestamps": config.mask_timestamps,
-        "extractor_backend": _backend_snapshot(config.extractor_backend),
-        "verifier_backend": _backend_snapshot(config.verifier_backend),
+        "extractor_backend": config.extractor_backend and asdict(config.extractor_backend),
+        "verifier_backend": config.verifier_backend and asdict(config.verifier_backend),
         "input": str(input_path),
         "format": fmt,
         "gold": str(gold_path) if gold_path else None,

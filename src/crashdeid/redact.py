@@ -23,10 +23,6 @@ PLACEHOLDERS: dict[PiiCategory, str] = {
 }
 
 
-class SurfaceNotFound(ValueError):
-    """A final candidate surface does not occur in the narrative text."""
-
-
 @dataclass(frozen=True)
 class RedactionStyle:
     mode: str = "tagged"  # "tagged" | "placeholder"
@@ -41,7 +37,7 @@ def _claim_occurrences(text: str, final: CandidateSet) -> list[PiiSpan]:
     for category in CATEGORY_ORDER:
         for candidate in final.candidates(category):
             if candidate.surface not in text:
-                raise SurfaceNotFound(
+                raise ValueError(
                     f"a {category.value} candidate is not found in narrative "
                     f"{final.narrative_id!r}"
                 )
@@ -63,7 +59,7 @@ def _claim_occurrences(text: str, final: CandidateSet) -> list[PiiSpan]:
 
 
 def render(narrative: Narrative, final: CandidateSet, style: RedactionStyle) -> str:
-    """Redact all occurrences of the final candidates in the narrative.
+    """Redact all occurrences of the final candidates; ValueError if one is absent.
 
     Tagged output is written by ``tags.serialize_spans``, whose round-trip
     check raises TagError rather than emit text that would not

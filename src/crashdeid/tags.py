@@ -72,8 +72,9 @@ class TagError(ValueError):
     delimiter), a tagging that does not read back to its text, spans the
     writer cannot tag (out of range, empty, overlapping, disagreeing with
     the text, or colliding with delimiter characters already in it), or a
-    text that already holds a delimiter. The message names the broken rule
-    and its category, never the text."""
+    text that already holds a delimiter or is too long to tag (longer than
+    ``gateway.MAX_OUTPUT_CHARS``). The message names the broken rule and its
+    category, never the text."""
 
 
 class PiiSpan(NamedTuple):

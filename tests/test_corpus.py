@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
 
 import pytest
 from hypothesis import given, settings
@@ -300,3 +302,23 @@ def test_audit_log_round_trip_and_deterministic_bytes(tmp_path):
     # Writing again replaces the file with the same bytes.
     write_audit_log(first, records)
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_audit_log_is_owner_only_also_where_it_replaces_a_world_readable_one(tmp_path):
+    records = [_record("n1", "DROP", "UNIT 1 HIT THE DRIVEWAY OF 4647 HIGHWAY 47.")]
+    fresh = tmp_path / "fresh.jsonl"
+    earlier = tmp_path / "audit.jsonl"
+    earlier.write_text("EARLIER\n")
+    earlier.chmod(0o644)
+    umask = os.umask(0o022)
+    try:
+        write_audit_log(fresh, records)
+        with earlier.open() as reader:  # opened while the old log was readable
+            write_audit_log(earlier, records)
+            assert reader.read() == "EARLIER\n"
+    finally:
+        os.umask(umask)
+    for path in (fresh, earlier):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    assert earlier.read_bytes() == fresh.read_bytes()
+    assert read_audit_log(earlier) == records

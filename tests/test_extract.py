@@ -47,6 +47,16 @@ def test_candidate_set_enforces_responsibility_split():
         )
 
 
+def test_candidate_set_leaves_the_dict_it_was_given_unchanged():
+    given = {PiiCategory.NAME: (Candidate("JOHN", SOURCE_LLM_SINGLE),)}
+    candidates = CandidateSet(narrative_id="n1", by_category=given)
+    assert given == {PiiCategory.NAME: (Candidate("JOHN", SOURCE_LLM_SINGLE),)}
+    assert candidates.by_category is not given
+    assert list(candidates.by_category) == list(PiiCategory)
+    assert candidates.candidates(PiiCategory.PHONE) == ()
+    assert candidates.surfaces(PiiCategory.NAME) == ["JOHN"]
+
+
 def test_candidate_set_rejects_duplicate_surfaces():
     with pytest.raises(ValueError, match="duplicate"):
         CandidateSet(

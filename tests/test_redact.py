@@ -7,7 +7,6 @@ from crashdeid.extract import Candidate, CandidateSet, SOURCE_LLM_SINGLE, SOURCE
 from crashdeid.redact import (
     PLACEHOLDERS,
     RedactionStyle,
-    SurfaceNotFound,
     render,
 )
 from crashdeid.tags import (
@@ -77,8 +76,10 @@ def test_partial_overlap_earlier_longer_wins():
 
 def test_surface_not_found():
     narrative = Narrative("n1", "SOME TEXT")
-    with pytest.raises(SurfaceNotFound):
+    with pytest.raises(ValueError) as err:
         render(narrative, _set("n1", name=["ABSENT"]), TAGGED)
+    assert str(err.value) == "a name candidate is not found in narrative 'n1'"
+    assert "ABSENT" not in str(err.value)
 
 
 def test_tagged_output_round_trips():
