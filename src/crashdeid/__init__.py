@@ -6,6 +6,11 @@ to an LLM tagging channel with ensemble pooling for the two most ambiguous
 categories and an evidence-checked verifier gate on top. Outputs are
 tagged or placeholder-redacted text, a per-decision audit log and metric
 reports.
+
+Records that check nothing, such as ``PiiSpan``, ``Narrative``,
+``Candidate`` and ``AuditRecord``, are ``typing.NamedTuple``s: immutable,
+and built, unpacked and compared as tuples at C speed. Configs that
+validate themselves stay frozen dataclasses.
 """
 
 __version__ = "0.1.0"

@@ -15,12 +15,10 @@ a value read from a text or gold field: a gold surface is PII by definition.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .tags import PiiCategory
 
@@ -39,16 +37,14 @@ class MalformedRecord(ValueError):
     names the file, line, field or narrative id, never a text or surface."""
 
 
-@dataclass(frozen=True)
-class Narrative:
+class Narrative(NamedTuple):
     """One free-text record; the unit of processing."""
 
     id: str
     text: str
 
 
-@dataclass(frozen=True)
-class GoldAnnotation:
+class GoldAnnotation(NamedTuple):
     """One annotated PII instance; identical surfaces count separately."""
 
     narrative_id: str
@@ -56,10 +52,9 @@ class GoldAnnotation:
     surface: str
 
 
-@dataclass(frozen=True)
-class Corpus:
+class Corpus(NamedTuple):
     narratives: tuple[Narrative, ...]
-    gold: tuple[GoldAnnotation, ...] = field(default=())
+    gold: tuple[GoldAnnotation, ...] = ()
 
 
 def _infer_format(path: Path, fmt: str | None) -> str:
@@ -141,6 +136,7 @@ def _read_narratives_jsonl(path: Path) -> list[Narrative]:
 
 
 def _read_narratives_csv(path: Path) -> list[Narrative]:
+    import csv
     narratives = []
     with path.open(encoding="utf-8-sig", newline="") as handle:
         reader = csv.DictReader(handle)

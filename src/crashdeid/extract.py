@@ -58,8 +58,7 @@ class AllRunsFailed(RuntimeError):
     discarded as hallucinated."""
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     """One candidate PII surface for a narrative."""
 
     surface: str
@@ -152,8 +151,7 @@ def extract_single_run(
     return readings[response.text]
 
 
-@dataclass(frozen=True)
-class EnsembleResult:
+class EnsembleResult(NamedTuple):
     """LLM-channel candidate fragment plus per-run accounting."""
 
     by_category: dict[PiiCategory, tuple[Candidate, ...]]

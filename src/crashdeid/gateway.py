@@ -37,12 +37,13 @@ Two backend kinds sit behind one ``complete`` call:
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 from urllib.parse import urlsplit
 
 from .corpus import (
@@ -99,12 +100,11 @@ class ChatRequest:
     def __post_init__(self) -> None:
         if not self.system_prompt or not self.user_content:
             raise ValueError("system_prompt and user_content must be non-empty")
-        if self.temperature < 0:
-            raise ValueError("temperature must be non-negative")
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError("temperature must be a finite number >= 0")
 
 
-@dataclass(frozen=True)
-class ChatResponse:
+class ChatResponse(NamedTuple):
     text: str
     latency: float
 
@@ -127,6 +127,10 @@ class BackendConfig:
                 raise ValueError("http_endpoint backend requires an http(s) endpoint_url")
             if "@" in parts.netloc:
                 raise ValueError("http_endpoint endpoint_url must not carry credentials")
+            try:
+                parts.port
+            except ValueError:
+                raise ValueError("http_endpoint endpoint_url has an invalid port") from None
         elif self.kind == "scripted_mock":
             if not self.fixture_path:
                 raise ValueError("scripted_mock backend requires fixture_path")

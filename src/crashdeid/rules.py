@@ -67,7 +67,7 @@ with "@", at one Python iteration per "@".
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .tags import PiiCategory, PiiSpan
 
@@ -99,8 +99,7 @@ _LOCAL_CHARS = frozenset(
 _DOMAIN = re.compile(r"(?:[A-Za-z0-9](?:[A-Za-z0-9-]*[A-Za-z0-9])?\.)+[A-Za-z]{2,}")
 
 
-@dataclass(frozen=True)
-class RuleMatch:
+class RuleMatch(NamedTuple):
     """One rule-recognizer hit."""
 
     span: PiiSpan

@@ -63,7 +63,8 @@ DELIMITERS: dict[PiiCategory, str] = {
 }
 
 _DELIM_TO_CATEGORY = {d: c for c, d in DELIMITERS.items()}
-_DELIMITER_RE = re.compile("|".join(re.escape(d) for d in DELIMITERS.values()))
+#: Splits tagged text into text, delimiter, text, ...: the group keeps the delimiters.
+_DELIMITER_SPLIT = re.compile("(" + "|".join(re.escape(d) for d in DELIMITERS.values()) + ")")
 
 
 class TagError(ValueError):
@@ -81,9 +82,7 @@ class PiiSpan(NamedTuple):
     """One detected entity, anchored to the untagged text.
 
     ``start``/``end`` are Unicode scalar-value offsets (Python string
-    indices), end-exclusive; ``surface`` equals ``text[start:end]``. A
-    tuple, so building spans in parse and render and comparing them in
-    the writer's round-trip check run at C speed.
+    indices), end-exclusive; ``surface`` equals ``text[start:end]``.
     """
 
     category: PiiCategory
@@ -100,43 +99,43 @@ def contains_delimiter_sequence(text: str) -> bool:
 def parse_tagged(raw: str) -> tuple[str, list[PiiSpan]]:
     """Parse tagged text into the untagged string and its spans.
 
-    One regex pass finds the delimiters left to right (leftmost,
-    non-overlapping); a delimiter either opens a span of its category or
-    closes the currently open one. The untagged text and each span's
-    surface are sliced out of ``raw`` between delimiters. Returns spans in
+    One ``re.split`` cuts ``raw`` at its delimiters, found left to right
+    (leftmost, non-overlapping), into text, delimiter, text and so on. Each
+    delimiter either opens a span of its category or closes the currently
+    open one, whose surface is the text piece before it. The untagged text
+    is the text pieces joined, and a delimiter's raw offset, which only an
+    error message needs, follows from the piece lengths. Returns spans in
     ascending start order with offsets into the returned untagged text.
 
     Raises TagError on malformed tagging.
     """
-    pieces: list[str] = []
+    pieces = _DELIMITER_SPLIT.split(raw)
     spans: list[PiiSpan] = []
     open_category: PiiCategory | None = None
     open_at = 0
-    clean_len = 0
-    cursor = 0
-    for match in _DELIMITER_RE.finditer(raw):
-        i = match.start()
-        pieces.append(raw[cursor:i])
-        clean_len += i - cursor
-        category = _DELIM_TO_CATEGORY[match.group()]
+    clean_len = len(pieces[0])
+    # Delimiter n sits at raw offset clean_len + 3 * n: n three-character ones precede it.
+    for n, delimiter in enumerate(pieces[1::2]):
+        category = _DELIM_TO_CATEGORY[delimiter]
         if open_category is None:
             open_category = category
             open_at = clean_len
         elif category is open_category:
             if clean_len == open_at:
-                raise TagError(f"empty {category.value} span at raw offset {i}")
-            spans.append(PiiSpan(category, open_at, clean_len, raw[cursor:i]))
+                raise TagError(
+                    f"empty {category.value} span at raw offset {clean_len + 3 * n}"
+                )
+            spans.append(PiiSpan(category, open_at, clean_len, pieces[2 * n]))
             open_category = None
         else:
             raise TagError(
                 f"{category.value} delimiter inside open "
-                f"{open_category.value} span at raw offset {i}"
+                f"{open_category.value} span at raw offset {clean_len + 3 * n}"
             )
-        cursor = match.end()
+        clean_len += len(pieces[2 * n + 2])
     if open_category is not None:
         raise TagError(f"unclosed {open_category.value} delimiter")
-    pieces.append(raw[cursor:])
-    return "".join(pieces), spans
+    return "".join(pieces[::2]), spans
 
 
 def serialize_spans(clean_text: str, spans: list[PiiSpan]) -> str:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -64,8 +64,7 @@ class VerifierFormatError(ValueError):
     broken rule and is the text of the repair prompt."""
 
 
-@dataclass(frozen=True)
-class VerifierReview:
+class VerifierReview(NamedTuple):
     text: str
     decision: str
     reason: str
@@ -85,8 +84,7 @@ class VerifierPolicy(enum.Enum):
     PRECISION_FIRST = "precision_first"
 
 
-@dataclass(frozen=True)
-class AuditRecord:
+class AuditRecord(NamedTuple):
     narrative_id: str
     category: PiiCategory
     review: VerifierReview

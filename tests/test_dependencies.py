@@ -15,8 +15,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 HTTP_STACK = ("requests", "urllib3", "charset_normalizer", "idna", "certifi")
-#: Loaded only by a run that posts over HTTP, fans out, or scores.
-LAZY = ("http.client", "ssl", "email.parser", "concurrent.futures", "decimal", "crashdeid.evalkit")
+#: Loaded only by a run that posts over HTTP, fans out, scores, or reads a CSV corpus.
+LAZY = (
+    "http.client", "ssl", "email.parser", "concurrent.futures", "decimal", "crashdeid.evalkit",
+    "csv",
+)
 
 
 def test_importing_the_package_loads_no_third_party_http_stack():

@@ -41,8 +41,9 @@ def test_chat_request_validation():
         ChatRequest(system_prompt="", user_content="x")
     with pytest.raises(ValueError):
         ChatRequest(system_prompt="x", user_content="")
-    with pytest.raises(ValueError):
-        ChatRequest(system_prompt="x", user_content="y", temperature=-0.1)
+    for temperature in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^temperature must be a finite number >= 0$"):
+            ChatRequest(system_prompt="x", user_content="y", temperature=temperature)
 
 
 def test_backend_config_validation():
@@ -54,6 +55,10 @@ def test_backend_config_validation():
         BackendConfig(kind="carrier_pigeon", endpoint_url="x")
     for url in ("localhost:8000/v1", "ftp://127.0.0.1/v1", "http:///v1"):
         with pytest.raises(ValueError, match="http\\(s\\) endpoint_url"):
+            BackendConfig(kind="http_endpoint", endpoint_url=url)
+    # Unchecked, a bad port would fail every POST, each after all its retries.
+    for url in ("http://localhost:99999/v1", "http://localhost:abc/v1"):
+        with pytest.raises(ValueError, match="^http_endpoint endpoint_url has an invalid port$"):
             BackendConfig(kind="http_endpoint", endpoint_url=url)
     # A socket takes 1e300 and fails only at connect; the config refuses it.
     url = "http://127.0.0.1:9/v1"
