@@ -3,9 +3,11 @@
 Every distinct ``crashdeid run --seed 0 --mask-timestamps`` configuration
 runs on the benchmark generator's seed-7 hybrid block and on a 20-narrative
 long corpus, and the SHA-256 of each file it writes must equal the digest
-pinned here. The generated inputs are pinned too, so that a change to the
-generator reads as an input mismatch rather than as an output change. A
-change that alters outputs on purpose re-pins these digests and says so.
+pinned here. So must the two report files of ``crashdeid eval`` against the
+hybrid block's gold, for each preset and each policy of ``hybrid_ev``. The
+generated inputs are pinned too, so that a change to the generator reads as
+an input mismatch rather than as an output change. A change that alters
+outputs on purpose re-pins these digests and says so.
 """
 
 from __future__ import annotations
@@ -40,14 +42,28 @@ def generate(root: Path) -> None:
     gen.generate_long(root / "long", seed=7, narratives=20)
 
 
+EVALS = [(preset, policy) for corpus, preset, policy, mode in RUNS
+         if corpus == "hybrid" and mode == "tagged"]
+
+
 def run(root: Path, out: Path, corpus: str, preset: str, policy: str, mode: str) -> int:
     """One CLI run over relative input paths, so the manifest records no
     temporary directory."""
+    return cli(root / corpus, "run", "--out", str(out), "--preset", preset,
+               "--policy", policy, "--redaction", mode)
+
+
+def evaluate(root: Path, report: Path, preset: str, policy: str) -> int:
+    """One CLI eval of the hybrid block against its gold."""
+    return cli(root / "hybrid", "eval", "--gold", "corpus.gold.jsonl", "--report", str(report),
+               "--preset", preset, "--policy", policy)
+
+
+def cli(directory: Path, command: str, *argv: str) -> int:
     with pytest.MonkeyPatch.context() as patch:
-        patch.chdir(root / corpus)
-        fixtures = ["--mock-fixtures", "fixtures.jsonl"] if corpus == "hybrid" else []
-        return main(["run", "--input", "corpus.jsonl", "--out", str(out), "--preset", preset,
-                     "--policy", policy, "--redaction", mode, "--seed", "0",
+        patch.chdir(directory)
+        fixtures = ["--mock-fixtures", "fixtures.jsonl"] if directory.name == "hybrid" else []
+        return main([command, "--input", "corpus.jsonl", *argv, "--seed", "0",
                      "--mask-timestamps", *fixtures])
 
 
@@ -124,6 +140,30 @@ OUTPUTS: dict[str, dict[str, str]] = {
     },
 }
 
+#: ``crashdeid eval`` of the hybrid block, by preset and policy.
+REPORTS: dict[str, dict[str, str]] = {
+    "rules_only-recall-first": {
+        "report.json": "b04a13783f4455a90ca59ab8b18dcd30d8c855810de18a1cf502aba8c309640f",
+        "report.txt": "683867507c581ee9eb545005880e7ab1db9843cdd8f199f852e258181f7af4a7",
+    },
+    "llm_single-recall-first": {
+        "report.json": "9803f1db9ceb15286751146906fa88b355b7344228ce96ed23a7cbe0ec0cfda7",
+        "report.txt": "9ea55e30ae94c364fe929a57a908adb5be43027a3f620544e8da1cbd56b65f33",
+    },
+    "hybrid-recall-first": {
+        "report.json": "010b35c265b3a67722560c1ed780428e6dc641e6b9ec447ea12db59117c1aef7",
+        "report.txt": "51f776f3c79f530bd1b5938c4df319a4ba69d9845139f03ce3005b8ceab6d7f8",
+    },
+    "hybrid_ev-recall-first": {
+        "report.json": "623960700bf358fc5afe960ff4d8caedb14c41ff32a0054f7d6cba79cd214977",
+        "report.txt": "6fb2ea30c5f66cbe1e6f59a52f9ff1eb6a41b380639cbce75b6fcbf6624394a1",
+    },
+    "hybrid_ev-precision-first": {
+        "report.json": "6a8a0319913b834169fba8640ebd96ea36a9233abb6cc0f7911a94361503d371",
+        "report.txt": "8ff41ef0510736ea118d0eb17d57abf72a8d6ade4566d369c03d5df5cb8f6b66",
+    },
+}
+
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory) -> Path:
@@ -140,3 +180,9 @@ def test_generated_inputs_are_the_pinned_ones(inputs):
 def test_outputs_are_the_pinned_bytes(inputs, tmp_path, corpus, preset, policy, mode):
     assert run(inputs, tmp_path / "out", corpus, preset, policy, mode) in (0, 1)
     assert digests(tmp_path / "out") == OUTPUTS["-".join((corpus, preset, policy, mode))]
+
+
+@pytest.mark.parametrize("preset,policy", EVALS, ids=["-".join(e) for e in EVALS])
+def test_eval_reports_are_the_pinned_bytes(inputs, tmp_path, preset, policy):
+    assert evaluate(inputs, tmp_path / "out" / "report.json", preset, policy) in (0, 1)
+    assert digests(tmp_path / "out") == REPORTS["-".join((preset, policy))]
