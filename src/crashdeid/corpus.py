@@ -33,8 +33,9 @@ JSON_DECODE_ERRORS = (ValueError, RecursionError)
 class MalformedRecord(ValueError):
     """A corpus or gold file breaks the input grammar: a record that does
     not parse, an empty or duplicate narrative id, or a gold record that
-    names no narrative or whose surface its narrative lacks. The message
-    names the file, line, field or narrative id, never a text or surface."""
+    names no narrative or whose surface is empty or not in its narrative.
+    The message names the file, line, field or narrative id, never a text
+    or surface."""
 
 
 class Narrative(NamedTuple):
@@ -177,6 +178,9 @@ def _read_gold(path: Path, by_id: dict[str, Narrative]) -> list[GoldAnnotation]:
                 f"{path}: line {line_no}: field 'narrative_id' names no "
                 f"narrative of the corpus"
             )
+        if not surface:
+            # It could never match, since no candidate is empty.
+            raise MalformedRecord(f"{path}: line {line_no}: field 'surface' is empty")
         if surface not in narrative.text:
             raise MalformedRecord(
                 f"{path}: line {line_no}: field 'surface' does not occur in "

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -34,8 +34,7 @@ class TypeCounts:
 
 
 @dataclass(frozen=True)
-class TypeMetrics:
-    counts: TypeCounts
+class TypeMetrics(TypeCounts):
     precision: float | None
     recall: float | None
     f1: float | None
@@ -112,7 +111,7 @@ def precision_recall_f1(
 
 
 def metrics_from_counts(counts: TypeCounts) -> TypeMetrics:
-    return TypeMetrics(counts, *precision_recall_f1(counts.tp, counts.fp, counts.fn))
+    return TypeMetrics(*astuple(counts), *precision_recall_f1(counts.tp, counts.fp, counts.fn))
 
 
 def score_narrative_level(
@@ -165,7 +164,7 @@ def render_report(report: MetricsReport) -> str:
     """Plain-text metric table: one row per category plus the overall row."""
     overall = report.narrative_level
     rows = [
-        (_CATEGORY_TITLES[entry.counts.category], entry.precision, entry.recall, entry.f1, None)
+        (_CATEGORY_TITLES[entry.category], entry.precision, entry.recall, entry.f1, None)
         for entry in report.per_type
     ]
     rows.append(("Overall", overall.precision, overall.recall, overall.f1, overall.accuracy))
@@ -177,9 +176,8 @@ def render_report(report: MetricsReport) -> str:
 
 def report_to_dict(report: MetricsReport) -> dict:
     """Machine-readable report in dataclass field order, a per-type row
-    being its counts then its ratios; values are unrounded."""
+    being its category, counts and ratios; values are unrounded."""
     payload = asdict(report)
-    payload["per_type"] = [{**row.pop("counts"), **row} for row in payload["per_type"]]
     for row in payload["per_type"]:
         row["category"] = row["category"].value
     return payload
@@ -203,17 +201,13 @@ _ABLATION_TITLES = {
 
 
 def ablation_table(reports: list[MetricsReport]) -> str:
-    """TP/FP/FN comparison across configurations for the ambiguous categories."""
+    """TP/FP/FN comparison across configurations for the ambiguous categories;
+    each column reads its own report's rows, and a category it lacks reads ``-``."""
     if len(reports) < 2:
         raise ValueError("ablation_table needs at least two configurations")
     col_width = max(12, *(len(r.config_label) + 2 for r in reports))
     group_width = col_width * len(reports)
-
-    counts: dict[tuple[str, PiiCategory], TypeCounts] = {}
-    for report in reports:
-        for entry in report.per_type:
-            if entry.counts.category in AMBIGUOUS_CATEGORIES:
-                counts[(report.config_label, entry.counts.category)] = entry.counts
+    rows = [{entry.category: entry for entry in report.per_type} for report in reports]
 
     lines = []
     lines.append(
@@ -231,12 +225,10 @@ def ablation_table(reports: list[MetricsReport]) -> str:
         )
     )
     for row_label, attr in (("TP (↑)", "tp"), ("FP (↓)", "fp"), ("FN (↓)", "fn")):
-        cells = []
-        for category in AMBIGUOUS_CATEGORIES:
-            for report in reports:
-                entry = counts.get((report.config_label, category))
-                cells.append(
-                    f"{getattr(entry, attr) if entry else '-':^{col_width}}"
-                )
+        cells = [
+            f"{getattr(row[category], attr) if category in row else '-':^{col_width}}"
+            for category in AMBIGUOUS_CATEGORIES
+            for row in rows
+        ]
         lines.append(f"{row_label:<8}" + "".join(cells))
     return "\n".join(lines)

@@ -17,6 +17,7 @@ Two backend kinds sit behind one ``complete`` call:
     on up to twice as many threads, so a call sleeping out its backoff idles
     no slot. The HTTP stack loads at the first POST. An endpoint URL with
     credentials (``user:pass@``) is refused: they are never sent, only recorded.
+    So is one whose port is not a number from 1 to 65535.
 
 ``scripted_mock``
     A deterministic offline stand-in. The fixture file is JSONL of
@@ -30,7 +31,8 @@ Two backend kinds sit behind one ``complete`` call:
     narrative that calls the mock, as any other backend error does. The
     file is read once per ``BackendConfig``, at its first call, and its
     table or error is kept: an edited file needs a new config. A ``Path``
-    and a ``str`` fixture path for one file make one config.
+    and a ``str`` fixture path for one file make one config; a path of any
+    other type, or an empty one, is refused.
     ``fan_out`` runs inline for it: a lookup gains nothing from threads.
 """
 
@@ -128,11 +130,13 @@ class BackendConfig:
             if "@" in parts.netloc:
                 raise ValueError("http_endpoint endpoint_url must not carry credentials")
             try:
-                parts.port
+                port = parts.port
             except ValueError:
-                raise ValueError("http_endpoint endpoint_url has an invalid port") from None
+                port = 0  # unreadable; no server listens on port 0 either
+            if port == 0:
+                raise ValueError("http_endpoint endpoint_url has an invalid port")
         elif self.kind == "scripted_mock":
-            if not self.fixture_path:
+            if not (isinstance(self.fixture_path, str) and self.fixture_path):
                 raise ValueError("scripted_mock backend requires fixture_path")
         else:
             raise ValueError(f"unknown backend kind: {self.kind!r}")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
@@ -32,8 +33,10 @@ from .corpus import (
 from .extract import AllRunsFailed, CandidateSet, EnsembleConfig, hybrid_extract
 from .gateway import BackendConfig, GatewayError, fan_out
 from .redact import PLACEHOLDERS, RedactionStyle, render
-from .tags import AMBIGUOUS_CATEGORIES, PiiCategory, TagError
-from .verify import AuditRecord, VerifierPolicy, rfc3339_now, verify_candidates
+from .tags import AMBIGUOUS_CATEGORIES, CATEGORY_ORDER, TagError
+from .verify import (
+    DROP, KEEP, UNCERTAIN, AuditRecord, VerifierPolicy, rfc3339_now, verify_candidates,
+)
 
 if TYPE_CHECKING:
     from .evalkit import MetricsReport
@@ -309,24 +312,20 @@ def run_pipeline(
     return summary
 
 
-_DECISIONS = {"KEEP": "kept", "DROP": "dropped"}
-
-
 def _counts(results: list[NarrativeResult], emitted: list[NarrativeResult]) -> dict:
-    candidates_by_category = {c.value: 0 for c in PiiCategory}
-    decisions = {"kept": 0, "dropped": 0, "uncertain": 0}
-    for result in emitted:
-        for category in PiiCategory:
-            candidates_by_category[category.value] += len(result.final.candidates(category))
-        for record in result.audit:
-            decisions[_DECISIONS.get(record.review.decision, "uncertain")] += 1
+    decisions = Counter(record.review.decision for result in emitted for record in result.audit)
     return {
         "narratives": len(results),
         "processed": len(emitted),
         "failed": len(results) - len(emitted),
         "degraded": sum(result.degraded for result in emitted),
-        "candidates_by_category": candidates_by_category,
-        **decisions,
+        "candidates_by_category": {
+            category.value: sum(len(result.final.candidates(category)) for result in emitted)
+            for category in CATEGORY_ORDER
+        },
+        "kept": decisions[KEEP],
+        "dropped": decisions[DROP],
+        "uncertain": decisions[UNCERTAIN],
     }
 
 

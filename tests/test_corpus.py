@@ -191,6 +191,14 @@ def test_gold_errors(tmp_path):
     ) as err:
         load_corpus(path, gold_path=gold)
     assert "ZZZ" not in str(err.value)
+    # "" occurs in every text, but no candidate can ever match it.
+    gold.write_text(
+        json.dumps({"narrative_id": "n1", "category": "name", "surface": ""}) + "\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(MalformedRecord) as err:
+        load_corpus(path, gold_path=gold)
+    assert str(err.value) == f"{gold}: line 1: field 'surface' is empty"
     gold.write_text(
         json.dumps({"narrative_id": "n1", "category": "plate", "surface": "A"}) + "\n",
         encoding="utf-8",

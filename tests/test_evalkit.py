@@ -231,9 +231,14 @@ def _report_from_counts(label: str, home: tuple, alnum: tuple) -> MetricsReport:
     return MetricsReport(label, per_type, narrative)
 
 
-def test_ablation_table_layout():
-    without = _report_from_counts("hybrid", (5, 2, 6), (13, 10, 7))
-    with_ev = _report_from_counts("hybrid_ev", (7, 0, 4), (15, 13, 5))
+# Two reports that share a label (one preset under two policies, say)
+# still show their own counts.
+@pytest.mark.parametrize(
+    "labels", [("hybrid", "hybrid_ev"), ("hybrid", "hybrid")], ids=["two_labels", "one_label"]
+)
+def test_ablation_table_layout(labels):
+    without = _report_from_counts(labels[0], (5, 2, 6), (13, 10, 7))
+    with_ev = _report_from_counts(labels[1], (7, 0, 4), (15, 13, 5))
     table = ablation_table([without, with_ev])
     lines = table.splitlines()
     assert "Home Address" in lines[0] and "Alphanumeric Identifier" in lines[0]
@@ -251,6 +256,16 @@ def test_ablation_table_identical_configs_identical_columns():
     for line in table.splitlines()[2:]:
         values = line.split()[2:]
         assert values[0] == values[1] and values[2] == values[3]
+
+
+def test_ablation_table_reads_a_dash_for_a_category_a_report_lacks():
+    full = _report_from_counts("a", (5, 2, 6), (13, 10, 7))
+    partial = MetricsReport(
+        "b", tuple(e for e in full.per_type if e.category is not HOME), full.narrative_level
+    )
+    lines = ablation_table([full, partial]).splitlines()
+    assert lines[2].split()[2:] == ["5", "-", "13", "13"]
+    assert lines[4].split()[2:] == ["6", "-", "7", "7"]
 
 
 def test_ablation_table_requires_two_configs():

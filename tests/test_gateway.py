@@ -49,15 +49,17 @@ def test_chat_request_validation():
 def test_backend_config_validation():
     with pytest.raises(ValueError):
         BackendConfig(kind="http_endpoint")
-    with pytest.raises(ValueError):
-        BackendConfig(kind="scripted_mock")
+    # A fixture path that is not a string would fail only inside the run.
+    for fixture_path in (None, "", 123, ["fx.jsonl"], True):
+        with pytest.raises(ValueError, match="^scripted_mock backend requires fixture_path$"):
+            BackendConfig(kind="scripted_mock", fixture_path=fixture_path)
     with pytest.raises(ValueError):
         BackendConfig(kind="carrier_pigeon", endpoint_url="x")
     for url in ("localhost:8000/v1", "ftp://127.0.0.1/v1", "http:///v1"):
         with pytest.raises(ValueError, match="http\\(s\\) endpoint_url"):
             BackendConfig(kind="http_endpoint", endpoint_url=url)
     # Unchecked, a bad port would fail every POST, each after all its retries.
-    for url in ("http://localhost:99999/v1", "http://localhost:abc/v1"):
+    for url in ("http://localhost:99999/v1", "http://localhost:abc/v1", "http://localhost:0/v1"):
         with pytest.raises(ValueError, match="^http_endpoint endpoint_url has an invalid port$"):
             BackendConfig(kind="http_endpoint", endpoint_url=url)
     # A socket takes 1e300 and fails only at connect; the config refuses it.

@@ -771,8 +771,9 @@ PORT_REFUSED = "http_endpoint endpoint_url has an invalid port"
         (CREDENTIALED_URL, CREDENTIALS_REFUSED),
         ("http://localhost:99999/v1/chat/completions", PORT_REFUSED),
         ("http://localhost:abc/v1/chat/completions", PORT_REFUSED),
+        ("http://localhost:0/v1/chat/completions", PORT_REFUSED),
     ],
-    ids=["credentials", "port_out_of_range", "port_not_a_number"],
+    ids=["credentials", "port_out_of_range", "port_not_a_number", "port_zero"],
 )
 def test_replay_refuses_a_refused_endpoint_url_before_any_output(tmp_path, capsys, url, message):
     # Credentials are never sent; accepted, they would be written to the
@@ -791,6 +792,26 @@ def test_replay_refuses_a_refused_endpoint_url_before_any_output(tmp_path, capsy
     err = capsys.readouterr().err
     assert err == f"error: {manifest}: manifest config cannot be replayed: {message}\n"
     assert "alice" not in err and "s3cret" not in err
+    assert not replayed.exists()
+
+
+@pytest.mark.parametrize("fixture_path", [123, ["fx.jsonl"], True], ids=["int", "list", "bool"])
+def test_replay_refuses_a_fixture_path_that_is_not_a_string(tmp_path, capsys, fixture_path):
+    # Accepted, it would reach Path() inside the run as an unexpected TypeError.
+    corpus = write_corpus_jsonl(tmp_path / "c.jsonl", [{"id": "n1", "text": FIG_TEXT}])
+    mock = BackendConfig(kind="scripted_mock", fixture_path="fx.jsonl")
+    snapshot = config_snapshot(
+        PipelineConfig(preset="hybrid", ensemble=EnsembleConfig(k_runs=1), extractor_backend=mock),
+        str(corpus), None, None)
+    snapshot["extractor_backend"]["fixture_path"] = fixture_path
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"config": snapshot}))
+    replayed = tmp_path / "replayed"
+    assert main(["run", "--replay", str(manifest), "--out", str(replayed)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {manifest}: manifest config cannot be replayed: "
+        "scripted_mock backend requires fixture_path\n"
+    )
     assert not replayed.exists()
 
 
@@ -909,9 +930,13 @@ def test_a_bug_inside_the_pipeline_stops_the_run(tmp_path, capsys, monkeypatch):
             ["--preset", "llm_single", "--extractor-endpoint", "http://localhost:abc/v1"],
             PORT_REFUSED,
         ),
+        (
+            ["--preset", "llm_single", "--extractor-endpoint", "http://localhost:0/v1"],
+            PORT_REFUSED,
+        ),
     ],
     ids=["k_runs", "endpoint_url", "endpoint_url_with_credentials",
-         "endpoint_port_out_of_range", "endpoint_port_not_a_number"],
+         "endpoint_port_out_of_range", "endpoint_port_not_a_number", "endpoint_port_zero"],
 )
 def test_cli_names_a_refused_flag_value(tmp_path, capsys, flags, message):
     corpus = write_corpus_jsonl(tmp_path / "c.jsonl", [{"id": "n1", "text": "CALL ME"}])
