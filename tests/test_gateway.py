@@ -666,6 +666,34 @@ def test_verifier_prompt_empty_lists_still_valid():
     assert "alphanumeric_candidates:\n[]" in request.user_content
 
 
+@pytest.mark.parametrize(
+    "home, alnum, expected",
+    [
+        (
+            ["12 ELM ST", "4 OAK AVE"], ["ABC1234"],
+            "NARRATIVE:\nDRIVER OF UNIT 1\n\n"
+            "home_address_candidates:\n[0] 12 ELM ST\n[1] 4 OAK AVE\n\n"
+            "alphanumeric_candidates:\n[0] ABC1234",
+        ),
+        (
+            ["12 ELM ST"], [],
+            "NARRATIVE:\nDRIVER OF UNIT 1\n\n"
+            "home_address_candidates:\n[0] 12 ELM ST\n\n"
+            "alphanumeric_candidates:\n[]",
+        ),
+        (
+            [], [],
+            "NARRATIVE:\nDRIVER OF UNIT 1\n\n"
+            "home_address_candidates:\n[]\n\n"
+            "alphanumeric_candidates:\n[]",
+        ),
+    ],
+)
+def test_verifier_prompt_user_content_bytes(home, alnum, expected):
+    # Mock request keys hash these bytes: any drift orphans every scripted review.
+    assert build_verifier_prompt("DRIVER OF UNIT 1", home, alnum).user_content == expected
+
+
 def test_verifier_prompt_rejects_empty_candidate():
     with pytest.raises(EmptyCandidateString):
         build_verifier_prompt("N", [""], [])
