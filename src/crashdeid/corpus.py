@@ -223,6 +223,11 @@ def write_jsonl(path: str | Path, lines: Iterable[str]) -> None:
             handle.write(line + "\n")
 
 
+def write_json(path: str | Path, obj: object) -> None:
+    """Write ``obj`` as indented JSON: the one writer of the manifest and the report."""
+    Path(path).write_text(json.dumps(obj, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
+
+
 def write_audit_log(path: str | Path, records: Iterable["AuditRecord"]) -> None:
     """Write audit records as JSONL, owner-only (0600) since each quotes PII:
     an earlier file is removed, as truncating it would keep its mode. The

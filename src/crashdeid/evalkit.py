@@ -13,14 +13,13 @@ values never are.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import asdict, astuple, dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .corpus import Corpus, GoldAnnotation
+from .corpus import Corpus, GoldAnnotation, write_json
 from .extract import CandidateSet
 from .tags import AMBIGUOUS_CATEGORIES, CATEGORY_ORDER, PiiCategory
 
@@ -187,10 +186,7 @@ def write_report(report: MetricsReport, json_path, text_path) -> None:
     """Write the JSON and text reports, creating their directories."""
     for path in (json_path, text_path):
         Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(json_path).write_text(
-        json.dumps(report_to_dict(report), ensure_ascii=False, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    write_json(json_path, report_to_dict(report))
     Path(text_path).write_text(render_report(report) + "\n", encoding="utf-8")
 
 

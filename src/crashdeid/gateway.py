@@ -51,6 +51,7 @@ from urllib.parse import urlsplit
 from .corpus import (
     JSON_DECODE_ERRORS, MalformedRecord, read_jsonl_records, require_str, write_jsonl,
 )
+from .tags import AMBIGUOUS_CATEGORIES
 
 DEFAULT_EXTRACTION_TEMPERATURE = 0.7
 DEFAULT_VERIFIER_TEMPERATURE = 0.0
@@ -380,32 +381,22 @@ def build_extraction_prompt(narrative_text: str, seed: int | None = None) -> Cha
     )
 
 
-def _candidate_block(label: str, candidates: list[str]) -> str:
-    if not candidates:
-        return f"{label}:\n[]"
-    lines = "\n".join(f"[{i}] {text}" for i, text in enumerate(candidates))
-    return f"{label}:\n{lines}"
-
-
 def build_verifier_prompt(
     narrative_text: str,
     home_candidates: list[str],
     alnum_candidates: list[str],
 ) -> ChatRequest:
-    """Review request: candidates are line-itemized with stable indices so
-    the alignment rules are checkable positionally."""
-    for candidate in list(home_candidates) + list(alnum_candidates):
-        if candidate == "":
+    """Review request: each ambiguous category's candidates, listed as
+    ``<category>_candidates`` and line-itemized with stable indices so the
+    alignment rules are checkable positionally."""
+    blocks = [f"NARRATIVE:\n{narrative_text}"]
+    for category, candidates in zip(AMBIGUOUS_CATEGORIES, (home_candidates, alnum_candidates)):
+        if "" in candidates:
             raise EmptyCandidateString("candidate lists must not contain empty strings")
-    user_content = "\n\n".join(
-        [
-            f"NARRATIVE:\n{narrative_text}",
-            _candidate_block("home_address_candidates", list(home_candidates)),
-            _candidate_block("alphanumeric_candidates", list(alnum_candidates)),
-        ]
-    )
+        lines = "\n".join(f"[{i}] {text}" for i, text in enumerate(candidates))
+        blocks.append(f"{category.value}_candidates:\n{lines or '[]'}")
     return ChatRequest(
         system_prompt=VERIFIER_SYSTEM_PROMPT,
-        user_content=user_content,
+        user_content="\n\n".join(blocks),
         temperature=DEFAULT_VERIFIER_TEMPERATURE,
     )

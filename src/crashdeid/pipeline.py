@@ -28,10 +28,11 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
 from .corpus import (
-    JSON_DECODE_ERRORS, Corpus, Narrative, load_corpus, write_audit_log, write_redacted,
+    JSON_DECODE_ERRORS, Corpus, Narrative, load_corpus, write_audit_log, write_json,
+    write_redacted,
 )
 from .extract import AllRunsFailed, CandidateSet, EnsembleConfig, hybrid_extract
-from .gateway import BackendConfig, GatewayError, fan_out
+from .gateway import BackendConfig, fan_out
 from .redact import PLACEHOLDERS, RedactionStyle, render
 from .tags import AMBIGUOUS_CATEGORIES, CATEGORY_ORDER, TagError
 from .verify import (
@@ -125,10 +126,12 @@ class NarrativeResult:
 def process_narrative(narrative: Narrative, config: PipelineConfig) -> NarrativeResult:
     """Extract and, when the preset verifies, review one narrative.
 
-    The narrative fails only for a named reason: a backend error, no usable
-    tagging run, or text that already holds a tag delimiter. ``error`` then
-    holds the exception's type name alone, since messages may quote what the
-    backend sent. Any other exception is a bug and propagates.
+    The narrative fails only for a named reason: no usable tagging run
+    (``AllRunsFailed``; a run that fails at the backend is not usable), or
+    text that holds a tag delimiter or is too long to tag (``TagError``). A
+    verifier backend error degrades the review, which is retained. ``error``
+    then holds the exception's type name alone, since messages may quote what
+    the backend sent. Any other exception is a bug and propagates.
     """
     result = NarrativeResult(narrative=narrative)
     stages = PRESETS[config.preset]
@@ -143,7 +146,7 @@ def process_narrative(narrative: Narrative, config: PipelineConfig) -> Narrative
                 narrative, final, config.verifier_backend, config.policy, timestamp_fn=stamp
             )
         result.final = final
-    except (GatewayError, AllRunsFailed, TagError) as exc:
+    except (AllRunsFailed, TagError) as exc:
         result.error = type(exc).__name__
     return result
 
@@ -361,9 +364,7 @@ def _write_outputs(
         "wall_time_s": 0.0 if config.mask_timestamps else time.monotonic() - started,
         "started_at": MASKED_TIMESTAMP if config.mask_timestamps else rfc3339_now(),
     }
-    (output_dir / "manifest.json").write_text(
-        json.dumps(manifest, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(output_dir / "manifest.json", manifest)
 
 
 def replay_manifest(manifest_path: str | Path, output_dir: str | Path) -> RunSummary:

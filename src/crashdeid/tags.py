@@ -44,9 +44,7 @@ class PiiCategory(enum.Enum):
 
 #: Categories recognized by deterministic rules; the rest belong to the LLM channel.
 RULE_CATEGORIES = frozenset({PiiCategory.PHONE, PiiCategory.EMAIL})
-LLM_CATEGORIES = frozenset(
-    {PiiCategory.NAME, PiiCategory.HOME_ADDRESS, PiiCategory.ALPHANUMERIC}
-)
+LLM_CATEGORIES = frozenset(PiiCategory) - RULE_CATEGORIES
 #: The two ambiguous LLM categories: the only ones pooled over the K tagging
 #: runs and the only ones the verifier reviews.
 AMBIGUOUS_CATEGORIES = (PiiCategory.HOME_ADDRESS, PiiCategory.ALPHANUMERIC)

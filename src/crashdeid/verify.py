@@ -56,7 +56,7 @@ MAX_REPAIR_ATTEMPTS = 2
 #: In the order checked, so a review with several bad fields always names
 #: the same one, and its repair prompt and degraded reason are reproducible.
 _REVIEW_FIELDS = ("text", "decision", "reason", "evidence")
-_OUTPUT_KEYS = {f"{category.value}_reviews" for category in AMBIGUOUS_CATEGORIES}
+_OUTPUT_KEYS = tuple(f"{category.value}_reviews" for category in AMBIGUOUS_CATEGORIES)
 
 
 class VerifierFormatError(ValueError):
@@ -181,24 +181,22 @@ def parse_verifier_output(
         raise VerifierFormatError("completion is not valid JSON") from None
     if not isinstance(obj, dict):
         raise VerifierFormatError("completion is not a JSON object")
-    if set(obj.keys()) != _OUTPUT_KEYS:
+    if obj.keys() != set(_OUTPUT_KEYS):
         raise VerifierFormatError(
-            "completion must have exactly the keys home_address_reviews "
-            "and alphanumeric_reviews"
+            f"completion must have exactly the keys {' and '.join(_OUTPUT_KEYS)}"
         )
     output: VerifierOutput = {}
-    for category in AMBIGUOUS_CATEGORIES:
-        list_name = f"{category.value}_reviews"
+    for category, list_name in zip(AMBIGUOUS_CATEGORIES, _OUTPUT_KEYS):
         raw = obj[list_name]
         if not isinstance(raw, list):
             raise VerifierFormatError(f"{list_name} is not a list")
         output[category] = tuple(
             _parse_review(item, list_name, i) for i, item in enumerate(raw)
         )
-    for category, candidates in zip(
-        AMBIGUOUS_CATEGORIES, (home_candidates, alnum_candidates)
+    for category, list_name, candidates in zip(
+        AMBIGUOUS_CATEGORIES, _OUTPUT_KEYS, (home_candidates, alnum_candidates)
     ):
-        _check_alignment(output[category], candidates, f"{category.value}_reviews")
+        _check_alignment(output[category], candidates, list_name)
     return output
 
 
