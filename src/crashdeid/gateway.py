@@ -10,7 +10,8 @@ Two backend kinds sit behind one ``complete`` call:
     narrative text never passes through another host. Transport failures,
     5xx, 408 and 429 replies are retried with exponential backoff; any other
     4xx reply raises ``TransportFailure`` at once, since resending the same
-    request cannot change the answer. At most ``MAX_IN_FLIGHT`` (4)
+    request cannot change the answer. A reply body over ``MAX_REPLY_BYTES``
+    raises ``OversizeOutput`` once at most that many bytes are read. At most ``MAX_IN_FLIGHT`` (4)
     POSTs are in flight at once across the whole process, whatever the
     endpoint, model or number of callers; ``fan_out`` overlaps independent
     calls, such as a run's narratives or a lone narrative's K tagging runs,
@@ -57,6 +58,9 @@ DEFAULT_EXTRACTION_TEMPERATURE = 0.7
 DEFAULT_VERIFIER_TEMPERATURE = 0.0
 #: Longest completion accepted; a longer one raises ``OversizeOutput``.
 MAX_OUTPUT_CHARS = 65536
+#: Longest HTTP reply body read: 12 bytes spell one character in JSON at most
+#: (an escaped surrogate pair), and 64 KiB holds the envelope.
+MAX_REPLY_BYTES = 12 * MAX_OUTPUT_CHARS + 65536
 
 _BACKOFF_BASE_SECONDS = 0.25
 
@@ -86,7 +90,7 @@ class MalformedFixture(GatewayError):
 
 
 class OversizeOutput(GatewayError):
-    """The completion exceeds ``MAX_OUTPUT_CHARS``."""
+    """The completion exceeds ``MAX_OUTPUT_CHARS``, or the reply ``MAX_REPLY_BYTES``."""
 
 
 class EmptyCandidateString(ValueError):
@@ -250,9 +254,14 @@ def _http_post(url: str, payload: dict, timeout: float) -> dict:
             headers={"Content-Type": "application/json", "Connection": "close"},
         )
         with connection.getresponse() as response:
-            body = response.read()
+            if (response.length or 0) > MAX_REPLY_BYTES:
+                raise OversizeOutput(f"reply of {response.length} bytes exceeds {MAX_REPLY_BYTES}")
+            # Read whole when declared: read(amt) returns a body cut short, not IncompleteRead.
+            body = response.read(MAX_REPLY_BYTES + 1 if response.length is None else None)
     finally:
         connection.close()
+    if len(body) > MAX_REPLY_BYTES:
+        raise OversizeOutput(f"reply exceeds {MAX_REPLY_BYTES} bytes")
     if 400 <= response.status < 500 and response.status not in (408, 429):
         raise TransportFailure(
             f"backend refused the request: HTTP {response.status} {response.reason}"

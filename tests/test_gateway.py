@@ -462,6 +462,53 @@ def test_http_bad_replies_raise_transport_failure(monkeypatch, status, body, len
     assert len(received) == 2
 
 
+def _unsized_reply(handler, body):
+    # HTTP/1.0 with no Content-Length: the body ends when the server closes.
+    handler.send_response(200)
+    handler.end_headers()
+    handler.wfile.write(body)
+
+
+@pytest.mark.parametrize(
+    "length, body",
+    [
+        pytest.param(41943040, b'{"choices": [', id="declared-40MiB"),
+        pytest.param(None, b" " * (gateway.MAX_REPLY_BYTES + 1), id="unsized-cap-plus-1"),
+    ],
+)
+def test_http_reply_over_the_byte_cap_is_refused_unretried(length, body):
+    release = threading.Event()
+
+    def hold(handler, n, sent):
+        if length is None:
+            _unsized_reply(handler, body)
+        else:
+            _reply(handler, 200, body, length)
+        release.wait(15)  # the connection stays open until the test ends
+
+    with _no_unclosed_sockets(), _scripted_server(hold) as (url, received):
+        started = time.monotonic()
+        try:
+            with pytest.raises(OversizeOutput, match=str(gateway.MAX_REPLY_BYTES)):
+                complete(_REQUEST, _http_config(url))
+            elapsed = time.monotonic() - started
+        finally:
+            release.set()
+    assert len(received) == 1
+    assert elapsed < 2.5  # half the timeout: nothing waited for the rest of the body
+
+
+def test_http_longest_completion_fits_the_byte_cap():
+    # Every character escaped as a surrogate pair: 12 bytes of JSON each.
+    text = "\U0001F600" * gateway.MAX_OUTPUT_CHARS
+    with _no_unclosed_sockets(), _scripted_server(
+        lambda handler, n, sent: _unsized_reply(handler, _completion(text))
+    ) as (url, received):
+        response = complete(_REQUEST, _http_config(url))
+    assert response.text == text
+    assert len(received) == 1
+
+
 def test_http_server_error_is_retried(monkeypatch):
     monkeypatch.setattr(gateway.time, "sleep", lambda s: None)
 
