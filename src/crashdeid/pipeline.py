@@ -307,7 +307,8 @@ def run_pipeline(
     if report_path is not None:
         from .evalkit import build_report, write_report
         predictions = {r.narrative.id: r.final for r in emitted}
-        summary.report = build_report(predictions, corpus, config.preset)
+        label = f"{config.preset} ({config.policy.value})" if config.policy else config.preset
+        summary.report = build_report(predictions, corpus, label)
         write_report(summary.report, report_path, text_path)
     if summary.output_dir is not None:
         snapshot = config_snapshot(config, input_path, fmt, gold_path)

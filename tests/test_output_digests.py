@@ -155,12 +155,12 @@ REPORTS: dict[str, dict[str, str]] = {
         "report.txt": "51f776f3c79f530bd1b5938c4df319a4ba69d9845139f03ce3005b8ceab6d7f8",
     },
     "hybrid_ev-recall-first": {
-        "report.json": "623960700bf358fc5afe960ff4d8caedb14c41ff32a0054f7d6cba79cd214977",
-        "report.txt": "6fb2ea30c5f66cbe1e6f59a52f9ff1eb6a41b380639cbce75b6fcbf6624394a1",
+        "report.json": "0c4bb89be24081cb364513ba87b02dbab57578d7614b4e59e18568692dbad8fc",
+        "report.txt": "2af5272b876182f0f80d661bcc2688a3fd6711f0909cb8de53dfb6df1cf7453f",
     },
     "hybrid_ev-precision-first": {
-        "report.json": "6a8a0319913b834169fba8640ebd96ea36a9233abb6cc0f7911a94361503d371",
-        "report.txt": "8ff41ef0510736ea118d0eb17d57abf72a8d6ade4566d369c03d5df5cb8f6b66",
+        "report.json": "7dc4418a79abec9db849afedf2c1c10ec7535588dbc77049c0725392313b0a67",
+        "report.txt": "27ea67ee30895f961bcf654a5e7c5b1a975e12720239ecbfc39ef468d145f3d6",
     },
 }
 

@@ -1340,6 +1340,43 @@ def test_eval_two_presets_ablation_against_hand_counts(tmp_path):
     assert lines[4].split()[2:] == ["0", "0", "0", "0"]  # FN
 
 
+def test_a_verifying_report_is_labelled_with_its_policy(tmp_path):
+    import re
+
+    from crashdeid.evalkit import ablation_table
+
+    text = "RESIDES AT 10 ELM ST."
+    corpus = write_corpus_jsonl(tmp_path / "c.jsonl", [{"id": "n1", "text": text}])
+    gold_path = tmp_path / "gold.jsonl"
+    gold_path.write_text(
+        json.dumps({"narrative_id": "n1", "category": "home_address", "surface": "10 ELM ST"})
+        + "\n",
+        encoding="utf-8",
+    )
+    entries = extraction_entries(text, {0: "RESIDES AT $$$10 ELM ST$$$."})
+    entries += verifier_entries(
+        text, ["10 ELM ST"], [], [verifier_json([review_obj("10 ELM ST", "UNCERTAIN")], [])]
+    )
+    backend = BackendConfig(
+        kind="scripted_mock", fixture_path=write_fixture(tmp_path / "fx.jsonl", entries)
+    )
+    reports = []
+    for policy in VerifierPolicy:
+        config = PipelineConfig(
+            preset="hybrid_ev", ensemble=EnsembleConfig(k_runs=1), policy=policy,
+            extractor_backend=backend, verifier_backend=backend, seed=0,
+        )
+        report_path = tmp_path / policy.value / "report.json"
+        run = run_pipeline(config, corpus, None, gold_path=gold_path, report_path=report_path)
+        reports.append(run.report)
+        text_report = report_path.with_suffix(".txt").read_text(encoding="utf-8")
+        assert text_report.splitlines()[0] == f"Model: hybrid_ev ({policy.value})"
+    labels = ["hybrid_ev (recall_first)", "hybrid_ev (precision_first)"]
+    lines = ablation_table(reports).splitlines()
+    assert re.split(r"\s{2,}", lines[1].strip()) == labels * 2  # one group per category
+    assert lines[2].split()[2:] == ["1", "0", "0", "0"]  # the UNCERTAIN address: TP, then not
+
+
 @pytest.mark.parametrize("preset", list(PRESETS))
 def test_empty_text_narrative_short_circuits(tmp_path, preset):
     corpus = write_corpus_jsonl(tmp_path / "c.jsonl", [{"id": "n1", "text": ""}])
