@@ -11,12 +11,13 @@ Two backend kinds sit behind one ``complete`` call:
     5xx, 408 and 429 replies are retried with exponential backoff; any other
     4xx reply raises ``TransportFailure`` at once, since resending the same
     request cannot change the answer. A reply body over ``MAX_REPLY_BYTES``
-    raises ``OversizeOutput`` once at most that many bytes are read. At most ``MAX_IN_FLIGHT`` (4)
-    POSTs are in flight at once across the whole process, whatever the
-    endpoint, model or number of callers; ``fan_out`` overlaps independent
-    calls, such as a run's narratives or a lone narrative's K tagging runs,
-    on up to twice as many threads, so a call sleeping out its backoff idles
-    no slot. The HTTP stack loads at the first POST. An endpoint URL with
+    raises ``OversizeOutput``, unretried, once at most that many bytes are
+    read. At most ``MAX_IN_FLIGHT`` (4) POSTs are in flight at once across
+    the whole process, whatever the endpoint, model or number of callers;
+    ``fan_out`` overlaps independent calls, such as a run's narratives or a
+    lone narrative's K tagging runs, on up to twice as many threads, so a
+    call sleeping out its backoff idles no slot. The HTTP stack loads at the
+    first POST. An endpoint URL with
     credentials (``user:pass@``) is refused: they are never sent, only recorded.
     So is one whose port is not a number from 1 to 65535.
 
