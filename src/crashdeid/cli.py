@@ -19,9 +19,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .corpus import MalformedRecord
+from .corpus import FORMATS, MalformedRecord
 from .extract import EnsembleConfig
-from .gateway import MAX_IN_FLIGHT, BackendConfig
+from .gateway import BackendConfig
 from .pipeline import (
     PRESETS,
     ConfigError,
@@ -29,7 +29,7 @@ from .pipeline import (
     replay_manifest,
     run_pipeline,
 )
-from .redact import RedactionStyle
+from .redact import MODES, RedactionStyle
 from .verify import VerifierPolicy
 
 
@@ -38,11 +38,12 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> list[argparse.Action]:
     add = parser.add_argument
     return [
         add("--input", help="narratives file (JSONL or CSV)"),
-        add("--format", choices=["jsonl", "csv"], default=None),
+        add("--format", choices=FORMATS, default=None),
         add("--gold", help="gold annotations JSONL sidecar"),
         add("--preset", choices=list(PRESETS), default="hybrid_ev"),
-        add("--k-ensemble", type=int, default=5),
-        add("--policy", choices=["recall-first", "precision-first"], default="recall-first"),
+        add("--k-ensemble", type=int, default=EnsembleConfig.k_runs),
+        add("--policy", choices=[p.value.replace("_", "-") for p in VerifierPolicy],
+            default=PipelineConfig.policy.value.replace("_", "-")),
         add("--extractor-endpoint", help="chat-completions URL"),
         add("--verifier-endpoint", help="chat-completions URL"),
         add("--extractor-model", default=None),
@@ -51,10 +52,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> list[argparse.Action]:
             "--mock-fixtures",
             help="scripted-mock fixture JSONL; used for any backend without an endpoint",
         ),
-        add("--parallelism", type=int, default=1,
-            help=f"recorded only; an HTTP run keeps {2 * MAX_IN_FLIGHT} narratives in progress"),
         add("--seed", type=int, default=None),
-        add("--redaction", choices=["tagged", "placeholder"], default="tagged"),
+        add("--redaction", choices=MODES, default=RedactionStyle.mode),
         add(
             "--mask-timestamps",
             action="store_true",
@@ -87,7 +86,6 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
                 args.verifier_endpoint, args.verifier_model, args.mock_fixtures
             ),
             output_style=RedactionStyle(mode=args.redaction),
-            parallelism=args.parallelism,
             seed=args.seed,
             mask_timestamps=args.mask_timestamps,
         )

@@ -28,6 +28,7 @@ if TYPE_CHECKING:
 #: What ``json.loads`` raises on text it cannot decode: ``JSONDecodeError``, a plain
 #: ValueError past the integer digit limit, RecursionError past the nesting limit.
 JSON_DECODE_ERRORS = (ValueError, RecursionError)
+FORMATS = ("jsonl", "csv")  # what ``load_corpus`` reads
 
 
 class MalformedRecord(ValueError):
@@ -60,7 +61,7 @@ class Corpus(NamedTuple):
 
 def _infer_format(path: Path, fmt: str | None) -> str:
     if fmt is not None:
-        if fmt not in ("jsonl", "csv"):
+        if fmt not in FORMATS:
             raise MalformedRecord(f"unsupported corpus format: {fmt!r}")
         return fmt
     if path.suffix == ".csv":

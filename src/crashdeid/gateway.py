@@ -9,8 +9,9 @@ Two backend kinds sit behind one ``complete`` call:
     endpoint and closes it; no proxy or ``.netrc`` is consulted, so
     narrative text never passes through another host. Transport failures,
     5xx, 408 and 429 replies are retried with exponential backoff; any other
-    4xx reply raises ``TransportFailure`` at once, since resending the same
-    request cannot change the answer. A reply body over ``MAX_REPLY_BYTES``
+    reply that is not 2xx, a redirect (never followed) as much as a 4xx,
+    raises ``TransportFailure`` at once, since resending the same request
+    cannot change the answer. A reply body over ``MAX_REPLY_BYTES``
     raises ``OversizeOutput``, unretried, once at most that many bytes are
     read. At most ``MAX_IN_FLIGHT`` (4) POSTs are in flight at once across
     the whole process, whatever the endpoint, model or number of callers;
@@ -19,7 +20,9 @@ Two backend kinds sit behind one ``complete`` call:
     call sleeping out its backoff idles no slot. The HTTP stack loads at the
     first POST. An endpoint URL with
     credentials (``user:pass@``) is refused: they are never sent, only recorded.
-    So is one whose port is not a number from 1 to 65535.
+    So is one whose port is not a number from 1 to 65535, and one holding
+    whitespace, an unprintable character or non-ASCII text in its path or
+    query, which no request carries as written; a non-ASCII (IDN) host is kept.
 
 ``scripted_mock``
     A deterministic offline stand-in. The fixture file is JSONL of
@@ -141,6 +144,12 @@ class BackendConfig:
                 port = 0  # unreadable; no server listens on port 0 either
             if port == 0:
                 raise ValueError("http_endpoint endpoint_url has an invalid port")
+            # ``urlsplit`` drops a tab or newline and ``http.client`` cannot send
+            # the rest, so the POST would miss the URL the manifest records.
+            url = self.endpoint_url
+            if " " in url or not url.isprintable() or not (parts.path + parts.query).isascii():
+                raise ValueError("http_endpoint endpoint_url holds whitespace, an unprintable "
+                                 "character or non-ASCII text in its path or query")
         elif self.kind == "scripted_mock":
             if not (isinstance(self.fixture_path, str) and self.fixture_path):
                 raise ValueError("scripted_mock backend requires fixture_path")
@@ -263,13 +272,13 @@ def _http_post(url: str, payload: dict, timeout: float) -> dict:
         connection.close()
     if len(body) > MAX_REPLY_BYTES:
         raise OversizeOutput(f"reply exceeds {MAX_REPLY_BYTES} bytes")
-    if 400 <= response.status < 500 and response.status not in (408, 429):
+    if 200 <= response.status < 300:
+        return json.loads(body)
+    if response.status // 100 != 5 and response.status not in (408, 429):
         raise TransportFailure(
             f"backend refused the request: HTTP {response.status} {response.reason}"
         )
-    if not 200 <= response.status < 300:
-        raise http.client.HTTPException(f"HTTP {response.status} {response.reason}")
-    return json.loads(body)
+    raise http.client.HTTPException(f"HTTP {response.status} {response.reason}")
 
 
 def _complete_http(request: ChatRequest, config: BackendConfig) -> str:

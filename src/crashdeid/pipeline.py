@@ -153,9 +153,9 @@ def process_narrative(narrative: Narrative, config: PipelineConfig) -> Narrative
 
 def execute(corpus: Corpus, config: PipelineConfig) -> list[NarrativeResult]:
     """Process every narrative through ``gateway.fan_out``, preserving input
-    order. Over HTTP, ``2 * MAX_IN_FLIGHT`` are in progress at once whatever
-    ``parallelism`` says, each running its K runs inline, and a lone one
-    overlaps its K runs instead; otherwise they run one at a time here."""
+    order. Over HTTP, ``2 * MAX_IN_FLIGHT`` are in progress at once, each
+    running its K runs inline, and a lone one overlaps its K runs instead;
+    otherwise they run one at a time here."""
     return fan_out(lambda n: process_narrative(n, config), corpus.narratives,
                    config.extractor_backend, config.verifier_backend)
 
@@ -312,7 +312,7 @@ def run_pipeline(
         write_report(summary.report, report_path, text_path)
     if summary.output_dir is not None:
         snapshot = config_snapshot(config, input_path, fmt, gold_path)
-        _write_outputs(config, emitted, summary, snapshot, started)
+        _write_outputs(config, emitted, summary, snapshot, started, outputs)
     return summary
 
 
@@ -339,19 +339,19 @@ def _write_outputs(
     summary: RunSummary,
     snapshot: dict,
     started: float,
+    outputs: list[Path],
 ) -> None:
-    """Write the emitted results, their audit log and the run's manifest.
+    """Write ``outputs``: the emitted results, their audit log and the run's manifest.
 
     The audit log is written for presets with a verifier and removed
     otherwise, so no earlier run's log outlives its manifest.
     """
-    output_dir = summary.output_dir
-    output_dir.mkdir(parents=True, exist_ok=True)
+    redacted_path, audit_path, manifest_path = outputs
+    summary.output_dir.mkdir(parents=True, exist_ok=True)
     write_redacted(
-        output_dir / "redacted.jsonl",
+        redacted_path,
         [(r.narrative.id, r.redacted, r.final.total() > 0) for r in emitted],
     )
-    audit_path = output_dir / "audit.jsonl"
     if PRESETS[config.preset].verify:
         write_audit_log(audit_path, [record for r in emitted for record in r.audit])
     else:
@@ -365,7 +365,7 @@ def _write_outputs(
         "wall_time_s": 0.0 if config.mask_timestamps else time.monotonic() - started,
         "started_at": MASKED_TIMESTAMP if config.mask_timestamps else rfc3339_now(),
     }
-    write_json(output_dir / "manifest.json", manifest)
+    write_json(manifest_path, manifest)
 
 
 def replay_manifest(manifest_path: str | Path, output_dir: str | Path) -> RunSummary:

@@ -21,14 +21,15 @@ PLACEHOLDERS: dict[PiiCategory, str] = {
     PiiCategory.HOME_ADDRESS: "[HOME_ADDRESS]",
     PiiCategory.ALPHANUMERIC: "[ID]",
 }
+MODES = ("tagged", "placeholder")  # what ``RedactionStyle.mode`` takes
 
 
 @dataclass(frozen=True)
 class RedactionStyle:
-    mode: str = "tagged"  # "tagged" | "placeholder"
+    mode: str = "tagged"  # one of MODES
 
     def __post_init__(self) -> None:
-        if self.mode not in ("tagged", "placeholder"):
+        if self.mode not in MODES:
             raise ValueError("mode must be 'tagged' or 'placeholder'")
 
 

@@ -46,6 +46,12 @@ def test_chat_request_validation():
             ChatRequest(system_prompt="x", user_content="y", temperature=temperature)
 
 
+URL_TEXT_REFUSED = (
+    "http_endpoint endpoint_url holds whitespace, an unprintable character "
+    "or non-ASCII text in its path or query"
+)
+
+
 def test_backend_config_validation():
     with pytest.raises(ValueError):
         BackendConfig(kind="http_endpoint")
@@ -62,6 +68,18 @@ def test_backend_config_validation():
     for url in ("http://localhost:99999/v1", "http://localhost:abc/v1", "http://localhost:0/v1"):
         with pytest.raises(ValueError, match="^http_endpoint endpoint_url has an invalid port$"):
             BackendConfig(kind="http_endpoint", endpoint_url=url)
+    # http.client refuses a space or non-ASCII in the request target, after
+    # every retry; urlsplit drops a tab or newline, so the POST would go to
+    # another URL than the one recorded. The refusal does not quote the URL.
+    for url in ("http://h:9/v1 chat", "http://h:9/v1/\u00e9", "http://h:9/v1?q=a b",
+                "http://h:9/v1/chat\tcompletions", "http://h:9/v1\n", " http://h:9/v1",
+                "http://h:9/v1\x7f", "http://h:9/v1\u00a0"):
+        with pytest.raises(ValueError) as err:
+            BackendConfig(kind="http_endpoint", endpoint_url=url)
+        assert str(err.value) == URL_TEXT_REFUSED
+    # A non-ASCII (IDN) host is kept as given; http.client sends it IDNA-encoded.
+    idn = BackendConfig(kind="http_endpoint", endpoint_url="http://b\u00fccher.example:9/v1")
+    assert idn.backend_id == "http:default@http://b\u00fccher.example:9/v1"
     # A socket takes 1e300 and fails only at connect; the config refuses it.
     url = "http://127.0.0.1:9/v1"
     assert BackendConfig(kind="http_endpoint", endpoint_url=url, timeout=86400).timeout == 86400
@@ -540,13 +558,16 @@ def test_http_client_error_costs_one_post_and_no_sleep(monkeypatch):
     assert (len(posts), sleeps) == (1, [])
 
 
-@pytest.mark.parametrize("status, posts", [(400, 1), (404, 1), (408, 2), (429, 2)])
-def test_http_4xx_is_retried_only_for_timeout_and_rate_limit(monkeypatch, status, posts):
+@pytest.mark.parametrize(
+    "status, posts", [(301, 1), (307, 1), (308, 1), (400, 1), (404, 1), (408, 2), (429, 2)]
+)
+def test_http_non_2xx_is_retried_only_for_5xx_timeout_and_rate_limit(monkeypatch, status, posts):
+    # A redirect is never followed, so sending the request again cannot help.
     monkeypatch.setattr(gateway.time, "sleep", lambda s: None)
     with _no_unclosed_sockets(), _scripted_server(
         lambda handler, n, body: _reply(handler, status, b'{"error": "no"}')
     ) as (url, received):
-        with pytest.raises(TransportFailure):
+        with pytest.raises(TransportFailure, match=f"HTTP {status} "):
             complete(_REQUEST, _http_config(url))
     assert len(received) == posts
 
