@@ -488,7 +488,7 @@ def test_replay_manifest_reproduces_outputs(tmp_path):
         assert (out / name).read_bytes() == (replayed / name).read_bytes()
 
 
-def test_cli_run_records_the_library_defaults_and_replays_any_parallelism(tmp_path, capsys):
+def test_cli_run_records_the_library_defaults_and_replays_any_parallelism(tmp_path):
     # The CLI's defaults are the library's (K, policy, redaction mode), and a
     # CLI run records parallelism 1. The flag is gone, but a manifest that
     # recorded another value still replays to the same bytes.
