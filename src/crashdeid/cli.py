@@ -3,7 +3,8 @@
 Progress and errors go to standard error only; narrative content is never
 printed to the terminal. All data artifacts are written to files. ``run``,
 its ``--replay`` and ``eval`` exit 0 when every narrative was emitted, 1
-when any is listed as unprocessed, and 2 on an ``error:`` that stops the run.
+when any is listed as unprocessed, 2 on an ``error:`` that stops the run,
+and 130, after one ``interrupted`` line, when Ctrl-C stops it.
 An ``error:`` line quotes only a ``ConfigError``, ``MalformedRecord`` or
 ``OSError``, whose messages name files, lines, fields and config values,
 never a text; any other exception prints only its type name.
@@ -137,6 +138,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # its message may quote a narrative
         print(f"error: unexpected {type(exc).__name__}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
     counts = summary.counts
     target = "" if summary.output_dir is None else f" -> {summary.output_dir}"
     print(f"processed {counts['processed']}/{counts['narratives']} narratives{target}",

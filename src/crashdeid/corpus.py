@@ -64,7 +64,7 @@ def _infer_format(path: Path, fmt: str | None) -> str:
         if fmt not in FORMATS:
             raise MalformedRecord(f"unsupported corpus format: {fmt!r}")
         return fmt
-    if path.suffix == ".csv":
+    if path.suffix.lower() == ".csv":
         return "csv"
     return "jsonl"
 

@@ -17,8 +17,10 @@ Two backend kinds sit behind one ``complete`` call:
     the whole process, whatever the endpoint, model or number of callers;
     ``fan_out`` overlaps independent calls, such as a run's narratives or a
     lone narrative's K tagging runs, on up to twice as many threads, so a
-    call sleeping out its backoff idles no slot. The HTTP stack loads at the
-    first POST. An endpoint URL with
+    call sleeping out its backoff idles no slot; one made on those threads,
+    known by name, runs inline. Its pool has one exit: a failed call or an
+    interrupt cancels the calls not yet started, and the running ones
+    finish. The HTTP stack loads at the first POST. An endpoint URL with
     credentials (``user:pass@``) is refused: they are never sent, only recorded.
     So is one whose port is not a number from 1 to 65535, and one holding
     whitespace, an unprintable character or non-ASCII text in its path or
@@ -219,32 +221,30 @@ def write_fixture_file(path: str | Path, entries: Iterable[dict[str, str]]) -> N
     write_jsonl(path, (json.dumps(entry, ensure_ascii=False) for entry in entries))
 
 
-_fan_out_thread = threading.local()  # ``active`` is set on fan_out's own threads
+_POOL_THREADS = "crashdeid-fan-out"  # a fan_out on one of these threads runs inline
 
 
 def fan_out(fn: Callable, items: Iterable, *backends: BackendConfig | None) -> list:
     """``[fn(item) for item in items]`` in input order, overlapped when any of
-    ``backends`` is HTTP on a pool of this call's own, of
-    ``min(len(items), 2 * MAX_IN_FLIGHT)`` threads that end with the call.
-    A single item, and a ``fan_out`` made on one of those threads, run inline.
-    The first exception cancels the items not yet started; once the running
-    ones finish, the earliest failed item's exception is raised. Items start
-    in input order, so none before it is cancelled.
+    ``backends`` is HTTP on ``min(len(items), 2 * MAX_IN_FLIGHT)`` threads of
+    this call's own that end with it. A single item, and a ``fan_out`` made on
+    a thread named as theirs, run inline. The first exception, an item's or an
+    interrupt in the wait, cancels the items not yet started; once the running
+    ones finish, the interrupt or the earliest failed item's exception is
+    raised. Items start in input order, so none before it is cancelled.
     """
     items = list(items)
-    if (len(items) < 2 or getattr(_fan_out_thread, "active", False)
+    if (len(items) < 2 or threading.current_thread().name.startswith(_POOL_THREADS)
             or not any(b is not None and b.kind == "http_endpoint" for b in backends)):
         return [fn(item) for item in items]
     from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-    with ThreadPoolExecutor(
-        min(len(items), 2 * MAX_IN_FLIGHT), "crashdeid-fan-out",
-        initializer=setattr, initargs=(_fan_out_thread, "active", True),
-    ) as pool:
+    pool = ThreadPoolExecutor(min(len(items), 2 * MAX_IN_FLIGHT), _POOL_THREADS)
+    try:
         futures = [pool.submit(fn, item) for item in items]
         wait(futures, return_when=FIRST_EXCEPTION)
-        for future in futures:
-            future.cancel()
-        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return [future.result() for future in futures]
 
 
 def _http_post(url: str, payload: dict, timeout: float) -> dict:

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Callable
 
@@ -113,6 +115,35 @@ def http_probe(respond: Callable[[dict], str]):
                 live[0] -= 1
 
     return post, peak
+
+
+@contextlib.contextmanager
+def scripted_server(reply):
+    """A local chat server that answers its n-th POST (from 0) with
+    ``reply(handler, n, body bytes)``. Yields the URL and the list of
+    ``(headers, body bytes)`` it received."""
+    received = []
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            length = int(self.headers["Content-Length"])
+            body = self.rfile.read(length)
+            received.append((self.headers, body))
+            reply(self, len(received) - 1, body)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions", received
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 def write_corpus_jsonl(path: Path, rows: list[dict]) -> Path:

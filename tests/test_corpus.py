@@ -77,6 +77,14 @@ def test_csv_round_trip(tmp_path):
     assert load_corpus(path) == corpus
 
 
+def test_a_csv_suffix_in_any_case_is_read_as_csv(tmp_path):
+    path = tmp_path / "c.CSV"
+    path.write_text("id,text\nn1,HELLO\n", encoding="utf-8")
+    assert load_corpus(path).narratives == (Narrative("n1", "HELLO"),)
+    with pytest.raises(MalformedRecord, match=r"line 1: invalid JSON \("):
+        load_corpus(path, fmt="jsonl")
+
+
 def test_csv_requires_id_and_text_columns(tmp_path):
     path = tmp_path / "c.csv"
     path.write_text("id,body\nn1,hello\n", encoding="utf-8")

@@ -7,7 +7,6 @@ import json
 import threading
 import time
 import warnings
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +32,7 @@ from crashdeid.gateway import (
     write_fixture_file,
 )
 
-from conftest import MALFORMED_FIXTURE_LINES, http_probe
+from conftest import MALFORMED_FIXTURE_LINES, http_probe, scripted_server
 
 
 def test_chat_request_validation():
@@ -328,35 +327,6 @@ def _completion(text):
 
 
 @contextlib.contextmanager
-def _scripted_server(reply):
-    """A local chat server that answers its n-th POST (from 0) with
-    ``reply(handler, n, body bytes)``. Yields the URL and the list of
-    ``(headers, body bytes)`` it received."""
-    received = []
-
-    class Handler(BaseHTTPRequestHandler):
-        def do_POST(self):
-            length = int(self.headers["Content-Length"])
-            body = self.rfile.read(length)
-            received.append((self.headers, body))
-            reply(self, len(received) - 1, body)
-
-        def log_message(self, *args):
-            pass
-
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions", received
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
-
-
-@contextlib.contextmanager
 def _no_unclosed_sockets():
     """Fail when something opened in the block is left for the garbage
     collector to close. Such a ResourceWarning is raised in a finalizer,
@@ -380,7 +350,7 @@ def _echo(handler, n, body):
 
 @pytest.fixture
 def chat_server():
-    with _scripted_server(_echo) as (url, _):
+    with scripted_server(_echo) as (url, _):
         yield url
 
 
@@ -432,7 +402,7 @@ def test_http_sends_the_chat_payload_as_json(seed):
     }
     if seed is not None:
         expected["seed"] = seed
-    with _no_unclosed_sockets(), _scripted_server(
+    with _no_unclosed_sockets(), scripted_server(
         lambda handler, n, body: _reply(handler, 200, _completion("TAGGED"))
     ) as (url, received):
         response = complete(request, _http_config(url, model_name="tagger"))
@@ -449,7 +419,7 @@ def test_http_reply_slower_than_the_timeout_raises_timeout(monkeypatch):
     def never(handler, n, body):
         release.wait(5)
 
-    with _no_unclosed_sockets(), _scripted_server(never) as (url, received):
+    with _no_unclosed_sockets(), scripted_server(never) as (url, received):
         try:
             with pytest.raises(gateway.Timeout, match="2 attempts"):
                 complete(_REQUEST, _http_config(url, timeout=0.2))
@@ -472,7 +442,7 @@ def test_http_reply_slower_than_the_timeout_raises_timeout(monkeypatch):
 )
 def test_http_bad_replies_raise_transport_failure(monkeypatch, status, body, length):
     monkeypatch.setattr(gateway.time, "sleep", lambda s: None)
-    with _no_unclosed_sockets(), _scripted_server(
+    with _no_unclosed_sockets(), scripted_server(
         lambda handler, n, sent: _reply(handler, status, body, length)
     ) as (url, received):
         with pytest.raises(TransportFailure, match="2 attempts"):
@@ -504,7 +474,7 @@ def test_http_reply_over_the_byte_cap_is_refused_unretried(length, body):
             _reply(handler, 200, body, length)
         release.wait(15)  # the connection stays open until the test ends
 
-    with _no_unclosed_sockets(), _scripted_server(hold) as (url, received):
+    with _no_unclosed_sockets(), scripted_server(hold) as (url, received):
         started = time.monotonic()
         try:
             with pytest.raises(OversizeOutput, match=str(gateway.MAX_REPLY_BYTES)):
@@ -519,7 +489,7 @@ def test_http_reply_over_the_byte_cap_is_refused_unretried(length, body):
 def test_http_longest_completion_fits_the_byte_cap():
     # Every character escaped as a surrogate pair: 12 bytes of JSON each.
     text = "\U0001F600" * gateway.MAX_OUTPUT_CHARS
-    with _no_unclosed_sockets(), _scripted_server(
+    with _no_unclosed_sockets(), scripted_server(
         lambda handler, n, sent: _unsized_reply(handler, _completion(text))
     ) as (url, received):
         response = complete(_REQUEST, _http_config(url))
@@ -536,7 +506,7 @@ def test_http_server_error_is_retried(monkeypatch):
         else:
             _reply(handler, 200, _completion("SECOND"))
 
-    with _no_unclosed_sockets(), _scripted_server(reply) as (url, received):
+    with _no_unclosed_sockets(), scripted_server(reply) as (url, received):
         response = complete(_REQUEST, _http_config(url))
     assert response.text == "SECOND"
     assert len(received) == 2
@@ -564,7 +534,7 @@ def test_http_client_error_costs_one_post_and_no_sleep(monkeypatch):
 def test_http_non_2xx_is_retried_only_for_5xx_timeout_and_rate_limit(monkeypatch, status, posts):
     # A redirect is never followed, so sending the request again cannot help.
     monkeypatch.setattr(gateway.time, "sleep", lambda s: None)
-    with _no_unclosed_sockets(), _scripted_server(
+    with _no_unclosed_sockets(), scripted_server(
         lambda handler, n, body: _reply(handler, status, b'{"error": "no"}')
     ) as (url, received):
         with pytest.raises(TransportFailure, match=f"HTTP {status} "):
@@ -698,6 +668,48 @@ def test_fan_out_runs_inline_for_the_mock_and_for_one_item(tmp_path):
     assert gateway.fan_out(lambda i: threading.get_ident(), range(3)) == [caller] * 3
     assert gateway.fan_out(lambda i: threading.get_ident(), range(3), None, mock) == [caller] * 3
     assert caller not in gateway.fan_out(lambda i: threading.get_ident(), range(3), mock, http)
+
+
+@pytest.mark.parametrize("name", ["worker", "crashdeid-worker"])
+def test_a_fan_out_on_a_thread_it_did_not_start_runs_on_a_pool(name):
+    # Only fan_out's own pool threads nest inline, not any other thread.
+    config = BackendConfig(kind="http_endpoint", endpoint_url="http://127.0.0.1:9/caller")
+    seen = {}
+
+    def call():
+        seen["caller"] = threading.current_thread()
+        seen["ran_on"] = gateway.fan_out(lambda i: threading.current_thread(), range(3), config)
+
+    thread = threading.Thread(target=call, name=name)
+    thread.start()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert seen["caller"] not in seen["ran_on"]
+    assert all(t.name.startswith("crashdeid-fan-out") for t in seen["ran_on"])
+
+
+def test_an_interrupt_in_the_wait_cancels_the_items_not_yet_started(monkeypatch):
+    import concurrent.futures
+    config = BackendConfig(kind="http_endpoint", endpoint_url="http://127.0.0.1:9/interrupt")
+    window = 2 * gateway.MAX_IN_FLIGHT
+    started = []
+    running = threading.Event()
+
+    def work(i):
+        started.append(i)
+        running.set()
+        time.sleep(0.1)
+        return i
+
+    def interrupted_wait(futures, timeout=None, return_when=None):
+        running.wait(timeout=10)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(concurrent.futures, "wait", interrupted_wait)
+    with pytest.raises(KeyboardInterrupt):
+        gateway.fan_out(work, range(5 * window), config)
+    assert 1 <= len(started) <= window
+    assert not [t for t in threading.enumerate() if t.name.startswith("crashdeid-")]
 
 
 def test_extraction_prompt_contents():

@@ -10,8 +10,14 @@ from __future__ import annotations
 
 import ast
 import json
+import os
 import re
+import signal
+import subprocess
+import sys
 import tempfile
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -33,6 +39,7 @@ from conftest import (
     extraction_entries,
     http_probe,
     review_obj,
+    scripted_server,
     verifier_entries,
     verifier_json,
     write_corpus_jsonl,
@@ -426,6 +433,50 @@ def test_no_error_path_prints_narrative_or_gold_content(tmp_path, capsys, monkey
     assert not leaks
     for path in tmp_path.rglob("manifest.json"):
         assert CANARY not in path.read_text(encoding="utf-8"), path
+
+
+def test_ctrl_c_stops_an_http_run_with_exit_130_and_one_content_free_line(tmp_path):
+    k = 5
+    rows = [{"id": f"n{i}", "text": f"{CANARY_TEXT} UNIT {i}"} for i in range(24)]
+    corpus = write_corpus_jsonl(tmp_path / "c.jsonl", rows)
+    out = tmp_path / "out"
+    first_post = threading.Event()
+
+    def slow_echo(handler, n, body):
+        first_post.set()
+        time.sleep(0.1)
+        text = json.loads(body)["messages"][1]["content"]
+        reply = json.dumps({"choices": [{"message": {"content": text}}]}).encode()
+        handler.send_response(200)
+        handler.send_header("Content-Length", str(len(reply)))
+        handler.end_headers()
+        handler.wfile.write(reply)
+
+    env = dict(os.environ, PYTHONPATH=str(Path(crashdeid.__file__).resolve().parents[1]))
+    with scripted_server(slow_echo) as (url, received):
+        child = subprocess.Popen(
+            [sys.executable, "-m", "crashdeid.cli", "run", "--input", str(corpus),
+             "--out", str(out), "--preset", "hybrid", "--k-ensemble", str(k),
+             "--extractor-endpoint", url],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            # A shell that starts a job in the background makes it ignore SIGINT.
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+        )
+        try:
+            assert first_post.wait(timeout=60)
+            begun = len(received)
+            child.send_signal(signal.SIGINT)
+            _, stderr = child.communicate(timeout=60)
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.communicate()
+        begun_after = len(received) - begun
+    assert (child.returncode, stderr) == (130, "interrupted\n")
+    assert CANARY not in stderr
+    assert not out.exists()
+    # Only the narratives already in progress finish their K runs.
+    assert begun_after <= 2 * gateway.MAX_IN_FLIGHT * k < len(rows) * k
 
 
 def test_a_failed_narrative_records_only_the_error_type(monkeypatch):
