@@ -127,7 +127,7 @@ def extract_single_run(
     backend: BackendConfig,
     *,
     seed: int | None = None,
-    readings: dict[str, SingleRun] | None = None,
+    readings: dict[str, SingleRun],
 ) -> SingleRun:
     """One tagging run: prompt, complete, read.
 
@@ -136,12 +136,11 @@ def extract_single_run(
     unless deleting its delimiters and parsing it both give back the
     narrative (``read_tagged``); so every span it returns is a slice of the
     narrative. Gateway errors propagate. A completion already in
-    ``readings`` (this narrative's table, fresh when omitted) is not read
-    again; the shared run and its spans are read-only.
+    ``readings`` (this narrative's table) is not read again; the shared
+    run and its spans are read-only.
     """
     request = gateway.build_extraction_prompt(narrative.text, seed=seed)
     response = gateway.complete(request, backend)
-    readings = {} if readings is None else readings
     if response.text not in readings:
         try:
             run = SingleRun(read_tagged(response.text, narrative.text), False)

@@ -6,23 +6,23 @@ The verifier backend must answer with JSON of exactly this shape::
     {"home_address_reviews": [{"text", "decision", "reason", "evidence"}, ...],
      "alphanumeric_reviews": [...]}
 
-with one review per candidate, in candidate order, text matching
-character-for-character. ``parse_verifier_output`` enforces every
-narrative-independent rule (shape, decision tokens, KEEP/DROP carry
-non-empty evidence, UNCERTAIN carries ""); ``check_evidence`` enforces the
-narrative-dependent rules that KEEP/DROP evidence is a verbatim substring
-and that DROP evidence contains the candidate, demoting violators to
-UNCERTAIN rather than failing.
+``parse_verifier_output`` enforces every narrative-independent rule, one
+list at a time, home before alphanumeric: the list's shape, then each
+review (exactly the four string fields, a KEEP/DROP/UNCERTAIN decision,
+non-empty text, KEEP/DROP carry non-empty evidence, UNCERTAIN carries ""),
+then its alignment (one review per candidate, in candidate order, text
+matching character-for-character). Its error names the first broken rule,
+which the repair prompt quotes. ``check_evidence`` demotes to UNCERTAIN,
+rather than failing, a KEEP or DROP whose evidence is not a verbatim
+substring of the narrative and a DROP whose evidence omits the candidate.
 
 Malformed completions are re-prompted with the validation error appended,
 up to ``MAX_REPAIR_ATTEMPTS`` times; after that, or on a backend failure,
 every candidate is UNCERTAIN and retained under either policy (fail-safe:
 never a silent DROP). Otherwise ``verify_candidates`` settles each one:
 KEEP retains, DROP removes, UNCERTAIN follows the ``VerifierPolicy``, and
-each decision is one ``AuditRecord``. Reviews are aligned with candidates
-once, where a completion enters the program, in ``parse_verifier_output``.
-The stage touches only the two ambiguous categories; name, phone and email
-candidates pass through untouched.
+each decision is one ``AuditRecord``. Name, phone and email candidates
+pass through untouched.
 """
 
 from __future__ import annotations
@@ -149,22 +149,6 @@ def _parse_review(item: object, list_name: str, index: int) -> VerifierReview:
     return VerifierReview(**item)
 
 
-def _check_alignment(
-    reviews: tuple[VerifierReview, ...], candidates: list[str], list_name: str
-) -> None:
-    if len(reviews) != len(candidates):
-        raise VerifierFormatError(
-            f"{list_name} has {len(reviews)} reviews for "
-            f"{len(candidates)} candidates"
-        )
-    for index, (review, candidate) in enumerate(zip(reviews, candidates)):
-        if review.text != candidate:
-            raise VerifierFormatError(
-                f"{list_name}[{index}].text {review.text!r} does not equal "
-                f"candidate {candidate!r}"
-            )
-
-
 def parse_verifier_output(
     completion_text: str,
     home_candidates: list[str],
@@ -186,17 +170,24 @@ def parse_verifier_output(
             f"completion must have exactly the keys {' and '.join(_OUTPUT_KEYS)}"
         )
     output: VerifierOutput = {}
-    for category, list_name in zip(AMBIGUOUS_CATEGORIES, _OUTPUT_KEYS):
-        raw = obj[list_name]
-        if not isinstance(raw, list):
-            raise VerifierFormatError(f"{list_name} is not a list")
-        output[category] = tuple(
-            _parse_review(item, list_name, i) for i, item in enumerate(raw)
-        )
     for category, list_name, candidates in zip(
         AMBIGUOUS_CATEGORIES, _OUTPUT_KEYS, (home_candidates, alnum_candidates)
     ):
-        _check_alignment(output[category], candidates, list_name)
+        raw = obj[list_name]
+        if not isinstance(raw, list):
+            raise VerifierFormatError(f"{list_name} is not a list")
+        reviews = tuple(_parse_review(item, list_name, i) for i, item in enumerate(raw))
+        if len(reviews) != len(candidates):
+            raise VerifierFormatError(
+                f"{list_name} has {len(reviews)} reviews for {len(candidates)} candidates"
+            )
+        for index, (review, candidate) in enumerate(zip(reviews, candidates)):
+            if review.text != candidate:
+                raise VerifierFormatError(
+                    f"{list_name}[{index}].text {review.text!r} does not equal "
+                    f"candidate {candidate!r}"
+                )
+        output[category] = reviews
     return output
 
 
@@ -255,43 +246,34 @@ def verify_candidates(
 
     base = gateway.build_verifier_prompt(narrative.text, *surfaces)
     request = base
-    reviews: VerifierOutput | None = None
+    output: VerifierOutput | None = None
     for _ in range(MAX_REPAIR_ATTEMPTS + 1):
         try:
-            response = gateway.complete(request, backend)
+            output = parse_verifier_output(gateway.complete(request, backend).text, *surfaces)
+            break
         except GatewayError as exc:
             failure = f"verifier backend unavailable: {exc}"
             break
-        try:
-            output = parse_verifier_output(response.text, *surfaces)
         except VerifierFormatError as exc:
             failure = str(exc)
-            request = replace(
-                base, user_content=repair_user_content(base.user_content, str(exc))
-            )
-            continue
-        reviews = {
-            category: tuple(check_evidence(r, narrative.text) for r in category_reviews)
-            for category, category_reviews in output.items()
-        }
-        break
+            request = replace(base, user_content=repair_user_content(base.user_content, failure))
 
-    degraded = reviews is None
-    if degraded:
-        reason = f"verifier unavailable or output unrecoverable: {failure}"
-        reviews = {
-            category: tuple(VerifierReview(s, UNCERTAIN, reason, "") for s in reviewed)
-            for category, reviewed in zip(AMBIGUOUS_CATEGORIES, surfaces)
-        }
+    degraded = output is None
     label = f"{policy.value}+uncertain_fallback" if degraded else policy.value
     timestamp = timestamp_fn()
     by_category = dict(candidates.by_category)
     audit: list[AuditRecord] = []
     for category in AMBIGUOUS_CATEGORIES:
         kept: list[Candidate] = []
-        for candidate, review in zip(
-            candidates.candidates(category), reviews[category], strict=True
-        ):
+        held = candidates.candidates(category)
+        # Degraded: no reviews, so pair each candidate with itself. Strict: a
+        # review list of the wrong length raises instead of dropping one.
+        for candidate, parsed in zip(held, held if degraded else output[category], strict=True):
+            if degraded:
+                reason = f"verifier unavailable or output unrecoverable: {failure}"
+                review = VerifierReview(candidate.surface, UNCERTAIN, reason, "")
+            else:
+                review = check_evidence(parsed, narrative.text)
             retained = degraded or review.decision == KEEP or (
                 review.decision == UNCERTAIN and policy is VerifierPolicy.RECALL_FIRST
             )

@@ -101,7 +101,7 @@ def test_single_run_parses_name(tmp_path):
             narrative.text, {None: "UNIT 1 DRIVER @@@JOHN SMITH@@@ FLED"}
         ),
     )
-    run = extract_single_run(narrative, backend)
+    run = extract_single_run(narrative, backend, readings={})
     assert not run.hallucinated
     assert [(s.category, s.surface) for s in run.spans] == [
         (PiiCategory.NAME, "JOHN SMITH")
@@ -113,7 +113,7 @@ def test_single_run_untagged_echo_is_clean(tmp_path):
     backend = mock_backend(
         tmp_path, extraction_entries(narrative.text, {None: "NO PII HERE"})
     )
-    assert extract_single_run(narrative, backend) == ([], False)
+    assert extract_single_run(narrative, backend, readings={}) == ([], False)
 
 
 def test_single_run_discards_rewritten_text(tmp_path):
@@ -122,7 +122,7 @@ def test_single_run_discards_rewritten_text(tmp_path):
         tmp_path,
         extraction_entries(narrative.text, {None: "DRIVER @@@JON SMITH@@@ FLED"}),
     )
-    run = extract_single_run(narrative, backend)
+    run = extract_single_run(narrative, backend, readings={})
     assert run == ([], True)
 
 
@@ -131,7 +131,7 @@ def test_ensemble_drops_rule_owned_tags(tmp_path):
     tagged = "CALL &&&608-733-8366&&& FOR @@@JOHN@@@"
     backend = mock_backend(tmp_path, extraction_entries(narrative.text, {0: tagged, 1: tagged}))
     # A run reads every tag of its completion; only the LLM-owned ones are pooled.
-    run = extract_single_run(narrative, backend, seed=0)
+    run = extract_single_run(narrative, backend, seed=0, readings={})
     assert [(s.category, s.surface) for s in run.spans] == [
         (PiiCategory.PHONE, "608-733-8366"), (PiiCategory.NAME, "JOHN")
     ]
@@ -153,7 +153,7 @@ def test_single_run_unparseable_tagging_counts_as_hallucinated(tmp_path):
     backend = mock_backend(
         tmp_path, extraction_entries(narrative.text, {None: "@@@SOME $$$TE$$$XT@@@"})
     )
-    assert extract_single_run(narrative, backend) == ([], True)
+    assert extract_single_run(narrative, backend, readings={}) == ([], True)
 
 
 def test_single_run_whose_parse_differs_from_the_narrative_is_hallucinated(tmp_path):
@@ -162,7 +162,7 @@ def test_single_run_whose_parse_differs_from_the_narrative_is_hallucinated(tmp_p
     backend = mock_backend(
         tmp_path, extraction_entries(narrative.text, {None: "Driver &@@@&&Ann&@@@&& at home"})
     )
-    assert extract_single_run(narrative, backend) == SingleRun([], True)
+    assert extract_single_run(narrative, backend, readings={}) == SingleRun([], True)
 
 
 def _ensemble_fixture(tmp_path, narrative, tagged_by_run, k=None):
@@ -210,7 +210,7 @@ def test_ensemble_k1_equals_single_run(tmp_path):
     ensemble = extract_ensemble(
         narrative, backend, EnsembleConfig(k_runs=1), base_seed=0
     )
-    single = extract_single_run(narrative, backend)
+    single = extract_single_run(narrative, backend, readings={})
     assert {c.surface for c in ensemble.by_category[ALNUM]} == {
         s.surface for s in single.spans
     }
@@ -311,7 +311,7 @@ def test_ensemble_reads_each_distinct_completion_once(tmp_path, monkeypatch):
     backend = _ensemble_fixture(tmp_path, narrative, runs)
     reads = _count_reads(monkeypatch)
     # Without a shared table every call reads its completion: five reads.
-    singles = [extract_single_run(narrative, backend, seed=i) for i in range(5)]
+    singles = [extract_single_run(narrative, backend, seed=i, readings={}) for i in range(5)]
     assert reads == runs
     reads.clear()
     result = extract_ensemble(narrative, backend, EnsembleConfig(k_runs=5), base_seed=0)

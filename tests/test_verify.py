@@ -8,7 +8,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from crashdeid import gateway
 from crashdeid.corpus import Narrative
 from crashdeid.extract import Candidate, CandidateSet, SOURCE_LLM_ENSEMBLE, SOURCE_RULE
 from crashdeid.tags import PiiCategory
@@ -31,6 +34,7 @@ from conftest import (
     verifier_entries,
     verifier_json,
 )
+import verifier_oracle
 
 HOME = PiiCategory.HOME_ADDRESS
 ALNUM = PiiCategory.ALPHANUMERIC
@@ -224,6 +228,122 @@ def test_parse_rejects_invented_review():
         VerifierFormatError, match="^alphanumeric_reviews has 1 reviews for 0 candidates$"
     ):
         parse_verifier_output(completion, [FIG_CANDIDATE], [])
+
+
+@pytest.mark.parametrize(
+    "home,alnum,message",
+    [
+        # Home's alignment is checked before alphanumeric's shape.
+        ("[]", "{}", "home_address_reviews has 0 reviews for 1 candidates"),
+        # Home's alignment is checked before alphanumeric's reviews.
+        (
+            json.dumps([review_obj("Y", "KEEP", evidence="Y")]),
+            json.dumps([review_obj("Z", "MAYBE")]),
+            "home_address_reviews[0].text 'Y' does not equal candidate 'X'",
+        ),
+        # Within one list, every review is checked before the alignment.
+        (
+            json.dumps([review_obj("Y", "KEEP", evidence="Y"), review_obj("X", "MAYBE")]),
+            "[]",
+            "home_address_reviews[1].decision is 'MAYBE', expected KEEP, DROP or UNCERTAIN",
+        ),
+    ],
+    ids=["home-count-before-alnum-shape", "home-text-before-alnum-review", "reviews-first"],
+)
+def test_parse_names_the_first_broken_rule_list_by_list(home, alnum, message):
+    completion = f'{{"home_address_reviews": {home}, "alphanumeric_reviews": {alnum}}}'
+    with pytest.raises(VerifierFormatError) as err:
+        parse_verifier_output(completion, ["X"], ["Z"])
+    assert str(err.value) == message
+
+
+_SURFACES = st.sampled_from(["X", "Y", FIG_CANDIDATE, "AB1234", "CAFÉ"])
+#: What a mutation may put in place of a field, a review or a list.
+_ODD_VALUES = st.one_of(
+    st.sampled_from(["", "X", "KEEP", "UNCERTAIN", "MAYBE", "keep", "\ud800", 1, None]),
+    st.builds(list),  # a fresh one each draw, as a mutation may fill it
+    st.builds(dict),
+)
+
+_ONE_IN_TEN = st.sampled_from([False] * 9 + [True])
+
+
+def _valid_review(draw, text: str) -> dict:
+    decision = draw(st.sampled_from(["KEEP", "DROP", "UNCERTAIN"]))
+    evidence = "" if decision == "UNCERTAIN" else draw(st.sampled_from([text, f"AT {text}."]))
+    return review_obj(text, decision, draw(st.sampled_from(["r", "", "CAFÉ"])), evidence)
+
+
+def _mutate(draw, obj: dict) -> None:
+    """Make one edit to a completion's object, which may break a rule."""
+    edit = draw(st.sampled_from(["field"] * 4 + ["list", "review", "drop", "extra", "swap", "key"]))
+    name = draw(st.sampled_from(sorted(obj)))
+    reviews = obj[name]
+    if edit == "key":
+        obj[draw(st.sampled_from(["extra", name]))] = draw(_ODD_VALUES)
+        if draw(st.booleans()):
+            del obj[name]
+    elif edit == "list" or not isinstance(reviews, list):
+        obj[name] = draw(_ODD_VALUES)
+    elif not reviews:
+        reviews.append(_valid_review(draw, draw(_SURFACES)))
+    else:
+        index = draw(st.integers(0, len(reviews) - 1))
+        review = reviews[index]
+        if edit == "review" or not isinstance(review, dict):
+            reviews[index] = draw(_ODD_VALUES)
+        elif edit == "field":
+            review[draw(st.sampled_from(sorted(review) or ["text"]))] = draw(_ODD_VALUES)
+        elif edit == "drop":
+            del reviews[index]
+        elif edit == "extra":
+            review[draw(st.sampled_from(["confidence", "evidence"]))] = draw(_ODD_VALUES)
+        else:
+            reviews.insert(draw(st.integers(0, len(reviews))), reviews.pop(index))
+
+
+@st.composite
+def _verifier_cases(draw):
+    home = draw(st.lists(_SURFACES, max_size=3))
+    alnum = draw(st.lists(_SURFACES, max_size=3))
+    obj = {
+        "home_address_reviews": [_valid_review(draw, text) for text in home],
+        "alphanumeric_reviews": [_valid_review(draw, text) for text in alnum],
+    }
+    for _ in range(draw(st.integers(0, 3))):
+        if obj:
+            _mutate(draw, obj)
+    if draw(_ONE_IN_TEN):
+        obj = draw(_ODD_VALUES)
+    completion = json.dumps(obj, ensure_ascii=draw(st.booleans()))
+    if draw(_ONE_IN_TEN):
+        completion = completion[: draw(st.integers(0, len(completion) - 1))]
+    return completion, home, alnum
+
+
+def _one_home_review(**fields) -> str:
+    return verifier_json([review_obj("X", "KEEP", "r", "X") | fields], [])
+
+
+@settings(max_examples=500, deadline=None)
+@given(_verifier_cases())
+@example((fig_completion(), [FIG_CANDIDATE], []))
+@example((_one_home_review(evidence=""), ["X"], []))
+@example((_one_home_review(decision="UNCERTAIN"), ["X"], []))
+@example((_one_home_review(text=""), [""], []))
+@example((_one_home_review(reason="\ud800"), ["X"], []))
+@example((_one_home_review(evidence="AT X."), ["Y"], []))
+def test_parse_accepts_exactly_what_the_oracle_accepts(case):
+    completion, home, alnum = case
+    expected = verifier_oracle.accepted_reviews(completion, home, alnum)
+    try:
+        output = parse_verifier_output(completion, home, alnum)
+    except VerifierFormatError:
+        assert expected is None
+    else:
+        assert expected is not None
+        assert {f"{c.value}_reviews": list(reviews) for c, reviews in output.items()} == expected
+        assert all(type(r) is VerifierReview for reviews in output.values() for r in reviews)
 
 
 def test_check_evidence_passes_verbatim(fig_narrative):
@@ -453,6 +573,62 @@ def test_verify_candidates_transport_failure_falls_back(tmp_path, fig_narrative)
     assert (record.policy_applied, record.final_action) == (
         "precision_first+uncertain_fallback", "retained"
     )
+
+
+_DEGRADED = "verifier unavailable or output unrecoverable: "
+_NO_FIXTURE = "verifier backend unavailable: no fixture entry for request key {key} in {path}"
+
+
+@pytest.mark.parametrize("policy", list(VerifierPolicy))
+@pytest.mark.parametrize(
+    "responses,calls,failure",
+    [
+        # Every repair is spent; the reason quotes the last answer's error.
+        (["bad", "[1]", verifier_json([], [])], 3,
+         "home_address_reviews has 0 reviews for 1 candidates"),
+        # The repair prompt has no fixture entry: a backend failure.
+        (["bad"], 2, _NO_FIXTURE),
+        ([], 1, _NO_FIXTURE),
+    ],
+    ids=["malformed-thrice", "malformed-then-backend-failure", "backend-failure"],
+)
+def test_verify_candidates_degraded_routes(
+    tmp_path, fig_narrative, monkeypatch, policy, responses, calls, failure
+):
+    candidates = CandidateSet(
+        narrative_id="n1",
+        by_category={
+            HOME: (Candidate(FIG_CANDIDATE, SOURCE_LLM_ENSEMBLE, 2),),
+            ALNUM: (Candidate("UNIT 1", SOURCE_LLM_ENSEMBLE, 1),),
+        },
+    )
+    entries = (
+        verifier_entries(fig_narrative, [FIG_CANDIDATE], ["UNIT 1"], responses)
+        if responses else []
+    )
+    backend = mock_backend(tmp_path, entries)
+    requests = []
+    real_complete = gateway.complete
+
+    def counting_complete(request, config):
+        requests.append(request)
+        return real_complete(request, config)
+
+    monkeypatch.setattr(gateway, "complete", counting_complete)
+    result = verify_candidates(
+        Narrative("n1", fig_narrative), candidates, backend, policy, timestamp_fn=lambda: "t"
+    )
+    assert len(requests) == calls
+    last = requests[-1]
+    key = gateway.request_key(last.system_prompt, last.user_content, last.seed)
+    reason = _DEGRADED + failure.format(key=key, path=backend.fixture_path)
+    assert result.degraded
+    assert result.final == candidates
+    assert result.audit == [
+        AuditRecord("n1", category, VerifierReview(surface, "UNCERTAIN", reason, ""),
+                    f"{policy.value}+uncertain_fallback", "retained", "mock:mock.jsonl", "t")
+        for category, surface in ((HOME, FIG_CANDIDATE), (ALNUM, "UNIT 1"))
+    ]
 
 
 def test_verifier_never_touches_rule_categories(tmp_path, fig_narrative):
