@@ -5,9 +5,19 @@ Two backend kinds sit behind one ``complete`` call:
 ``http_endpoint``
     A chat-completions-style local inference server: POST ``{model,
     messages, temperature, seed}``; the completion is the first choice's
-    message content. Each attempt opens one connection straight to the
-    endpoint and closes it; no proxy or ``.netrc`` is consulted, so
-    narrative text never passes through another host. Transport failures,
+    message content. Connections go straight to the endpoint; no proxy or
+    ``.netrc`` is consulted, so narrative text never passes through another
+    host. Connections belong to the in-flight slots: a POST takes an idle
+    keep-alive connection to its scheme, host and port, or opens one, and
+    hands it back before it frees its slot, so at most ``MAX_IN_FLIGHT`` are
+    open and ``run_pipeline`` closes them as a run ends. ``TCP_QUICKACK`` is
+    set after each request, so a server that sends its body in a second
+    write under Nagle's algorithm is not held up by a delayed ACK; without
+    it (off Linux) each connection is closed after its reply. A reused
+    connection the server closed while idle is opened again once, costing
+    no attempt. A caller of ``complete`` outside ``run_pipeline`` leaves at
+    most ``MAX_IN_FLIGHT`` idle sockets open until the process exits or the
+    next run ends; ``close_idle_connections`` closes them. Transport failures,
     5xx, 408 and 429 replies are retried with exponential backoff; any other
     reply that is not 2xx, a redirect (never followed) as much as a 4xx,
     raises ``TransportFailure`` at once, since resending the same request
@@ -73,6 +83,11 @@ _BACKOFF_BASE_SECONDS = 0.25
 #: Most POSTs in flight at once, to all HTTP backends together.
 MAX_IN_FLIGHT = 4
 _inflight = threading.BoundedSemaphore(MAX_IN_FLIGHT)
+#: Keep-alive connections of the free slots, as ``(origin, connection)``
+#: oldest first, and how many are open, idle or carrying a POST.
+_idle: list = []
+_open = 0
+_idle_lock = threading.Lock()
 
 
 class GatewayError(RuntimeError):
@@ -247,38 +262,112 @@ def fan_out(fn: Callable, items: Iterable, *backends: BackendConfig | None) -> l
     return [future.result() for future in futures]
 
 
-def _http_post(url: str, payload: dict, timeout: float) -> dict:
-    """POST ``payload`` as JSON on a fresh connection; return the decoded
-    body of a 2xx reply."""
+def _take_connection(origin: tuple, timeout: float):
+    """The newest idle connection to ``origin`` and True, or a new one and
+    False. A new one closes the oldest idle connection first when
+    ``MAX_IN_FLIGHT`` are open: the caller holds a slot, so one is idle."""
+    global _open
     import http.client
+    with _idle_lock:
+        for n in range(len(_idle) - 1, -1, -1):
+            if _idle[n][0] == origin:
+                connection = _idle.pop(n)[1]
+                connection.timeout = timeout  # for a reconnect
+                connection.sock.settimeout(timeout)
+                return connection, True
+        evicted = _idle.pop(0)[1] if _open == MAX_IN_FLIGHT else None
+        _open += evicted is None
+    if evicted is not None:
+        evicted.close()
+    scheme, host, port = origin
+    connect = http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
+    return connect(host, port, timeout=timeout), False  # connects at the request
+
+
+def _put_connection(origin: tuple, connection, keep: bool) -> None:
+    global _open
+    if not keep:
+        connection.close()
+    with _idle_lock:
+        if keep:
+            _idle.append((origin, connection))
+        else:
+            _open -= 1
+
+
+def close_idle_connections() -> None:
+    """Close every idle keep-alive connection; ``run_pipeline`` calls it as
+    a run ends."""
+    global _open
+    with _idle_lock:
+        idle = [connection for _, connection in _idle]
+        _idle.clear()
+        _open -= len(idle)
+    for connection in idle:
+        connection.close()
+
+
+def _http_post(url: str, payload: dict, timeout: float) -> dict:
+    """POST ``payload`` as JSON on the keep-alive connection of the slot the
+    caller holds; return the decoded body of a 2xx reply.
+
+    The connection is an idle one to the URL's scheme, host and port, or a
+    new one. A reused connection the server closed while it sat idle, seen
+    as a reset, a broken pipe or no reply byte at all, is opened again once,
+    within the call. A reply read whole that does not close the connection,
+    a 2xx that decodes or a status that is retried, hands it back to the
+    idle set; any other reply or exception closes it.
+    ``TCP_QUICKACK`` is set after each request is sent, so the reply's
+    header segment is acknowledged at once and a server that writes the
+    body in a second send under Nagle's algorithm waits out no delayed ACK;
+    where the platform lacks it, every connection is closed after its reply.
+    """
+    import http.client
+    import socket
     parts = urlsplit(url)
-    secure = parts.scheme == "https"
-    connect = http.client.HTTPSConnection if secure else http.client.HTTPConnection
-    connection = connect(parts.hostname, parts.port, timeout=timeout)
-    try:
+    origin = (parts.scheme, parts.hostname, parts.port)
+    target = parts.path + (f"?{parts.query}" if parts.query else "")
+    request = json.dumps(payload, allow_nan=False).encode()
+    quickack = getattr(socket, "TCP_QUICKACK", None)
+    connection, reused = _take_connection(origin, timeout)
+    keep = False
+
+    def exchange():
         # A bytes body goes out in the same segment as the headers.
-        connection.request(
-            "POST",
-            parts.path + (f"?{parts.query}" if parts.query else ""),
-            body=json.dumps(payload, allow_nan=False).encode(),
-            headers={"Content-Type": "application/json", "Connection": "close"},
-        )
-        with connection.getresponse() as response:
+        connection.request("POST", target, body=request,
+                           headers={"Content-Type": "application/json"})
+        if quickack is not None:
+            connection.sock.setsockopt(socket.IPPROTO_TCP, quickack, 1)
+        return connection.getresponse()
+
+    try:
+        try:
+            reply = exchange()
+        except (BrokenPipeError, ConnectionResetError):  # RemoteDisconnected too
+            if not reused:
+                raise
+            connection.close()
+            reply = exchange()
+        with reply as response:
             if (response.length or 0) > MAX_REPLY_BYTES:
                 raise OversizeOutput(f"reply of {response.length} bytes exceeds {MAX_REPLY_BYTES}")
             # Read whole when declared: read(amt) returns a body cut short, not IncompleteRead.
             body = response.read(MAX_REPLY_BYTES + 1 if response.length is None else None)
+        if len(body) > MAX_REPLY_BYTES:
+            raise OversizeOutput(f"reply exceeds {MAX_REPLY_BYTES} bytes")
+        if 200 <= response.status < 300:
+            decoded = json.loads(body)
+        elif response.status // 100 != 5 and response.status not in (408, 429):
+            raise TransportFailure(
+                f"backend refused the request: HTTP {response.status} {response.reason}"
+            )
+        # Read whole and decoded, or to be retried: it can carry the next POST.
+        keep = quickack is not None and not response.will_close
+        if response.status >= 300:
+            raise http.client.HTTPException(f"HTTP {response.status} {response.reason}")
+        return decoded
     finally:
-        connection.close()
-    if len(body) > MAX_REPLY_BYTES:
-        raise OversizeOutput(f"reply exceeds {MAX_REPLY_BYTES} bytes")
-    if 200 <= response.status < 300:
-        return json.loads(body)
-    if response.status // 100 != 5 and response.status not in (408, 429):
-        raise TransportFailure(
-            f"backend refused the request: HTTP {response.status} {response.reason}"
-        )
-    raise http.client.HTTPException(f"HTTP {response.status} {response.reason}")
+        _put_connection(origin, connection, keep)
 
 
 def _complete_http(request: ChatRequest, config: BackendConfig) -> str:
@@ -327,7 +416,7 @@ def complete(request: ChatRequest, config: BackendConfig) -> ChatResponse:
             raise MalformedFixture(table)
         if key not in table:
             raise MissingFixture(
-                f"no fixture entry for request key {key} in {config.fixture_path}"
+                f"no fixture entry for request key {key} in {config.backend_id}"
             )
         text = table[key]
     else:

@@ -32,7 +32,7 @@ from .corpus import (
     write_redacted,
 )
 from .extract import AllRunsFailed, CandidateSet, EnsembleConfig, hybrid_extract
-from .gateway import BackendConfig, fan_out
+from .gateway import BackendConfig, close_idle_connections, fan_out
 from .redact import PLACEHOLDERS, RedactionStyle, render
 from .tags import AMBIGUOUS_CATEGORIES, CATEGORY_ORDER, TagError
 from .verify import (
@@ -155,9 +155,13 @@ def execute(corpus: Corpus, config: PipelineConfig) -> list[NarrativeResult]:
     """Process every narrative through ``gateway.fan_out``, preserving input
     order. Over HTTP, ``2 * MAX_IN_FLIGHT`` are in progress at once, each
     running its K runs inline, and a lone one overlaps its K runs instead;
-    otherwise they run one at a time here."""
-    return fan_out(lambda n: process_narrative(n, config), corpus.narratives,
-                   config.extractor_backend, config.verifier_backend)
+    otherwise they run one at a time here. No keep-alive connection
+    outlives the call: ``fan_out`` has joined its threads when it returns."""
+    try:
+        return fan_out(lambda n: process_narrative(n, config), corpus.narratives,
+                       config.extractor_backend, config.verifier_backend)
+    finally:
+        close_idle_connections()
 
 
 def config_snapshot(

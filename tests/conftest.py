@@ -2,14 +2,17 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import gc
 import json
 import threading
+import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Callable
 
 import pytest
 
+from crashdeid import gateway
 from crashdeid.corpus import Corpus
 from crashdeid.gateway import (
     BackendConfig,
@@ -30,6 +33,29 @@ def no_crashdeid_thread_outlives_the_test():
     yield
     left = sorted(t.name for t in threading.enumerate() if t.name.startswith("crashdeid-"))
     assert not left, f"threads still alive after the test: {left}"
+
+
+@pytest.fixture(autouse=True)
+def no_keepalive_connection_outlives_the_test():
+    """Fail a test that leaves a gateway keep-alive connection open; the
+    idle ones are closed, so the next test starts without any."""
+    yield
+    left = gateway._open
+    gateway.close_idle_connections()
+    assert not left, f"keep-alive connections still open after the test: {left}"
+
+
+@contextlib.contextmanager
+def no_unclosed_sockets():
+    """Fail when something opened in the block is left for the garbage
+    collector to close. Such a ResourceWarning is raised in a finalizer,
+    where an "error" filter would only print it, so it is recorded."""
+    gc.collect()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        yield
+        gc.collect()
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
 
 #: Fixture lines that are not ``{"key", "response"}`` objects of strings,
@@ -120,11 +146,34 @@ def http_probe(respond: Callable[[dict], str]):
 @contextlib.contextmanager
 def scripted_server(reply):
     """A local chat server that answers its n-th POST (from 0) with
-    ``reply(handler, n, body bytes)``. Yields the URL and the list of
-    ``(headers, body bytes)`` it received."""
+    ``reply(handler, n, body bytes)`` over HTTP/1.0, closing each connection
+    after its reply. Yields the URL and the list of ``(headers, body bytes)``
+    it received."""
+    with _chat_server(reply, "HTTP/1.0") as (url, received, _):
+        yield url, received
+
+
+@contextlib.contextmanager
+def keepalive_server(reply):
+    """``scripted_server`` over HTTP/1.1, which keeps a connection open after
+    a reply unless ``reply`` sets ``handler.close_connection``. Also yields
+    the list of client addresses of the connections it accepted."""
+    with _chat_server(reply, "HTTP/1.1") as served:
+        yield served
+
+
+@contextlib.contextmanager
+def _chat_server(reply, protocol):
     received = []
+    accepted = []
 
     class Handler(BaseHTTPRequestHandler):
+        protocol_version = protocol
+
+        def setup(self):
+            super().setup()
+            accepted.append(self.client_address)
+
         def do_POST(self):
             length = int(self.headers["Content-Length"])
             body = self.rfile.read(length)
@@ -135,10 +184,12 @@ def scripted_server(reply):
             pass
 
     server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    # A connection the client keeps open must not hold up the server's close.
+    server.daemon_threads = protocol != "HTTP/1.0"
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions", received
+        yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions", received, accepted
     finally:
         server.shutdown()
         server.server_close()

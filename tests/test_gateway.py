@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import contextlib
-import gc
+import dataclasses
 import hashlib
 import json
+import sys
 import threading
 import time
-import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,9 @@ from crashdeid.gateway import (
     write_fixture_file,
 )
 
-from conftest import MALFORMED_FIXTURE_LINES, http_probe, scripted_server
+from conftest import (
+    MALFORMED_FIXTURE_LINES, http_probe, keepalive_server, no_unclosed_sockets, scripted_server,
+)
 
 
 def test_chat_request_validation():
@@ -326,19 +329,6 @@ def _completion(text):
     return json.dumps({"choices": [{"message": {"content": text}}]}).encode()
 
 
-@contextlib.contextmanager
-def _no_unclosed_sockets():
-    """Fail when something opened in the block is left for the garbage
-    collector to close. Such a ResourceWarning is raised in a finalizer,
-    where an "error" filter would only print it, so it is recorded."""
-    gc.collect()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ResourceWarning)
-        yield
-        gc.collect()
-    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
-
-
 def _echo(handler, n, body):
     payload = json.loads(body)
     text = (
@@ -402,7 +392,7 @@ def test_http_sends_the_chat_payload_as_json(seed):
     }
     if seed is not None:
         expected["seed"] = seed
-    with _no_unclosed_sockets(), scripted_server(
+    with no_unclosed_sockets(), scripted_server(
         lambda handler, n, body: _reply(handler, 200, _completion("TAGGED"))
     ) as (url, received):
         response = complete(request, _http_config(url, model_name="tagger"))
@@ -419,7 +409,7 @@ def test_http_reply_slower_than_the_timeout_raises_timeout(monkeypatch):
     def never(handler, n, body):
         release.wait(5)
 
-    with _no_unclosed_sockets(), scripted_server(never) as (url, received):
+    with no_unclosed_sockets(), scripted_server(never) as (url, received):
         try:
             with pytest.raises(gateway.Timeout, match="2 attempts"):
                 complete(_REQUEST, _http_config(url, timeout=0.2))
@@ -442,7 +432,7 @@ def test_http_reply_slower_than_the_timeout_raises_timeout(monkeypatch):
 )
 def test_http_bad_replies_raise_transport_failure(monkeypatch, status, body, length):
     monkeypatch.setattr(gateway.time, "sleep", lambda s: None)
-    with _no_unclosed_sockets(), scripted_server(
+    with no_unclosed_sockets(), scripted_server(
         lambda handler, n, sent: _reply(handler, status, body, length)
     ) as (url, received):
         with pytest.raises(TransportFailure, match="2 attempts"):
@@ -474,7 +464,7 @@ def test_http_reply_over_the_byte_cap_is_refused_unretried(length, body):
             _reply(handler, 200, body, length)
         release.wait(15)  # the connection stays open until the test ends
 
-    with _no_unclosed_sockets(), scripted_server(hold) as (url, received):
+    with no_unclosed_sockets(), scripted_server(hold) as (url, received):
         started = time.monotonic()
         try:
             with pytest.raises(OversizeOutput, match=str(gateway.MAX_REPLY_BYTES)):
@@ -489,7 +479,7 @@ def test_http_reply_over_the_byte_cap_is_refused_unretried(length, body):
 def test_http_longest_completion_fits_the_byte_cap():
     # Every character escaped as a surrogate pair: 12 bytes of JSON each.
     text = "\U0001F600" * gateway.MAX_OUTPUT_CHARS
-    with _no_unclosed_sockets(), scripted_server(
+    with no_unclosed_sockets(), scripted_server(
         lambda handler, n, sent: _unsized_reply(handler, _completion(text))
     ) as (url, received):
         response = complete(_REQUEST, _http_config(url))
@@ -506,7 +496,7 @@ def test_http_server_error_is_retried(monkeypatch):
         else:
             _reply(handler, 200, _completion("SECOND"))
 
-    with _no_unclosed_sockets(), scripted_server(reply) as (url, received):
+    with no_unclosed_sockets(), scripted_server(reply) as (url, received):
         response = complete(_REQUEST, _http_config(url))
     assert response.text == "SECOND"
     assert len(received) == 2
@@ -534,7 +524,7 @@ def test_http_client_error_costs_one_post_and_no_sleep(monkeypatch):
 def test_http_non_2xx_is_retried_only_for_5xx_timeout_and_rate_limit(monkeypatch, status, posts):
     # A redirect is never followed, so sending the request again cannot help.
     monkeypatch.setattr(gateway.time, "sleep", lambda s: None)
-    with _no_unclosed_sockets(), scripted_server(
+    with no_unclosed_sockets(), scripted_server(
         lambda handler, n, body: _reply(handler, status, b'{"error": "no"}')
     ) as (url, received):
         with pytest.raises(TransportFailure, match=f"HTTP {status} "):
@@ -544,7 +534,6 @@ def test_http_non_2xx_is_retried_only_for_5xx_timeout_and_rate_limit(monkeypatch
 
 def test_http_in_flight_requests_are_bounded(chat_server, monkeypatch):
     import time as _time
-    from concurrent.futures import ThreadPoolExecutor
 
     live = []
     peak = []
@@ -597,6 +586,150 @@ def test_in_flight_limit_is_shared_by_backends_with_different_models(monkeypatch
         thread.join(timeout=30)
     assert not any(thread.is_alive() for thread in threads)
     assert 2 <= peak[0] <= gateway.MAX_IN_FLIGHT
+
+
+def _answer(text):
+    return lambda handler, n, body: _reply(handler, 200, _completion(f"{text}{n}"))
+
+
+def test_sequential_calls_share_one_keepalive_connection():
+    with no_unclosed_sockets(), keepalive_server(_answer("R")) as (url, received, accepted):
+        config = _http_config(url)
+        texts = [complete(_REQUEST, config).text for _ in range(5)]
+        assert gateway._open == 1
+        gateway.close_idle_connections()
+    assert texts == [f"R{n}" for n in range(5)]
+    assert (len(received), len(accepted), gateway._open) == (5, 1, 0)
+    assert all("Connection" not in headers for headers, _ in received)
+
+
+def test_a_connection_dropped_while_idle_is_reopened_without_an_attempt(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(gateway.time, "sleep", sleeps.append)
+
+    def reply(handler, n, body):
+        _reply(handler, 200, _completion(f"R{n}"))
+        handler.close_connection = n == 0  # closed once idle, unannounced
+
+    with no_unclosed_sockets(), keepalive_server(reply) as (url, received, accepted):
+        config = _http_config(url)
+        texts = [complete(_REQUEST, config).text for _ in range(3)]
+        gateway.close_idle_connections()
+    assert texts == ["R0", "R1", "R2"]
+    assert (len(received), len(accepted), sleeps) == (3, 2, [])
+
+
+@pytest.mark.parametrize("failure, connections", [
+    ("oversize", 2), ("timeout", 2), ("not-json", 2), ("404", 2), ("503", 1),
+])
+def test_a_failed_reply_closes_its_connection_unless_it_is_retried(
+    monkeypatch, failure, connections
+):
+    monkeypatch.setattr(gateway.time, "sleep", lambda s: None)
+    release = threading.Event()
+
+    def reply(handler, n, body):
+        if n:
+            _reply(handler, 200, _completion("OK"))
+        elif failure == "oversize":
+            _reply(handler, 200, b'{"choices": [', gateway.MAX_REPLY_BYTES + 1)
+        elif failure == "timeout":
+            release.wait(5)
+        elif failure == "not-json":
+            _reply(handler, 200, b"<html>not json</html>")
+        else:
+            _reply(handler, int(failure), b'{"error": "no"}')
+
+    raised = {"oversize": OversizeOutput, "timeout": gateway.Timeout}.get(failure, TransportFailure)
+    once = BackendConfig(kind="http_endpoint", endpoint_url="http://127.0.0.1:9/v1",
+                         timeout=0.2 if failure == "timeout" else 5.0, retries=0)
+    with no_unclosed_sockets(), keepalive_server(reply) as (url, received, accepted):
+        try:
+            with pytest.raises(raised):
+                complete(_REQUEST, dataclasses.replace(once, endpoint_url=url))
+            assert gateway._open == 2 - connections
+        finally:
+            release.set()
+        assert complete(_REQUEST, _http_config(url)).text == "OK"
+        gateway.close_idle_connections()
+    assert (len(received), len(accepted)) == (2, connections)
+
+
+def test_a_reused_connection_times_out_at_the_timeout_of_its_config():
+    release = threading.Event()
+
+    def reply(handler, n, body):
+        if n == 0:
+            _reply(handler, 200, _completion("FIRST"))
+        else:
+            release.wait(5)
+
+    with no_unclosed_sockets(), keepalive_server(reply) as (url, received, accepted):
+        try:
+            assert complete(_REQUEST, _http_config(url, timeout=5.0)).text == "FIRST"
+            short = BackendConfig(kind="http_endpoint", endpoint_url=url, timeout=0.2, retries=0)
+            started = time.monotonic()
+            with pytest.raises(gateway.Timeout):
+                complete(_REQUEST, short)
+            elapsed = time.monotonic() - started
+        finally:
+            release.set()
+    assert (len(received), len(accepted)) == (2, 1)
+    assert 0.2 <= elapsed < 1.5
+
+
+def test_two_origins_never_share_a_connection():
+    with no_unclosed_sockets(), keepalive_server(_answer("A")) as (a_url, a_got, a_conns), \
+            keepalive_server(_answer("B")) as (b_url, b_got, b_conns):
+        extractor, verifier = _http_config(a_url), _http_config(b_url)
+        texts = [complete(_REQUEST, config).text for config in (extractor, verifier) * 3]
+        assert gateway._open == 2
+        gateway.close_idle_connections()
+    assert texts == ["A0", "B0", "A1", "B1", "A2", "B2"]
+    assert (len(a_got), len(a_conns), len(b_got), len(b_conns)) == (3, 1, 3, 1)
+
+
+def test_no_more_connections_than_slots_are_ever_open():
+    # One origin more than there are slots: each new one closes the oldest idle.
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(no_unclosed_sockets())
+        servers = [stack.enter_context(keepalive_server(_answer(str(i))))
+                   for i in range(gateway.MAX_IN_FLIGHT + 1)]
+        opened = []
+        for url, _, _ in servers * 2:
+            complete(_REQUEST, _http_config(url))
+            opened.append(gateway._open)
+        gateway.close_idle_connections()
+    assert max(opened) == gateway.MAX_IN_FLIGHT
+    assert [len(accepted) for _, _, accepted in servers] == [2] * len(servers)
+
+
+def test_callers_on_more_threads_than_slots_keep_the_connection_count(monkeypatch):
+    # A lost update to the count would leave it off zero, or let a fifth open.
+    seen = []
+    real_take = gateway._take_connection
+
+    def take(origin, timeout):
+        taken = real_take(origin, timeout)
+        seen.append(gateway._open)
+        return taken
+
+    monkeypatch.setattr(gateway, "_take_connection", take)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with no_unclosed_sockets(), keepalive_server(_answer("A")) as (a_url, a_got, _), \
+                keepalive_server(_answer("B")) as (b_url, b_got, _):
+            configs = [_http_config(a_url), _http_config(b_url)]
+            with ThreadPoolExecutor(2 * gateway.MAX_IN_FLIGHT) as pool:
+                texts = list(pool.map(lambda i: complete(_REQUEST, configs[i % 2]).text,
+                                      range(80)))
+            gateway.close_idle_connections()
+    finally:
+        sys.setswitchinterval(interval)
+    assert (len(seen), len(a_got), len(b_got)) == (80, 40, 40)
+    assert sorted(texts) == sorted(f"{s}{n}" for s in "AB" for n in range(40))
+    assert max(seen) <= gateway.MAX_IN_FLIGHT and gateway._open == 0
 
 
 def test_backend_id_is_computed_once(tmp_path):

@@ -22,6 +22,8 @@ from crashdeid import gateway, pipeline
 from crashdeid.gateway import BackendConfig
 from crashdeid.pipeline import PipelineConfig, run_pipeline
 
+from conftest import no_unclosed_sockets
+
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 LATENCY_S = 0.003
 
@@ -69,6 +71,16 @@ def _run_http(block, parallelism: int, out: Path):
     return summary, counters.snapshot()
 
 
+def test_an_http_run_opens_at_most_one_connection_per_slot(block, tmp_path):
+    with no_unclosed_sockets():
+        summary, stats = _run_http(block, 1, tmp_path / "http")
+    assert summary.counts["narratives"] > 0 and stats["unknown"] == 0
+    # A slot keeps its connection, also across an injected 500 and its retry.
+    assert stats["faults"] > 0 and stats["requests"] > 4 * gateway.MAX_IN_FLIGHT
+    assert 1 <= stats["connections"] <= gateway.MAX_IN_FLIGHT
+    assert gateway._open == 0
+
+
 def _narrative_threads() -> list[threading.Thread]:
     return [t for t in threading.enumerate() if t.name.startswith("crashdeid-")]
 
@@ -98,10 +110,11 @@ def test_http_outputs_do_not_depend_on_parallelism(block, tmp_path):
     ).read_bytes()
 
 
-def _watch(monkeypatch, fail_id: str | None = None) -> tuple[list[int], set]:
+def _watch(monkeypatch, fail_id: str | None = None,
+           raised: type[BaseException] = ValueError) -> tuple[list[int], set]:
     """Wrap ``process_narrative`` to record how many narratives are in
     progress as each one starts, and on which threads; narrative ``fail_id``
-    raises a bug."""
+    raises ``raised``, a bug or an interrupt."""
     real = pipeline.process_narrative
     lock = threading.Lock()
     live, seen, threads = [0], [], set()
@@ -113,7 +126,7 @@ def _watch(monkeypatch, fail_id: str | None = None) -> tuple[list[int], set]:
             threads.add(threading.current_thread())
         try:
             if narrative.id == fail_id:
-                raise ValueError("bug inside process_narrative")
+                raise raised("bug inside process_narrative")
             return real(narrative, config)
         finally:
             with lock:
@@ -140,14 +153,15 @@ def test_a_mock_run_processes_one_narrative_at_a_time(block, tmp_path, monkeypat
     assert threads == {threading.current_thread()}
 
 
-def test_a_bug_in_one_narrative_leaves_no_pool_thread_behind(block, tmp_path, monkeypatch):
+@pytest.mark.parametrize("raised", [ValueError, KeyboardInterrupt])
+def test_a_bug_in_one_narrative_leaves_no_pool_thread_behind(block, tmp_path, monkeypatch, raised):
     data = block[0]
     narratives = pipeline.load_corpus(data / "corpus.jsonl").narratives
-    seen, _ = _watch(monkeypatch, fail_id=narratives[10].id)
+    seen, _ = _watch(monkeypatch, fail_id=narratives[10].id, raised=raised)
     out = tmp_path / "http"
-    with pytest.raises(ValueError, match="bug inside process_narrative"):
+    with no_unclosed_sockets(), pytest.raises(raised, match="bug inside process_narrative"):
         _run_http(block, 2, out)
-    assert _narrative_threads() == []
+    assert _narrative_threads() == [] and gateway._open == 0
     assert not out.exists()
     # The bug stops the run: only narratives already started when it was
     # raised still run, at most one window beyond it.

@@ -171,6 +171,23 @@ def test_hybrid_ev_fig_scenario_end_to_end(tmp_path):
     assert manifest["counts"]["dropped"] == 1
 
 
+def test_a_degraded_audit_log_does_not_depend_on_the_fixture_directory(tmp_path):
+    # No verifier entry: each degraded review quotes the MissingFixture message.
+    corpus = write_corpus_jsonl(tmp_path / "c.jsonl", [{"id": "n1", "text": FIG_TEXT}])
+    entries = extraction_entries(FIG_TEXT, {7 + i: FIG_TAGGED for i in range(5)})
+    logs = []
+    for where in (tmp_path / "a", tmp_path / "b" / "deeper"):
+        where.mkdir(parents=True)
+        fixtures = write_fixture(where / "fx.jsonl", entries)
+        backend = BackendConfig(kind="scripted_mock", fixture_path=fixtures)
+        config = PipelineConfig(preset="hybrid_ev", extractor_backend=backend,
+                                verifier_backend=backend, seed=7, mask_timestamps=True)
+        assert run_pipeline(config, corpus, where / "out").counts["degraded"] == 1
+        logs.append((where / "out" / "audit.jsonl").read_bytes())
+    assert b"no fixture entry for request key" in logs[0]
+    assert logs[0] == logs[1]
+
+
 def test_llm_single_preset(tmp_path):
     text = "DRIVER JOHN SMITH CALLED 608-733-8366"
     corpus = write_corpus_jsonl(tmp_path / "c.jsonl", [{"id": "n1", "text": text}])

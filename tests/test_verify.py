@@ -576,7 +576,7 @@ def test_verify_candidates_transport_failure_falls_back(tmp_path, fig_narrative)
 
 
 _DEGRADED = "verifier unavailable or output unrecoverable: "
-_NO_FIXTURE = "verifier backend unavailable: no fixture entry for request key {key} in {path}"
+_NO_FIXTURE = "verifier backend unavailable: no fixture entry for request key {key} in mock:mock.jsonl"
 
 
 @pytest.mark.parametrize("policy", list(VerifierPolicy))
@@ -621,7 +621,7 @@ def test_verify_candidates_degraded_routes(
     assert len(requests) == calls
     last = requests[-1]
     key = gateway.request_key(last.system_prompt, last.user_content, last.seed)
-    reason = _DEGRADED + failure.format(key=key, path=backend.fixture_path)
+    reason = _DEGRADED + failure.format(key=key)
     assert result.degraded
     assert result.final == candidates
     assert result.audit == [
