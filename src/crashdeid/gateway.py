@@ -5,9 +5,16 @@ Two backend kinds sit behind one ``complete`` call:
 ``http_endpoint``
     A chat-completions-style local inference server: POST ``{model,
     messages, temperature, seed}``; the completion is the first choice's
-    message content. Connections go straight to the endpoint; no proxy or
-    ``.netrc`` is consulted, so narrative text never passes through another
-    host. Connections belong to the in-flight slots: a POST takes an idle
+    message content. The client is the module's own HTTP/1.1 code: each POST
+    is one ``sendall`` of head and body on the slot's socket, TLS-wrapped
+    and verified against the system CA store for ``https``, and the reply
+    is read with RFC 9112 framing under ``http.client``'s bounds (1xx
+    skipped; at most 100 header lines of 64 KiB; chunked, then
+    ``Content-Length``, then the close). ``socket`` loads at the first POST,
+    ``ssl`` only for ``https``. An endpoint without a port uses its scheme's
+    default. Connections go straight to the endpoint; no proxy or ``.netrc``
+    is consulted, so narrative text never passes through another host.
+    Connections belong to the in-flight slots: a POST takes an idle
     keep-alive connection to its scheme, host and port, or opens one, and
     hands it back before it frees its slot, so at most ``MAX_IN_FLIGHT`` are
     open and ``run_pipeline`` closes them as a run ends. ``TCP_QUICKACK`` is
@@ -18,23 +25,23 @@ Two backend kinds sit behind one ``complete`` call:
     no attempt. A caller of ``complete`` outside ``run_pipeline`` leaves at
     most ``MAX_IN_FLIGHT`` idle sockets open until the process exits or the
     next run ends; ``close_idle_connections`` closes them. Transport failures,
-    5xx, 408 and 429 replies are retried with exponential backoff; any other
-    reply that is not 2xx, a redirect (never followed) as much as a 4xx,
-    raises ``TransportFailure`` at once, since resending the same request
-    cannot change the answer. A reply body over ``MAX_REPLY_BYTES``
-    raises ``OversizeOutput``, unretried, once at most that many bytes are
-    read. At most ``MAX_IN_FLIGHT`` (4) POSTs are in flight at once across
-    the whole process, whatever the endpoint, model or number of callers;
-    ``fan_out`` overlaps independent calls, such as a run's narratives or a
-    lone narrative's K tagging runs, on up to twice as many threads, so a
-    call sleeping out its backoff idles no slot; one made on those threads,
-    known by name, runs inline. Its pool has one exit: a failed call or an
-    interrupt cancels the calls not yet started, and the running ones
-    finish. The HTTP stack loads at the first POST. An endpoint URL with
-    credentials (``user:pass@``) is refused: they are never sent, only recorded.
-    So is one whose port is not a number from 1 to 65535, and one holding
-    whitespace, an unprintable character or non-ASCII text in its path or
-    query, which no request carries as written; a non-ASCII (IDN) host is kept.
+    malformed replies, 5xx, 408 and 429 replies are retried with exponential
+    backoff; any other reply that is not 2xx, a redirect (never followed) as
+    much as a 4xx, raises ``TransportFailure`` at once, since resending the
+    same request cannot change the answer. A reply body over
+    ``MAX_REPLY_BYTES`` raises ``OversizeOutput``, unretried, once at most
+    that many bytes are read. At most ``MAX_IN_FLIGHT`` (4) POSTs are in
+    flight at once across the whole process, whatever the endpoint, model or
+    number of callers; ``fan_out`` overlaps independent calls, such as a
+    run's narratives or a lone narrative's K tagging runs, on up to twice as
+    many threads, so a call sleeping out its backoff idles no slot; one made
+    on those threads, known by name, runs inline. Its pool has one exit: a
+    failed call or an interrupt cancels the calls not yet started, and the
+    running ones finish. An endpoint URL with credentials (``user:pass@``) is
+    refused: they are never sent, only recorded. So is one whose port is not
+    a number from 1 to 65535, and one holding whitespace, an unprintable
+    character or non-ASCII text in its path or query, which no request
+    carries as written; a non-ASCII (IDN) host is kept.
 
 ``scripted_mock``
     A deterministic offline stand-in. The fixture file is JSONL of
@@ -161,7 +168,7 @@ class BackendConfig:
                 port = 0  # unreadable; no server listens on port 0 either
             if port == 0:
                 raise ValueError("http_endpoint endpoint_url has an invalid port")
-            # ``urlsplit`` drops a tab or newline and ``http.client`` cannot send
+            # ``urlsplit`` drops a tab or newline and a request line cannot carry
             # the rest, so the POST would miss the URL the manifest records.
             url = self.endpoint_url
             if " " in url or not url.isprintable() or not (parts.path + parts.query).isascii():
@@ -262,31 +269,84 @@ def fan_out(fn: Callable, items: Iterable, *backends: BackendConfig | None) -> l
     return [future.result() for future in futures]
 
 
-def _take_connection(origin: tuple, timeout: float):
-    """The newest idle connection to ``origin`` and True, or a new one and
-    False. A new one closes the oldest idle connection first when
-    ``MAX_IN_FLIGHT`` are open: the caller holds a slot, so one is idle."""
+class _BadReply(Exception):
+    """A reply this attempt cannot use and another may: one that breaks
+    HTTP/1.1 framing, or a 5xx, 408 or 429 status. The message names the
+    broken rule or the status, never other bytes of the reply."""
+
+
+class _Connection(NamedTuple):
+    """A slot's socket to one origin and the buffered reader of its replies."""
+    sock: object
+    reader: object
+
+    def close(self) -> None:
+        self.reader.close()
+        self.sock.close()
+
+
+@lru_cache(maxsize=8)
+def _endpoint(url: str) -> tuple[tuple, bytes]:
+    """The URL's origin ``(scheme, host, port)``, with the scheme's default
+    port where it names none, and its request head up to ``Content-Length``:
+    the target (``/`` when empty), then ``Host`` (IDNA, an IPv6 address in
+    brackets, the port only when it is not the default) and
+    ``Accept-Encoding: identity``, as ``http.client`` sent them."""
+    parts = urlsplit(url)
+    default = 443 if parts.scheme == "https" else 80
+    host = parts.hostname
+    try:
+        name = host.encode("ascii")
+    except UnicodeEncodeError:
+        name = host.encode("idna")
+    if ":" in host:
+        name = b"[%s]" % name
+    if parts.port not in (None, default):
+        name += b":%d" % parts.port
+    target = (parts.path + (f"?{parts.query}" if parts.query else "") or "/").encode()
+    head = b"POST %s HTTP/1.1\r\nHost: %s\r\nAccept-Encoding: identity\r\n" % (target, name)
+    return (parts.scheme, host, parts.port or default), head
+
+
+def _connect(origin: tuple, timeout: float) -> _Connection:
+    """A new connection to ``origin``: TCP with Nagle's algorithm off, and TLS
+    verified against the system CA store and the host name for ``https``."""
+    import socket
+    scheme, host, port = origin
+    sock = socket.create_connection((host, port), timeout)
+    try:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if scheme == "https":
+            import ssl
+            sock = ssl.create_default_context().wrap_socket(sock, server_hostname=host)
+        return _Connection(sock, sock.makefile("rb"))
+    except BaseException:
+        sock.close()
+        raise
+
+
+def _take_connection(origin: tuple, timeout: float) -> _Connection | None:
+    """The newest idle connection to ``origin``, or None when the caller is to
+    open a new one, which is counted here. Counting one closes the oldest idle
+    connection first when ``MAX_IN_FLIGHT`` are open: the caller holds a
+    slot, so one is idle."""
     global _open
-    import http.client
     with _idle_lock:
         for n in range(len(_idle) - 1, -1, -1):
             if _idle[n][0] == origin:
                 connection = _idle.pop(n)[1]
-                connection.timeout = timeout  # for a reconnect
                 connection.sock.settimeout(timeout)
-                return connection, True
+                return connection
         evicted = _idle.pop(0)[1] if _open == MAX_IN_FLIGHT else None
         _open += evicted is None
     if evicted is not None:
         evicted.close()
-    scheme, host, port = origin
-    connect = http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
-    return connect(host, port, timeout=timeout), False  # connects at the request
+    return None
 
 
-def _put_connection(origin: tuple, connection, keep: bool) -> None:
+def _put_connection(origin: tuple, connection: _Connection | None, keep: bool) -> None:
     global _open
-    if not keep:
+    if not keep and connection is not None:
         connection.close()
     with _idle_lock:
         if keep:
@@ -307,14 +367,102 @@ def close_idle_connections() -> None:
         connection.close()
 
 
+def _read_line(reader) -> bytes:
+    line = reader.readline(65537)
+    if len(line) > 65536:
+        raise _BadReply("reply has a line over 65536 bytes")
+    return line
+
+
+def _read_fields(reader) -> dict[bytes, bytes]:
+    """Header or trailer fields up to the empty line, by lower-case name,
+    repeated ones joined by ``, ``; at most 100."""
+    fields: dict[bytes, bytes] = {}
+    for _ in range(101):
+        line = _read_line(reader)
+        if line in (b"\r\n", b"\n"):
+            return fields
+        name, colon, value = line.partition(b":")
+        if not colon:
+            raise _BadReply("reply has a field line without a colon" if line
+                            else "reply ends inside its fields")
+        name, value = name.lower(), value.strip()
+        fields[name] = fields[name] + b", " + value if name in fields else value
+    raise _BadReply("reply has more than 100 field lines")
+
+
+def _read_head(reader) -> tuple[bytes, int, str, dict[bytes, bytes]]:
+    """The version, status, reason and fields of the final reply; 1xx
+    replies are skipped. No reply byte at all is a reset connection."""
+    line = _read_line(reader)
+    if not line:
+        raise ConnectionResetError("connection closed before any reply byte")
+    while True:
+        version, _, rest = line.rstrip(b"\r\n").partition(b" ")
+        code, _, reason = rest.partition(b" ")
+        if (version not in (b"HTTP/1.0", b"HTTP/1.1")
+                or not (len(code) == 3 and code.isdigit() and code >= b"100")):
+            raise _BadReply("reply does not start with an HTTP/1.x status line")
+        fields = _read_fields(reader)
+        if not code.startswith(b"1"):
+            return version, int(code), reason.decode("latin-1").strip(), fields
+        line = _read_line(reader)
+
+
+def _read_body(reader, status: int, fields: dict[bytes, bytes]) -> tuple[bytes, bool]:
+    """The decoded body and whether it ended with the connection. It is framed
+    by ``Transfer-Encoding: chunked``, else by ``Content-Length``, else by the
+    close; a 204 or 304 has none. No read can pass ``MAX_REPLY_BYTES``."""
+    if status in (204, 304):
+        return b"", False
+    coding = fields.get(b"transfer-encoding")
+    if coding is not None:
+        if coding.rpartition(b",")[2].strip().lower() != b"chunked":
+            raise _BadReply("reply has a transfer coding other than chunked")
+        chunks, size = [], 0
+        while True:
+            digits = _read_line(reader).partition(b";")[0].strip()  # any extension dropped
+            if not digits or digits.strip(b"0123456789abcdefABCDEF"):
+                raise _BadReply("reply has an invalid chunk size")
+            chunk = int(digits, 16)
+            if not chunk:
+                _read_fields(reader)  # the trailer, unread
+                return b"".join(chunks), False
+            size += chunk
+            if size > MAX_REPLY_BYTES:
+                raise OversizeOutput(f"reply exceeds {MAX_REPLY_BYTES} bytes")
+            data = reader.read(chunk + 2)
+            if data[chunk:] != b"\r\n":
+                raise _BadReply("reply chunk ends early or without CRLF")
+            chunks.append(data[:chunk])
+    length = fields.get(b"content-length")
+    if length is None:
+        body = reader.read(MAX_REPLY_BYTES + 1)
+        if len(body) > MAX_REPLY_BYTES:
+            raise OversizeOutput(f"reply exceeds {MAX_REPLY_BYTES} bytes")
+        return body, True
+    if not length.isdigit():
+        raise _BadReply("reply has an invalid Content-Length")
+    # int() refuses over 4,300 digits; 19 already spell over 10**18 bytes.
+    if len(length) > 18 or int(length) > MAX_REPLY_BYTES:
+        raise OversizeOutput(f"reply declares a body over {MAX_REPLY_BYTES} bytes")
+    body = reader.read(int(length))
+    if len(body) < int(length):
+        raise _BadReply("reply body ends before its Content-Length")
+    return body, False
+
+
 def _http_post(url: str, payload: dict, timeout: float) -> dict:
     """POST ``payload`` as JSON on the keep-alive connection of the slot the
     caller holds; return the decoded body of a 2xx reply.
 
-    The connection is an idle one to the URL's scheme, host and port, or a
-    new one. A reused connection the server closed while it sat idle, seen
-    as a reset, a broken pipe or no reply byte at all, is opened again once,
-    within the call. A reply read whole that does not close the connection,
+    The request, head and body, goes out in one ``sendall``; the reply is
+    read by ``_read_head`` and ``_read_body``, and one that breaks their
+    rules raises ``_BadReply``, which is retried. The connection is an idle
+    one to the URL's scheme, host and port, or a new one. A reused
+    connection the server closed while it sat idle, seen as a reset, a
+    broken pipe or no reply byte at all, is opened again once, within the
+    call. An HTTP/1.1 reply read whole that does not close the connection,
     a 2xx that decodes or a status that is retried, hands it back to the
     idle set; any other reply or exception closes it.
     ``TCP_QUICKACK`` is set after each request is sent, so the reply's
@@ -322,56 +470,49 @@ def _http_post(url: str, payload: dict, timeout: float) -> dict:
     body in a second send under Nagle's algorithm waits out no delayed ACK;
     where the platform lacks it, every connection is closed after its reply.
     """
-    import http.client
     import socket
-    parts = urlsplit(url)
-    origin = (parts.scheme, parts.hostname, parts.port)
-    target = parts.path + (f"?{parts.query}" if parts.query else "")
-    request = json.dumps(payload, allow_nan=False).encode()
+    origin, head = _endpoint(url)
+    body = json.dumps(payload, allow_nan=False).encode()
+    request = b"%sContent-Length: %d\r\nContent-Type: application/json\r\n\r\n%s" % (
+        head, len(body), body)
     quickack = getattr(socket, "TCP_QUICKACK", None)
-    connection, reused = _take_connection(origin, timeout)
+    connection = _take_connection(origin, timeout)
+    reused = connection is not None
     keep = False
 
     def exchange():
-        # A bytes body goes out in the same segment as the headers.
-        connection.request("POST", target, body=request,
-                           headers={"Content-Type": "application/json"})
+        connection.sock.sendall(request)
         if quickack is not None:
             connection.sock.setsockopt(socket.IPPROTO_TCP, quickack, 1)
-        return connection.getresponse()
+        return _read_head(connection.reader)
 
     try:
         try:
-            reply = exchange()
-        except (BrokenPipeError, ConnectionResetError):  # RemoteDisconnected too
+            if connection is None:
+                connection = _connect(origin, timeout)
+            version, status, reason, fields = exchange()
+        except (BrokenPipeError, ConnectionResetError):
             if not reused:
                 raise
             connection.close()
-            reply = exchange()
-        with reply as response:
-            if (response.length or 0) > MAX_REPLY_BYTES:
-                raise OversizeOutput(f"reply of {response.length} bytes exceeds {MAX_REPLY_BYTES}")
-            # Read whole when declared: read(amt) returns a body cut short, not IncompleteRead.
-            body = response.read(MAX_REPLY_BYTES + 1 if response.length is None else None)
-        if len(body) > MAX_REPLY_BYTES:
-            raise OversizeOutput(f"reply exceeds {MAX_REPLY_BYTES} bytes")
-        if 200 <= response.status < 300:
-            decoded = json.loads(body)
-        elif response.status // 100 != 5 and response.status not in (408, 429):
-            raise TransportFailure(
-                f"backend refused the request: HTTP {response.status} {response.reason}"
-            )
+            connection = _connect(origin, timeout)
+            version, status, reason, fields = exchange()
+        reply, closed = _read_body(connection.reader, status, fields)
+        if 200 <= status < 300:
+            decoded = json.loads(reply)
+        elif status // 100 != 5 and status not in (408, 429):
+            raise TransportFailure(f"backend refused the request: HTTP {status} {reason}")
         # Read whole and decoded, or to be retried: it can carry the next POST.
-        keep = quickack is not None and not response.will_close
-        if response.status >= 300:
-            raise http.client.HTTPException(f"HTTP {response.status} {response.reason}")
+        keep = (quickack is not None and version == b"HTTP/1.1" and not closed
+                and b"close" not in fields.get(b"connection", b"").lower())
+        if status >= 300:
+            raise _BadReply(f"HTTP {status} {reason}")
         return decoded
     finally:
         _put_connection(origin, connection, keep)
 
 
 def _complete_http(request: ChatRequest, config: BackendConfig) -> str:
-    import http.client
     payload = {
         "model": config.model_name or "default",
         "messages": [
@@ -394,7 +535,7 @@ def _complete_http(request: ChatRequest, config: BackendConfig) -> str:
                 raise TypeError(f"completion content is {type(text).__name__}")
             return text
         except (
-            OSError, http.client.HTTPException, *JSON_DECODE_ERRORS, LookupError, TypeError
+            OSError, _BadReply, *JSON_DECODE_ERRORS, LookupError, TypeError
         ) as exc:
             last_error = exc
     if isinstance(last_error, TimeoutError):

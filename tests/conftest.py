@@ -4,6 +4,7 @@ import contextlib
 import csv
 import gc
 import json
+import socketserver
 import threading
 import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -190,6 +191,60 @@ def _chat_server(reply, protocol):
     thread.start()
     try:
         yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions", received, accepted
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+@contextlib.contextmanager
+def raw_server(reply, context=None):
+    """A local server that reads each request whole, head and
+    ``Content-Length`` body, and answers its n-th one (from 0) with the bytes
+    of ``reply(n) -> (reply bytes, close)``, closing the connection after
+    them when ``close`` is true and otherwise reading the next request on it.
+    ``context`` (a server-side ``ssl.SSLContext``) wraps each connection in
+    TLS; one whose handshake fails is dropped unrecorded. Yields the port,
+    the list of ``(head bytes, body bytes)`` received and the list of client
+    addresses of the connections accepted."""
+    received = []
+    accepted = []
+
+    class Handler(socketserver.StreamRequestHandler):
+        def setup(self):
+            if context is not None:
+                self.request = context.wrap_socket(self.request, server_side=True)
+            super().setup()
+            accepted.append(self.client_address)
+
+        def handle(self):
+            while True:
+                head = b""
+                while not head.endswith(b"\r\n\r\n"):
+                    line = self.rfile.readline()
+                    if not line:
+                        return
+                    head += line
+                length = int(head.split(b"\r\nContent-Length: ")[1].split(b"\r\n")[0])
+                received.append((head, self.rfile.read(length)))
+                data, close = reply(len(received) - 1)
+                self.wfile.write(data)
+                if close:
+                    return
+
+        def finish(self):
+            super().finish()
+            if context is not None:
+                self.request.close()  # the server closes only the socket it wrapped
+
+    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), Handler)
+    server.daemon_threads = True  # a connection the client keeps must not hold up the close
+    server.handle_error = lambda request, address: None  # a refused TLS handshake
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    try:
+        yield server.server_address[1], received, accepted
     finally:
         server.shutdown()
         server.server_close()

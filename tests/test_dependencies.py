@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import FIXTURE_DIR, raw_server
+
 ROOT = Path(__file__).resolve().parent.parent
 HTTP_STACK = ("requests", "urllib3", "charset_normalizer", "idna", "certifi")
 #: Loaded only by a run that posts over HTTP, fans out, scores, or reads a CSV corpus.
@@ -104,4 +106,40 @@ def test_a_run_loads_the_http_stack_pools_hashing_and_scorer_only_when_it_uses_t
     assert [m for m in seen["rules"] if m in LAZY or m == "hashlib"] == []
     assert [m for m in seen["mock"] if m in LAZY] == [] and "hashlib" in seen["mock"]
     assert "crashdeid.evalkit" in seen["eval"] and "http.client" not in seen["eval"]
-    assert "http.client" in seen["http"] and "concurrent.futures" in seen["http"]
+    # The client writes and reads HTTP/1.1 itself: a plain http run loads no
+    # HTTP library, no header parser and no TLS.
+    assert "concurrent.futures" in seen["http"]
+    assert [m for m in seen["http"] if m in ("http.client", "email.parser", "ssl")] == []
+
+
+def test_only_an_https_endpoint_loads_ssl():
+    import ssl
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(FIXTURE_DIR / "localhost.pem", FIXTURE_DIR / "localhost.key")
+    body = json.dumps({"choices": [{"message": {"content": "OK"}}]}).encode()
+    reply = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+    script = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "from crashdeid.gateway import BackendConfig, ChatRequest, GatewayError, complete\n"
+        "outcomes = []\n"
+        "for url in sys.argv[1:]:\n"
+        "    config = BackendConfig(kind='http_endpoint', endpoint_url=url, retries=0)\n"
+        "    try:\n"
+        "        outcome = complete(ChatRequest('s', 'u'), config).text\n"
+        "    except GatewayError as exc:\n"
+        "        outcome = type(exc).__name__\n"
+        "    outcomes.append([outcome, 'ssl' in set(sys.modules) - before])\n"
+        "print(json.dumps(outcomes))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    with raw_server(lambda n: (reply, True)) as (port, _, _), \
+            raw_server(lambda n: (reply, True), context) as (tls_port, _, _):
+        done = subprocess.run(
+            [sys.executable, "-c", script, f"http://127.0.0.1:{port}/v1",
+             f"https://localhost:{tls_port}/v1"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+    assert done.returncode == 0, done.stderr[-2000:]
+    # The https call loads ssl, and its self-signed certificate is refused.
+    assert json.loads(done.stdout) == [["OK", False], ["TransportFailure", True]]

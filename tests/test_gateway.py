@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
+import re
 import sys
 import threading
 import time
@@ -34,7 +36,8 @@ from crashdeid.gateway import (
 )
 
 from conftest import (
-    MALFORMED_FIXTURE_LINES, http_probe, keepalive_server, no_unclosed_sockets, scripted_server,
+    FIXTURE_DIR, MALFORMED_FIXTURE_LINES, http_probe, keepalive_server, no_unclosed_sockets,
+    raw_server, scripted_server,
 )
 
 
@@ -70,16 +73,16 @@ def test_backend_config_validation():
     for url in ("http://localhost:99999/v1", "http://localhost:abc/v1", "http://localhost:0/v1"):
         with pytest.raises(ValueError, match="^http_endpoint endpoint_url has an invalid port$"):
             BackendConfig(kind="http_endpoint", endpoint_url=url)
-    # http.client refuses a space or non-ASCII in the request target, after
-    # every retry; urlsplit drops a tab or newline, so the POST would go to
-    # another URL than the one recorded. The refusal does not quote the URL.
+    # A request line cannot carry a space or non-ASCII in its target, so every
+    # retry would fail; urlsplit drops a tab or newline, so the POST would go
+    # to another URL than the one recorded. The refusal does not quote the URL.
     for url in ("http://h:9/v1 chat", "http://h:9/v1/\u00e9", "http://h:9/v1?q=a b",
                 "http://h:9/v1/chat\tcompletions", "http://h:9/v1\n", " http://h:9/v1",
                 "http://h:9/v1\x7f", "http://h:9/v1\u00a0"):
         with pytest.raises(ValueError) as err:
             BackendConfig(kind="http_endpoint", endpoint_url=url)
         assert str(err.value) == URL_TEXT_REFUSED
-    # A non-ASCII (IDN) host is kept as given; http.client sends it IDNA-encoded.
+    # A non-ASCII (IDN) host is kept as given; the client sends it IDNA-encoded.
     idn = BackendConfig(kind="http_endpoint", endpoint_url="http://b\u00fccher.example:9/v1")
     assert idn.backend_id == "http:default@http://b\u00fccher.example:9/v1"
     # A socket takes 1e300 and fails only at connect; the config refuses it.
@@ -730,6 +733,222 @@ def test_callers_on_more_threads_than_slots_keep_the_connection_count(monkeypatc
     assert (len(seen), len(a_got), len(b_got)) == (80, 40, 40)
     assert sorted(texts) == sorted(f"{s}{n}" for s in "AB" for n in range(40))
     assert max(seen) <= gateway.MAX_IN_FLIGHT and gateway._open == 0
+
+
+_OK = _completion("OK")
+
+
+def _raw_reply(status=b"HTTP/1.1 200 OK", fields=(), body=b""):
+    return status + b"\r\n" + b"".join(field + b"\r\n" for field in fields) + b"\r\n" + body
+
+
+def _sized(body=_OK, status=b"HTTP/1.1 200 OK", fields=()):
+    return _raw_reply(status, [b"Content-Length: %d" % len(body), *fields], body)
+
+
+def _redirect_connections(monkeypatch, port):
+    """Send every connection the client opens to ``127.0.0.1:port``; returns
+    the list of addresses it asked ``socket.create_connection`` for."""
+    import socket
+    asked = []
+    real = socket.create_connection
+
+    def connect(address, *args, **kwargs):
+        asked.append(address)
+        return real(("127.0.0.1", port), *args, **kwargs)
+
+    monkeypatch.setattr(socket, "create_connection", connect)
+    return asked
+
+
+@pytest.mark.parametrize("url, address, target, host", [
+    ("http://localhost/v1/chat/completions", ("localhost", 80), b"/v1/chat/completions",
+     b"localhost"),
+    ("http://localhost:80/v1", ("localhost", 80), b"/v1", b"localhost"),
+    ("http://LocalHost:8000/v1/chat/completions", ("localhost", 8000), b"/v1/chat/completions",
+     b"localhost:8000"),
+    ("http://127.0.0.1:9/v1?api=2#top", ("127.0.0.1", 9), b"/v1?api=2", b"127.0.0.1:9"),
+    ("http://bücher.example:9/v1", ("bücher.example", 9), b"/v1",
+     b"xn--bcher-kva.example:9"),
+    ("http://127.0.0.1:9", ("127.0.0.1", 9), b"/", b"127.0.0.1:9"),
+    ("http://[::1]:8000/v1", ("::1", 8000), b"/v1", b"[::1]:8000"),
+    ("http://[::1]:80/v1", ("::1", 80), b"/v1", b"[::1]"),
+], ids=["implicit-default-port", "explicit-default-port", "other-port", "ipv4-query",
+        "idn-host", "empty-path", "ipv6-port", "ipv6-default-port"])
+def test_the_request_head_is_the_one_http_client_sent(monkeypatch, url, address, target, host):
+    # The bytes the standard library's http.client sent for the same POST.
+    with no_unclosed_sockets(), raw_server(lambda n: (_sized(), False)) as (port, received, _):
+        asked = _redirect_connections(monkeypatch, port)
+        assert complete(_REQUEST, _http_config(url)).text == "OK"
+        gateway.close_idle_connections()
+    [(head, body)] = received
+    assert asked == [address]
+    assert head == (
+        b"POST %s HTTP/1.1\r\nHost: %s\r\nAccept-Encoding: identity\r\nContent-Length: %d\r\n"
+        b"Content-Type: application/json\r\n\r\n" % (target, host, len(body))
+    )
+    assert json.loads(body)["messages"][1] == {"role": "user", "content": "u"}
+
+
+def test_an_ipv6_endpoint_without_a_port_connects_to_the_default_port(monkeypatch):
+    with no_unclosed_sockets(), raw_server(
+        lambda n: (_sized(_completion(f"R{n}")), False)
+    ) as (port, received, accepted):
+        asked = _redirect_connections(monkeypatch, port)
+        texts = [complete(_REQUEST, _http_config(url)).text
+                 for url in ("http://[::1]/v1", "http://[::1]:80/v1")]
+        gateway.close_idle_connections()
+    # Both URLs name one origin, so the second POST reuses the first's connection.
+    assert (texts, asked, len(accepted)) == (["R0", "R1"], [("::1", 80)], 1)
+    assert [head.split(b"\r\n")[1] for head, _ in received] == [b"Host: [::1]"] * 2
+
+
+_MAX = gateway.MAX_REPLY_BYTES
+_HOLD, _CLOSE = False, True  # what the server does with the connection after its reply
+_SPLIT = 26
+#: name -> (replies to the n-th POST, the last one repeated; what ``complete``
+#: gives: the text or the error and a fragment of its message; POSTs made;
+#: whether the connection is kept). Every bad reply holds the word CANARY,
+#: which no message may quote.
+FRAMING = {
+    "chunked-extensions-trailers": (
+        [(_raw_reply(fields=[b"Transfer-Encoding: chunked"], body=(
+            b"%X;name=\"v\"\r\n%s\r\n" % (_SPLIT, _OK[:_SPLIT])
+            + b"%x\r\n%s\r\n" % (len(_OK) - _SPLIT, _OK[_SPLIT:])
+            + b"0;end\r\nX-Checksum: CANARY\r\nX-Other: 1\r\n\r\n")), _HOLD)],
+        "OK", 1, True),
+    "chunked-before-content-length": (
+        [(_raw_reply(fields=[b"Content-Length: 3", b"Transfer-Encoding: chunked"],
+                     body=b"%x\r\n%s\r\n0\r\n\r\n" % (len(_OK), _OK)), _HOLD)],
+        "OK", 1, True),
+    "http-1.0-close-delimited": (
+        [(_raw_reply(b"HTTP/1.0 200 OK", [b"Content-Type: application/json"], _OK), _CLOSE)],
+        "OK", 1, False),
+    "http-1.1-close-delimited": ([(_raw_reply(body=_OK), _CLOSE)], "OK", 1, False),
+    "http-1.0-sized": ([(_sized(status=b"HTTP/1.0 200 OK"), _HOLD)], "OK", 1, False),
+    "connection-close": ([(_sized(fields=[b"Connection: close"]), _CLOSE)], "OK", 1, False),
+    "100-and-103-first": (
+        [(b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 103 Early Hints\r\nLink: </s>; rel=preload\r\n"
+          b"\r\n" + _sized(), _HOLD)],
+        "OK", 1, True),
+    "100-fields": ([(_sized(fields=[b"X-F%d: v" % n for n in range(99)]), _HOLD)], "OK", 1, True),
+    "204-ends-at-its-head": (
+        [(b"HTTP/1.1 204 No Content\r\n\r\n", _HOLD), (_sized(), _HOLD)], "OK", 2, True),
+    "short-body": (
+        [(_raw_reply(fields=[b"Content-Length: 4096"], body=_OK), _CLOSE), (_sized(), _HOLD)],
+        "OK", 2, True),
+    "oversize-declared": (
+        [(_raw_reply(fields=[b"Content-Length: %d" % (_MAX + 1)], body=b"CANARY"), _HOLD)],
+        (OversizeOutput, str(_MAX)), 1, False),
+    "oversize-declared-digits": (
+        [(_raw_reply(fields=[b"Content-Length: " + b"9" * 5000], body=b"CANARY"), _HOLD)],
+        (OversizeOutput, str(_MAX)), 1, False),
+    "oversize-undeclared": (
+        [(_raw_reply(b"HTTP/1.0 200 OK", body=b"CANARY" + b" " * _MAX), _HOLD)],
+        (OversizeOutput, str(_MAX)), 1, False),
+    "oversize-chunked": (
+        [(_raw_reply(fields=[b"Transfer-Encoding: chunked"],
+                     body=b"%x\r\n%s\r\n1\r\n" % (_MAX, b"CANARY" + b" " * (_MAX - 6))), _HOLD)],
+        (OversizeOutput, str(_MAX)), 1, False),
+    "oversize-one-chunk": (
+        [(_raw_reply(fields=[b"Transfer-Encoding: chunked"], body=b"%x\r\nCANARY" % (_MAX + 1)),
+          _HOLD)],
+        (OversizeOutput, str(_MAX)), 1, False),
+    "line-over-64KiB": (
+        [(_sized(fields=[b"X-CANARY: " + b"v" * 65536]), _HOLD)],
+        (TransportFailure, "reply has a line over 65536 bytes"), 2, False),
+    "101-fields": (
+        [(_sized(fields=[b"X-CANARY-%d: v" % n for n in range(100)]), _HOLD)],
+        (TransportFailure, "reply has more than 100 field lines"), 2, False),
+    "bad-status-code": (
+        [(_sized(status=b"HTTP/1.1 2OO CANARY"), _HOLD)],
+        (TransportFailure, "reply does not start with an HTTP/1.x status line"), 2, False),
+    "not-http-1": (
+        [(_sized(status=b"ICY 200 CANARY"), _HOLD)],
+        (TransportFailure, "reply does not start with an HTTP/1.x status line"), 2, False),
+    "field-without-colon": (
+        [(_sized(fields=[b"CANARY"]), _HOLD)],
+        (TransportFailure, "reply has a field line without a colon"), 2, False),
+    "head-cut-short": (
+        [(b"HTTP/1.1 200 OK\r\nX-CANARY: v\r\n", _CLOSE)],
+        (TransportFailure, "reply ends inside its fields"), 2, False),
+    "invalid-content-length": (
+        [(_raw_reply(fields=[b"Content-Length: CANARY"], body=_OK), _HOLD)],
+        (TransportFailure, "reply has an invalid Content-Length"), 2, False),
+    "other-transfer-coding": (
+        [(_raw_reply(fields=[b"Transfer-Encoding: CANARY"], body=_OK), _HOLD)],
+        (TransportFailure, "reply has a transfer coding other than chunked"), 2, False),
+    "invalid-chunk-size": (
+        [(_raw_reply(fields=[b"Transfer-Encoding: chunked"], body=b"-5 CANARY\r\n"), _HOLD)],
+        (TransportFailure, "reply has an invalid chunk size"), 2, False),
+    "chunk-without-crlf": (
+        [(_raw_reply(fields=[b"Transfer-Encoding: chunked"],
+                     body=b"%x\r\n%sCANARY0\r\n\r\n" % (len(_OK), _OK)), _HOLD)],
+        (TransportFailure, "reply chunk ends early or without CRLF"), 2, False),
+    "retried-status": (
+        [(_sized(b'{"error": "CANARY"}', b"HTTP/1.1 503 Service Unavailable"), _HOLD)],
+        (TransportFailure, "HTTP 503 Service Unavailable"), 2, True),
+}
+
+
+@pytest.mark.parametrize("replies, expected, posts, kept", FRAMING.values(), ids=FRAMING)
+def test_reply_framing(monkeypatch, replies, expected, posts, kept):
+    monkeypatch.setattr(gateway.time, "sleep", lambda s: None)
+    with no_unclosed_sockets(), raw_server(
+        lambda n: replies[min(n, len(replies) - 1)]
+    ) as (port, received, _):
+        started = time.monotonic()
+        if isinstance(expected, str):
+            assert complete(_REQUEST, _http_config(f"http://127.0.0.1:{port}/v1")).text == expected
+        else:
+            with pytest.raises(expected[0], match=re.escape(expected[1])) as err:
+                complete(_REQUEST, _http_config(f"http://127.0.0.1:{port}/v1"))
+            assert "CANARY" not in str(err.value)
+        elapsed = time.monotonic() - started
+        assert gateway._open == kept
+        gateway.close_idle_connections()
+    assert len(received) == posts
+    assert elapsed < 2.5  # half the timeout: no read waited for bytes that never came
+
+
+#: Self-signed for localhost and 127.0.0.1, valid to 2126: ``openssl req -x509 -newkey rsa:2048
+#: -nodes -days 36500 -subj /CN=localhost -addext subjectAltName=DNS:localhost,IP:127.0.0.1``.
+TLS_CERT = FIXTURE_DIR / "localhost.pem"
+
+
+@contextlib.contextmanager
+def _tls_server(reply):
+    import ssl
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(TLS_CERT, FIXTURE_DIR / "localhost.key")
+    with raw_server(reply, context) as served:
+        yield served
+
+
+def test_an_https_endpoint_is_verified_against_the_system_ca_store(monkeypatch):
+    monkeypatch.setattr(gateway.time, "sleep", lambda s: None)
+    with no_unclosed_sockets(), _tls_server(lambda n: (_sized(), False)) as (port, received,
+                                                                            accepted):
+        with pytest.raises(TransportFailure, match="CERTIFICATE_VERIFY_FAILED"):
+            complete(_REQUEST, _http_config(f"https://localhost:{port}/v1"))
+    # Refused at the handshake: no request byte reached the server.
+    assert (received, accepted) == ([], [])
+
+
+def test_an_https_endpoint_with_a_trusted_certificate_answers(monkeypatch):
+    import ssl
+    monkeypatch.setattr(ssl, "create_default_context",
+                        functools.partial(ssl.create_default_context, cafile=str(TLS_CERT)))
+    with no_unclosed_sockets(), _tls_server(
+        lambda n: (_sized(_completion(f"R{n}")), False)
+    ) as (port, received, accepted):
+        asked = _redirect_connections(monkeypatch, port)
+        texts = [complete(_REQUEST, _http_config(url)).text
+                 for url in ("https://localhost/v1", "https://localhost:443/v1")]
+        gateway.close_idle_connections()
+    assert (texts, asked, len(accepted)) == (["R0", "R1"], [("localhost", 443)], 1)
+    assert [head.split(b"\r\n")[:2] for head, _ in received] == [
+        [b"POST /v1 HTTP/1.1", b"Host: localhost"]] * 2
 
 
 def test_backend_id_is_computed_once(tmp_path):
