@@ -14,34 +14,38 @@ Two backend kinds sit behind one ``complete`` call:
     ``ssl`` only for ``https``. An endpoint without a port uses its scheme's
     default. Connections go straight to the endpoint; no proxy or ``.netrc``
     is consulted, so narrative text never passes through another host.
-    Connections belong to the in-flight slots: a POST takes an idle
-    keep-alive connection to its scheme, host and port, or opens one, and
-    hands it back before it frees its slot, so at most ``MAX_IN_FLIGHT`` are
-    open and ``run_pipeline`` closes them as a run ends. ``TCP_QUICKACK`` is
-    set after each request, so a server that sends its body in a second
-    write under Nagle's algorithm is not held up by a delayed ACK; without
-    it (off Linux) each connection is closed after its reply. A reused
-    connection the server closed while idle is opened again once, costing
-    no attempt. A caller of ``complete`` outside ``run_pipeline`` leaves at
-    most ``MAX_IN_FLIGHT`` idle sockets open until the process exits or the
-    next run ends; ``close_idle_connections`` closes them. Transport failures,
-    malformed replies, 5xx, 408 and 429 replies are retried with exponential
-    backoff; any other reply that is not 2xx, a redirect (never followed) as
-    much as a 4xx, raises ``TransportFailure`` at once, since resending the
-    same request cannot change the answer. A reply body over
-    ``MAX_REPLY_BYTES`` raises ``OversizeOutput``, unretried, once at most
-    that many bytes are read. At most ``MAX_IN_FLIGHT`` (4) POSTs are in
-    flight at once across the whole process, whatever the endpoint, model or
-    number of callers; ``fan_out`` overlaps independent calls, such as a
-    run's narratives or a lone narrative's K tagging runs, on up to twice as
-    many threads, so a call sleeping out its backoff idles no slot; one made
-    on those threads, known by name, runs inline. Its pool has one exit: a
-    failed call or an interrupt cancels the calls not yet started, and the
-    running ones finish. An endpoint URL with credentials (``user:pass@``) is
-    refused: they are never sent, only recorded. So is one whose port is not
-    a number from 1 to 65535, and one holding whitespace, an unprintable
-    character or non-ASCII text in its path or query, which no request
-    carries as written; a non-ASCII (IDN) host is kept.
+    A POST holds one of ``MAX_IN_FLIGHT`` (4) slots, whatever the endpoint,
+    model or number of callers, and each slot owns at most one keep-alive
+    connection, so no more than 4 are ever open. A POST waits for a free slot
+    and takes the newest connected to its scheme, host and port, else the
+    newest with none, else the oldest, closing that one's connection; it frees
+    the slot as it ends, the connection kept or closed. The slots and their
+    free list, under one condition, are module-level, so the cap is
+    process-wide. A freed slot wakes the longest waiter, but the thread that
+    freed it may take it back first, as with a semaphore: there is no FIFO
+    hand-off. ``run_pipeline`` closes the free slots' connections as a run
+    ends. ``TCP_QUICKACK`` is set after each request, so a server that sends
+    its body in a second write under Nagle's algorithm is not held up by a
+    delayed ACK; without it (off Linux) each connection is closed after its
+    reply. A reused connection the server closed while idle is opened again
+    once, costing no attempt. A caller of ``complete`` outside
+    ``run_pipeline`` leaves at most ``MAX_IN_FLIGHT`` idle sockets open until
+    the process exits or the next run ends; ``close_idle_connections`` closes
+    them. Transport failures, malformed replies, 5xx, 408 and 429 replies are
+    retried with exponential backoff; any other reply that is not 2xx, a
+    redirect (never followed) as much as a 4xx, raises ``TransportFailure`` at
+    once, since resending the same request cannot change the answer. A reply
+    body over ``MAX_REPLY_BYTES`` raises ``OversizeOutput``, unretried, once
+    at most that many bytes are read. ``fan_out`` overlaps independent calls,
+    such as a run's narratives or a lone narrative's K tagging runs, on up to
+    twice as many threads, so a call sleeping out its backoff idles no slot;
+    one made on those threads, known by name, runs inline. Its pool has one
+    exit: a failed call or an interrupt cancels the calls not yet started, and
+    the running ones finish. An endpoint URL with credentials (``user:pass@``)
+    is refused: they are never sent, only recorded. So is one whose port is
+    not a number from 1 to 65535, and one holding whitespace, an unprintable
+    character or non-ASCII text in its path or query, which no request carries
+    as written; a non-ASCII (IDN) host is kept, unless IDNA cannot encode it.
 
 ``scripted_mock``
     A deterministic offline stand-in. The fixture file is JSONL of
@@ -89,12 +93,41 @@ _BACKOFF_BASE_SECONDS = 0.25
 
 #: Most POSTs in flight at once, to all HTTP backends together.
 MAX_IN_FLIGHT = 4
-_inflight = threading.BoundedSemaphore(MAX_IN_FLIGHT)
-#: Keep-alive connections of the free slots, as ``(origin, connection)``
-#: oldest first, and how many are open, idle or carrying a POST.
-_idle: list = []
-_open = 0
-_idle_lock = threading.Lock()
+
+
+class _Slot:
+    """The right to carry one POST, and the keep-alive connection it keeps
+    between POSTs: its origin, socket and buffered reply reader, or None."""
+    origin = sock = reader = None
+
+    def connect(self, origin: tuple, timeout: float) -> None:
+        """Close any connection and open one to ``origin``: TCP with Nagle's
+        algorithm off, and TLS verified against the system CA store and the
+        host name for ``https``."""
+        import socket
+        self.close()
+        scheme, host, port = origin
+        sock = socket.create_connection((host, port), timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if scheme == "https":
+                import ssl
+                sock = ssl.create_default_context().wrap_socket(sock, server_hostname=host)
+            self.origin, self.sock, self.reader = origin, sock, sock.makefile("rb")
+        except BaseException:
+            sock.close()
+            raise
+
+    def close(self) -> None:
+        if self.sock is not None:
+            self.reader.close()
+            self.sock.close()
+        self.origin = self.sock = self.reader = None
+
+
+#: The free slots, oldest freed first, and the condition that guards them.
+_free = [_Slot() for _ in range(MAX_IN_FLIGHT)]
+_freed = threading.Condition()
 
 
 class GatewayError(RuntimeError):
@@ -174,6 +207,11 @@ class BackendConfig:
             if " " in url or not url.isprintable() or not (parts.path + parts.query).isascii():
                 raise ValueError("http_endpoint endpoint_url holds whitespace, an unprintable "
                                  "character or non-ASCII text in its path or query")
+            try:
+                _endpoint(url)  # the POSTs' own reading of the URL
+            except UnicodeError:
+                raise ValueError("http_endpoint endpoint_url has a host that IDNA "
+                                 "cannot encode") from None
         elif self.kind == "scripted_mock":
             if not (isinstance(self.fixture_path, str) and self.fixture_path):
                 raise ValueError("scripted_mock backend requires fixture_path")
@@ -275,16 +313,6 @@ class _BadReply(Exception):
     broken rule or the status, never other bytes of the reply."""
 
 
-class _Connection(NamedTuple):
-    """A slot's socket to one origin and the buffered reader of its replies."""
-    sock: object
-    reader: object
-
-    def close(self) -> None:
-        self.reader.close()
-        self.sock.close()
-
-
 @lru_cache(maxsize=8)
 def _endpoint(url: str) -> tuple[tuple, bytes]:
     """The URL's origin ``(scheme, host, port)``, with the scheme's default
@@ -308,63 +336,27 @@ def _endpoint(url: str) -> tuple[tuple, bytes]:
     return (parts.scheme, host, parts.port or default), head
 
 
-def _connect(origin: tuple, timeout: float) -> _Connection:
-    """A new connection to ``origin``: TCP with Nagle's algorithm off, and TLS
-    verified against the system CA store and the host name for ``https``."""
-    import socket
-    scheme, host, port = origin
-    sock = socket.create_connection((host, port), timeout)
-    try:
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        if scheme == "https":
-            import ssl
-            sock = ssl.create_default_context().wrap_socket(sock, server_hostname=host)
-        return _Connection(sock, sock.makefile("rb"))
-    except BaseException:
-        sock.close()
-        raise
-
-
-def _take_connection(origin: tuple, timeout: float) -> _Connection | None:
-    """The newest idle connection to ``origin``, or None when the caller is to
-    open a new one, which is counted here. Counting one closes the oldest idle
-    connection first when ``MAX_IN_FLIGHT`` are open: the caller holds a
-    slot, so one is idle."""
-    global _open
-    with _idle_lock:
-        for n in range(len(_idle) - 1, -1, -1):
-            if _idle[n][0] == origin:
-                connection = _idle.pop(n)[1]
-                connection.sock.settimeout(timeout)
-                return connection
-        evicted = _idle.pop(0)[1] if _open == MAX_IN_FLIGHT else None
-        _open += evicted is None
-    if evicted is not None:
-        evicted.close()
-    return None
-
-
-def _put_connection(origin: tuple, connection: _Connection | None, keep: bool) -> None:
-    global _open
-    if not keep and connection is not None:
-        connection.close()
-    with _idle_lock:
-        if keep:
-            _idle.append((origin, connection))
-        else:
-            _open -= 1
+def _take_slot(origin: tuple) -> _Slot:
+    """Wait for a free slot and take the newest connected to ``origin``,
+    else the newest with no connection, else the oldest, whose connection
+    the POST closes."""
+    with _freed:
+        while not _free:
+            _freed.wait()
+        for wanted in (origin, None):
+            for slot in reversed(_free):
+                if slot.origin == wanted:
+                    _free.remove(slot)
+                    return slot
+        return _free.pop(0)
 
 
 def close_idle_connections() -> None:
-    """Close every idle keep-alive connection; ``run_pipeline`` calls it as
+    """Close the connection of every free slot; ``run_pipeline`` calls it as
     a run ends."""
-    global _open
-    with _idle_lock:
-        idle = [connection for _, connection in _idle]
-        _idle.clear()
-        _open -= len(idle)
-    for connection in idle:
-        connection.close()
+    with _freed:
+        for slot in _free:
+            slot.close()
 
 
 def _read_line(reader) -> bytes:
@@ -452,19 +444,20 @@ def _read_body(reader, status: int, fields: dict[bytes, bytes]) -> tuple[bytes, 
     return body, False
 
 
-def _http_post(url: str, payload: dict, timeout: float) -> dict:
-    """POST ``payload`` as JSON on the keep-alive connection of the slot the
+def _http_post(url: str, payload: dict, timeout: float, slot: _Slot) -> dict:
+    """POST ``payload`` as JSON on the connection of ``slot``, which the
     caller holds; return the decoded body of a 2xx reply.
 
     The request, head and body, goes out in one ``sendall``; the reply is
     read by ``_read_head`` and ``_read_body``, and one that breaks their
-    rules raises ``_BadReply``, which is retried. The connection is an idle
-    one to the URL's scheme, host and port, or a new one. A reused
-    connection the server closed while it sat idle, seen as a reset, a
-    broken pipe or no reply byte at all, is opened again once, within the
-    call. An HTTP/1.1 reply read whole that does not close the connection,
-    a 2xx that decodes or a status that is retried, hands it back to the
-    idle set; any other reply or exception closes it.
+    rules raises ``_BadReply``, which is retried. The slot's connection is
+    reused when it goes to the URL's scheme, host and port; otherwise it is
+    closed and a new one opened. A reused connection the server closed while
+    it sat idle, seen as a reset, a broken pipe or no reply byte at all, is
+    opened again once, within the call. An HTTP/1.1 reply read whole that
+    does not close the connection, a 2xx that decodes or a status that is
+    retried, leaves it open on the slot for the next POST; any other reply
+    or exception closes it.
     ``TCP_QUICKACK`` is set after each request is sent, so the reply's
     header segment is acknowledged at once and a server that writes the
     body in a second send under Nagle's algorithm waits out no delayed ACK;
@@ -476,28 +469,28 @@ def _http_post(url: str, payload: dict, timeout: float) -> dict:
     request = b"%sContent-Length: %d\r\nContent-Type: application/json\r\n\r\n%s" % (
         head, len(body), body)
     quickack = getattr(socket, "TCP_QUICKACK", None)
-    connection = _take_connection(origin, timeout)
-    reused = connection is not None
+    reused = slot.origin == origin
     keep = False
 
     def exchange():
-        connection.sock.sendall(request)
+        slot.sock.sendall(request)
         if quickack is not None:
-            connection.sock.setsockopt(socket.IPPROTO_TCP, quickack, 1)
-        return _read_head(connection.reader)
+            slot.sock.setsockopt(socket.IPPROTO_TCP, quickack, 1)
+        return _read_head(slot.reader)
 
     try:
         try:
-            if connection is None:
-                connection = _connect(origin, timeout)
+            if reused:
+                slot.sock.settimeout(timeout)
+            else:
+                slot.connect(origin, timeout)
             version, status, reason, fields = exchange()
         except (BrokenPipeError, ConnectionResetError):
             if not reused:
                 raise
-            connection.close()
-            connection = _connect(origin, timeout)
+            slot.connect(origin, timeout)
             version, status, reason, fields = exchange()
-        reply, closed = _read_body(connection.reader, status, fields)
+        reply, closed = _read_body(slot.reader, status, fields)
         if 200 <= status < 300:
             decoded = json.loads(reply)
         elif status // 100 != 5 and status not in (408, 429):
@@ -509,7 +502,8 @@ def _http_post(url: str, payload: dict, timeout: float) -> dict:
             raise _BadReply(f"HTTP {status} {reason}")
         return decoded
     finally:
-        _put_connection(origin, connection, keep)
+        if not keep:
+            slot.close()
 
 
 def _complete_http(request: ChatRequest, config: BackendConfig) -> str:
@@ -523,13 +517,19 @@ def _complete_http(request: ChatRequest, config: BackendConfig) -> str:
     }
     if request.seed is not None:
         payload["seed"] = request.seed
+    origin = _endpoint(config.endpoint_url)[0]
     last_error: Exception | None = None
     for attempt in range(config.retries + 1):
         if attempt:
             time.sleep(_BACKOFF_BASE_SECONDS * 2 ** (attempt - 1))
         try:
-            with _inflight:
-                body = _http_post(config.endpoint_url, payload, config.timeout)
+            slot = _take_slot(origin)
+            try:
+                body = _http_post(config.endpoint_url, payload, config.timeout, slot)
+            finally:
+                with _freed:
+                    _free.append(slot)
+                    _freed.notify()
             text = body["choices"][0]["message"]["content"]
             if not isinstance(text, str):
                 raise TypeError(f"completion content is {type(text).__name__}")

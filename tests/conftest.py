@@ -36,14 +36,22 @@ def no_crashdeid_thread_outlives_the_test():
     assert not left, f"threads still alive after the test: {left}"
 
 
+def open_connections() -> int:
+    """How many keep-alive connections the gateway's free slots hold."""
+    return sum(slot.sock is not None for slot in gateway._free)
+
+
 @pytest.fixture(autouse=True)
 def no_keepalive_connection_outlives_the_test():
-    """Fail a test that leaves a gateway keep-alive connection open; the
-    idle ones are closed, so the next test starts without any."""
+    """Fail a test that leaves a gateway slot taken or a keep-alive
+    connection open. The connections are closed and a lost slot is replaced,
+    so the next test starts with every slot free and none connected."""
     yield
-    left = gateway._open
+    taken = gateway.MAX_IN_FLIGHT - len(gateway._free)
+    left = open_connections()
     gateway.close_idle_connections()
-    assert not left, f"keep-alive connections still open after the test: {left}"
+    gateway._free.extend(gateway._Slot() for _ in range(taken))
+    assert (taken, left) == (0, 0), f"slots taken, connections open after the test: {taken, left}"
 
 
 @contextlib.contextmanager
@@ -131,7 +139,7 @@ def http_probe(respond: Callable[[dict], str]):
     peak = [0]
     lock = threading.Lock()
 
-    def post(url: str, payload: dict, timeout: float) -> dict:
+    def post(url: str, payload: dict, timeout: float, slot) -> dict:
         with lock:
             live[0] += 1
             peak[0] = max(peak[0], live[0])

@@ -37,7 +37,7 @@ from crashdeid.gateway import (
 
 from conftest import (
     FIXTURE_DIR, MALFORMED_FIXTURE_LINES, http_probe, keepalive_server, no_unclosed_sockets,
-    raw_server, scripted_server,
+    open_connections, raw_server, scripted_server,
 )
 
 
@@ -85,6 +85,11 @@ def test_backend_config_validation():
     # A non-ASCII (IDN) host is kept as given; the client sends it IDNA-encoded.
     idn = BackendConfig(kind="http_endpoint", endpoint_url="http://b\u00fccher.example:9/v1")
     assert idn.backend_id == "http:default@http://b\u00fccher.example:9/v1"
+    # One IDNA cannot encode would fail every POST, each after all its retries.
+    for url in ("http://" + "\u00fc" * 70 + ".example:9/v1", "http://\u00fc..example:9/v1"):
+        with pytest.raises(ValueError) as err:
+            BackendConfig(kind="http_endpoint", endpoint_url=url)
+        assert str(err.value) == "http_endpoint endpoint_url has a host that IDNA cannot encode"
     # A socket takes 1e300 and fails only at connect; the config refuses it.
     url = "http://127.0.0.1:9/v1"
     assert BackendConfig(kind="http_endpoint", endpoint_url=url, timeout=86400).timeout == 86400
@@ -293,7 +298,7 @@ def test_fixture_file_is_read_once_per_backend(tmp_path, monkeypatch):
 def test_http_unreachable_counts_attempts(monkeypatch):
     attempts = []
 
-    def failing_post(url, payload, timeout):
+    def failing_post(url, payload, timeout, slot):
         attempts.append(url)
         raise ConnectionRefusedError("refused")
 
@@ -308,7 +313,7 @@ def test_http_unreachable_counts_attempts(monkeypatch):
 
 
 def test_http_timeout_raises_timeout(monkeypatch):
-    def slow_post(url, payload, timeout):
+    def slow_post(url, payload, timeout, slot):
         raise TimeoutError("too slow")
 
     monkeypatch.setattr(gateway, "_http_post", slow_post)
@@ -543,13 +548,13 @@ def test_http_in_flight_requests_are_bounded(chat_server, monkeypatch):
     lock = threading.Lock()
     real_post = gateway._http_post
 
-    def tracking_post(url, payload, timeout):
+    def tracking_post(url, payload, timeout, slot):
         with lock:
             live.append(1)
             peak.append(len(live))
         _time.sleep(0.05)
         try:
-            return real_post(url, payload, timeout)
+            return real_post(url, payload, timeout, slot)
         finally:
             with lock:
                 live.pop()
@@ -599,10 +604,10 @@ def test_sequential_calls_share_one_keepalive_connection():
     with no_unclosed_sockets(), keepalive_server(_answer("R")) as (url, received, accepted):
         config = _http_config(url)
         texts = [complete(_REQUEST, config).text for _ in range(5)]
-        assert gateway._open == 1
+        assert open_connections() == 1
         gateway.close_idle_connections()
     assert texts == [f"R{n}" for n in range(5)]
-    assert (len(received), len(accepted), gateway._open) == (5, 1, 0)
+    assert (len(received), len(accepted), open_connections()) == (5, 1, 0)
     assert all("Connection" not in headers for headers, _ in received)
 
 
@@ -650,7 +655,7 @@ def test_a_failed_reply_closes_its_connection_unless_it_is_retried(
         try:
             with pytest.raises(raised):
                 complete(_REQUEST, dataclasses.replace(once, endpoint_url=url))
-            assert gateway._open == 2 - connections
+            assert open_connections() == 2 - connections
         finally:
             release.set()
         assert complete(_REQUEST, _http_config(url)).text == "OK"
@@ -686,7 +691,7 @@ def test_two_origins_never_share_a_connection():
             keepalive_server(_answer("B")) as (b_url, b_got, b_conns):
         extractor, verifier = _http_config(a_url), _http_config(b_url)
         texts = [complete(_REQUEST, config).text for config in (extractor, verifier) * 3]
-        assert gateway._open == 2
+        assert open_connections() == 2
         gateway.close_idle_connections()
     assert texts == ["A0", "B0", "A1", "B1", "A2", "B2"]
     assert (len(a_got), len(a_conns), len(b_got), len(b_conns)) == (3, 1, 3, 1)
@@ -701,23 +706,22 @@ def test_no_more_connections_than_slots_are_ever_open():
         opened = []
         for url, _, _ in servers * 2:
             complete(_REQUEST, _http_config(url))
-            opened.append(gateway._open)
+            opened.append(open_connections())
         gateway.close_idle_connections()
     assert max(opened) == gateway.MAX_IN_FLIGHT
     assert [len(accepted) for _, _, accepted in servers] == [2] * len(servers)
 
 
 def test_callers_on_more_threads_than_slots_keep_the_connection_count(monkeypatch):
-    # A lost update to the count would leave it off zero, or let a fifth open.
     seen = []
-    real_take = gateway._take_connection
+    real_take = gateway._take_slot
 
-    def take(origin, timeout):
-        taken = real_take(origin, timeout)
-        seen.append(gateway._open)
-        return taken
+    def take(origin):
+        slot = real_take(origin)
+        seen.append(slot)
+        return slot
 
-    monkeypatch.setattr(gateway, "_take_connection", take)
+    monkeypatch.setattr(gateway, "_take_slot", take)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -732,7 +736,36 @@ def test_callers_on_more_threads_than_slots_keep_the_connection_count(monkeypatc
         sys.setswitchinterval(interval)
     assert (len(seen), len(a_got), len(b_got)) == (80, 40, 40)
     assert sorted(texts) == sorted(f"{s}{n}" for s in "AB" for n in range(40))
-    assert max(seen) <= gateway.MAX_IN_FLIGHT and gateway._open == 0
+    assert len(set(seen)) <= gateway.MAX_IN_FLIGHT and open_connections() == 0
+
+
+def test_an_exception_of_any_kind_inside_a_post_gives_its_slot_back(monkeypatch):
+    real_read_head = gateway._read_head
+
+    def read_head(reader):
+        monkeypatch.setattr(gateway, "_read_head", real_read_head)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(gateway, "_read_head", read_head)
+    with no_unclosed_sockets(), keepalive_server(_answer("R")) as (url, received, _):
+        with pytest.raises(KeyboardInterrupt):
+            complete(_REQUEST, _http_config(url))
+        assert (len(gateway._free), open_connections()) == (gateway.MAX_IN_FLIGHT, 0)
+        assert complete(_REQUEST, _http_config(url)).text == "R1"
+        gateway.close_idle_connections()
+    # Every slot is free again: the next MAX_IN_FLIGHT calls all overlap.
+    barrier = threading.Barrier(gateway.MAX_IN_FLIGHT)
+
+    def respond(payload):
+        barrier.wait(timeout=10)
+        return "OK"
+
+    post, peak = http_probe(respond)
+    monkeypatch.setattr(gateway, "_http_post", post)
+    with ThreadPoolExecutor(gateway.MAX_IN_FLIGHT) as pool:
+        texts = list(pool.map(lambda _: complete(_REQUEST, _http_config(url)).text,
+                              range(gateway.MAX_IN_FLIGHT)))
+    assert (texts, peak[0]) == (["OK"] * gateway.MAX_IN_FLIGHT, gateway.MAX_IN_FLIGHT)
 
 
 _OK = _completion("OK")
@@ -905,7 +938,7 @@ def test_reply_framing(monkeypatch, replies, expected, posts, kept):
                 complete(_REQUEST, _http_config(f"http://127.0.0.1:{port}/v1"))
             assert "CANARY" not in str(err.value)
         elapsed = time.monotonic() - started
-        assert gateway._open == kept
+        assert open_connections() == kept
         gateway.close_idle_connections()
     assert len(received) == posts
     assert elapsed < 2.5  # half the timeout: no read waited for bytes that never came

@@ -22,7 +22,7 @@ from crashdeid import gateway, pipeline
 from crashdeid.gateway import BackendConfig
 from crashdeid.pipeline import PipelineConfig, run_pipeline
 
-from conftest import no_unclosed_sockets
+from conftest import no_unclosed_sockets, open_connections
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 LATENCY_S = 0.003
@@ -78,7 +78,7 @@ def test_an_http_run_opens_at_most_one_connection_per_slot(block, tmp_path):
     # A slot keeps its connection, also across an injected 500 and its retry.
     assert stats["faults"] > 0 and stats["requests"] > 4 * gateway.MAX_IN_FLIGHT
     assert 1 <= stats["connections"] <= gateway.MAX_IN_FLIGHT
-    assert gateway._open == 0
+    assert open_connections() == 0
 
 
 def _narrative_threads() -> list[threading.Thread]:
@@ -161,7 +161,7 @@ def test_a_bug_in_one_narrative_leaves_no_pool_thread_behind(block, tmp_path, mo
     out = tmp_path / "http"
     with no_unclosed_sockets(), pytest.raises(raised, match="bug inside process_narrative"):
         _run_http(block, 2, out)
-    assert _narrative_threads() == [] and gateway._open == 0
+    assert _narrative_threads() == [] and open_connections() == 0
     assert not out.exists()
     # The bug stops the run: only narratives already started when it was
     # raised still run, at most one window beyond it.

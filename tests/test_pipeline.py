@@ -808,6 +808,7 @@ TEXT_REFUSED = (
     "http_endpoint endpoint_url holds whitespace, an unprintable character "
     "or non-ASCII text in its path or query"
 )
+IDNA_REFUSED = "http_endpoint endpoint_url has a host that IDNA cannot encode"
 
 
 @pytest.mark.parametrize(
@@ -821,15 +822,18 @@ TEXT_REFUSED = (
         ("http://localhost:9/v1/chat/compl\u00e9tions", TEXT_REFUSED),
         ("http://localhost:9/v1/chat\tcompletions", TEXT_REFUSED),
         ("http://localhost:9/v1/chat/completions?q=a\nb", TEXT_REFUSED),
+        ("http://" + "\u00fc" * 70 + ".example:9/v1/chat/completions", IDNA_REFUSED),
     ],
     ids=["credentials", "port_out_of_range", "port_not_a_number", "port_zero",
-         "space_in_path", "non_ascii_path", "tab_in_path", "newline_in_query"],
+         "space_in_path", "non_ascii_path", "tab_in_path", "newline_in_query",
+         "idna_label_too_long"],
 )
 def test_replay_refuses_a_refused_endpoint_url_before_any_output(tmp_path, capsys, url, message):
     # Credentials are never sent; accepted, they would be written to the
     # manifest and to every audit record's backend_id. A bad port, a space or
     # non-ASCII in the path would fail every POST inside the client, retried
-    # as a transport failure; a dropped tab would send it to another URL.
+    # as a transport failure, as would a host IDNA cannot encode; a dropped
+    # tab would send it to another URL.
     corpus = write_corpus_jsonl(tmp_path / "c.jsonl", [{"id": "n1", "text": FIG_TEXT}])
     http = BackendConfig(kind="http_endpoint", endpoint_url="http://localhost:9/v1/chat/completions")
     snapshot = config_snapshot(
